@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .signals import FrameGrid
+from .signals import FrameGrid, _wrap
 
 STABILITY_RADIUS = 0.995
 RESPONSE_EPS = 1e-12
@@ -233,10 +233,6 @@ def _eval_fit(theta, w, p_sec, q_sec, r):
         log_mag -= np.log(np.maximum(np.abs(den), 1e-30))
         angle_sum += np.angle(num) - np.angle(den)
     return log_mag, angle_sum, nums, dens, ew
-
-
-def _wrap(phi):
-    return np.pi - np.mod(np.pi - np.asarray(phi), 2 * np.pi)
 
 
 def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
-from .signals import FrameGrid, SignalBuffer, SignalError, grid_window, linear_interp
+from .signals import FrameGrid, SignalBuffer, SignalError, _wrap, grid_window, linear_interp
 
 AMPLITUDE_FLOOR = 1e-7
 COND_THRESHOLD = 1e10
@@ -96,16 +97,18 @@ class F0Track:
         return self.values > 0
 
 
-def _design_matrix(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+def _basis(t: np.ndarray, phase: np.ndarray, amp: np.ndarray | None = None) -> np.ndarray:
     """Real design matrix for the conjugate-pair LS system.
 
-    Columns per component: [2cos, -2sin, 2t cos, -2t sin] so that the
-    unknown vector is [Re a, Im a, Re b, Im b] stacked per component.
+    phase is (n, K), each component's phase track over the window (the
+    stationary model uses 2*pi*outer(t, f)); amp optionally scales each
+    column. Columns per component: [2cos, -2sin, 2t cos, -2t sin] so that
+    the unknown vector is [Re a, Im a, Re b, Im b] stacked per component.
     """
-    ang = 2 * np.pi * np.outer(t, freqs)
-    c, s = np.cos(ang), np.sin(ang)
-    k = freqs.size
-    cols = np.empty((t.size, 4 * k))
+    c, s = np.cos(phase), np.sin(phase)
+    if amp is not None:
+        c, s = c * amp, s * amp
+    cols = np.empty((t.size, 4 * phase.shape[1]))
     cols[:, 0::4] = 2 * c
     cols[:, 1::4] = -2 * s
     cols[:, 2::4] = 2 * t[:, None] * c
@@ -114,27 +117,34 @@ def _design_matrix(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 class _LsSolver:
-    """Cached normal-equation solver for a fixed (freqs, window) design.
+    """Cached normal-equation solver for a fixed (basis, window) design.
 
     Frames sharing the same component frequencies reuse one Cholesky
-    factorization, which dominates analysis speed for steady pitch.
+    factorization, which dominates analysis speed for steady pitch. The
+    Gram matrix G is Jacobi-scaled by d = sqrt(diag G) and factored once;
+    LAPACK dpocon estimates its reciprocal 1-norm condition number rcond
+    from the factor. If 1/rcond > COND_THRESHOLD or the factor does not
+    exist, the design is ill-conditioned and gets a RIDGE_SCALE*trace(G) ridge.
     """
 
-    def __init__(self, t: np.ndarray, freqs: np.ndarray, window: np.ndarray,
-                 basis: np.ndarray | None = None):
-        E = _design_matrix(t, freqs) if basis is None else basis
-        self.Ew = E * window[:, None]
+    def __init__(self, basis: np.ndarray, window: np.ndarray):
+        self.Ew = basis * window[:, None]
         G = self.Ew.T @ self.Ew
-        diag = np.abs(np.diag(G))
-        scale = np.sqrt(np.maximum(np.outer(diag, diag), 1e-300))
-        self.ill_conditioned = bool(np.linalg.cond(G / scale) > COND_THRESHOLD)
+        self.d = np.sqrt(np.maximum(np.diag(G), 1e-300))
+        dd = np.outer(self.d, self.d)
+        scaled = G / dd
+        try:
+            self.factor = cho_factor(scaled)
+            self.rcond = float(dpocon(self.factor[0], np.linalg.norm(scaled, 1))[0])
+        except LinAlgError:
+            self.rcond = 0.0
+        self.ill_conditioned = self.rcond * COND_THRESHOLD < 1.0
         if self.ill_conditioned:
-            G = G + RIDGE_SCALE * np.trace(G) * np.eye(G.shape[0])
-        self.factor = cho_factor(G)
+            self.factor = cho_factor((G + RIDGE_SCALE * np.trace(G) * np.eye(G.shape[0])) / dd)
         self.window = window
 
     def solve(self, frame: np.ndarray) -> np.ndarray:
-        return cho_solve(self.factor, self.Ew.T @ (self.window * frame))
+        return cho_solve(self.factor, self.Ew.T @ (self.window * frame) / self.d) / self.d
 
 
 def qhm_ls_fit(frame_samples: np.ndarray, f_hats: np.ndarray, window: np.ndarray,
@@ -157,7 +167,8 @@ def qhm_ls_fit(frame_samples: np.ndarray, f_hats: np.ndarray, window: np.ndarray
     half = (x.size - 1) / 2.0
     t = (np.arange(x.size) - half) / sample_rate
     if solver is None:
-        solver = _LsSolver(t, f, np.asarray(window, dtype=np.float64))
+        solver = _LsSolver(_basis(t, 2 * np.pi * np.outer(t, f)),
+                           np.asarray(window, dtype=np.float64))
     theta = solver.solve(x)
     a = theta[0::4] + 1j * theta[1::4]
     b = theta[2::4] + 1j * theta[3::4]
@@ -376,11 +387,6 @@ def harmonic_grid(f0_track: F0Track, sample_rate: int, guard: float = 50.0,
     return freqs, counts
 
 
-def _wrap(phi):
-    """Wrap to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(phi), 2 * np.pi)
-
-
 def compensations_from_phases(grid: FrameGrid, freqs: np.ndarray,
                               phases: np.ndarray) -> np.ndarray:
     """Per-frame phase compensations reproducing the framewise phases.
@@ -429,7 +435,7 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
         if lo >= 0 and hi <= len(x):
             key = fseed.tobytes()
             if key not in solvers:
-                solvers[key] = _LsSolver(t, fseed, window)
+                solvers[key] = _LsSolver(_basis(t, 2 * np.pi * np.outer(t, fseed)), window)
             params = qhm_ls_fit(x[lo:hi], fseed, window, fs, l,
                                 solver=solvers[key])
         else:
@@ -443,8 +449,9 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
             k_l = min(k_l, n_valid // 4)
             fseed = fseed[:k_l]
             sl = slice(src_lo - lo, src_hi - lo)
+            basis = _basis(t[sl], 2 * np.pi * np.outer(t[sl], fseed))
             params = qhm_ls_fit(x[src_lo:src_hi], fseed, window[sl], fs, l,
-                                solver=_LsSolver(t[sl], fseed, window[sl]))
+                                solver=_LsSolver(basis, window[sl]))
             flags[l] |= 2
         eta = _clamp_correction(frequency_correction(params), fseed)
         amp, phase = framewise_amp_phase(params)
@@ -562,7 +569,7 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, mode: str,
         # nonstationary phase basis Phi_k(t) = phi_k(t_l + t) - phi_k(t_l)
         phi_c = inst_phi[:, np.clip(c, 0, n_samples - 1)]
         basis_phase = inst_phi[:, idx].T - phi_c[None, :]
-        carrier = np.exp(1j * basis_phase)
+        amp_ratio = None
         if mode == "eaqhm":
             a_c = inst_a[:, np.clip(c, 0, n_samples - 1)]
             significant = a_c > max(AMPLITUDE_FLOOR, 1e-4 * float(a_c.max(initial=0.0)))
@@ -570,16 +577,9 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, mode: str,
             if np.any(significant):
                 ratio = inst_a[significant][:, idx].T / a_c[significant][None, :]
                 amp_ratio[:, significant] = np.clip(ratio, 0.1, 10.0)
-            carrier = carrier * amp_ratio
-        E = np.empty((n_win, 4 * K))
-        re, im = carrier.real, carrier.imag
-        E[:, 0::4] = 2 * re
-        E[:, 1::4] = -2 * im
-        E[:, 2::4] = 2 * t_local[:, None] * re
-        E[:, 3::4] = -2 * t_local[:, None] * im
         frame = _extract_frame(x, c, n_win)
         try:
-            solver = _LsSolver(t_local, freqs[l], window, basis=E)
+            solver = _LsSolver(_basis(t_local, basis_phase, amp_ratio), window)
             theta = solver.solve(frame)
         except np.linalg.LinAlgError:
             flags[l] |= 2

@@ -192,6 +192,11 @@ def linear_interp(knot_times, knot_values, query_times) -> np.ndarray:
     return np.interp(q, t, v)
 
 
+def _wrap(phi):
+    """Wrap to (-pi, pi]."""
+    return np.pi - np.mod(np.pi - np.asarray(phi), 2 * np.pi)
+
+
 def cubic_interp(knot_times, knot_values, query_times) -> np.ndarray:
     """Monotone-preserving piecewise-cubic Hermite interpolation.
 

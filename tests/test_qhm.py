@@ -9,6 +9,7 @@ from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, QhmFrameParams,
                           framewise_amp_phase, frequency_correction,
                           harmonic_frequencies, harmonic_grid, integrate_phase,
                           qhm_ls_fit, refine_adaptive, refine_f0, smooth_phase)
+from quasivoc.qhm import COND_THRESHOLD, _basis, _LsSolver
 from quasivoc.signals import SignalBuffer, make_grid, make_window
 
 FS = 24000
@@ -99,6 +100,59 @@ def test_ls_optimality_under_perturbation():
         da = 1e-4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         db = 1e-2 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         assert wsse(params.a + da, params.b + db) >= base - 1e-12
+
+
+# --- LS conditioning -------------------------------------------------------
+
+def test_analysis_runs_no_full_svd(monkeypatch):
+    """The condition estimate comes from the Cholesky factor, not an SVD."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("full SVD in analysis")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    buf, _ = fixtures.chirp(100.0, 140.0, 0.2, FS, n_harmonics=3)
+    grid = make_grid(0.2 - 1.0 / FS, 0.005, 0.010)
+    hset = analyze_qhm(buf, grid, detect_f0(buf, grid), max_components=6)
+    refined = refine_adaptive(buf, hset, mode="aqhm", max_iters=1)
+    assert np.all(np.isfinite(refined.amplitudes))
+
+
+def test_ls_fit_coincident_frequencies_flagged():
+    x, _ = _centered_frame([150.0, 300.0], [0.5, 0.2], [0.3, -1.1])
+    w = make_window("hann", 481)
+    params = qhm_ls_fit(x, np.array([150.0, 150.0, 300.0]), w, FS)
+    assert params.ill_conditioned
+    assert np.all(np.isfinite(params.a)) and np.all(np.isfinite(params.b))
+
+
+def test_ls_fit_harmonic_set_not_flagged():
+    f = harmonic_frequencies(150.0, FS)
+    w = make_window("hann", 481)
+    x, _ = _centered_frame(f[:5], [0.5, 0.3, 0.2, 0.1, 0.05], [0.0, 0.4, -0.7, 1.2, 2.0])
+    assert f.size == 79
+    assert not qhm_ls_fit(x, f, w, FS).ill_conditioned
+
+
+@pytest.mark.parametrize("freqs", [harmonic_frequencies(150.0, FS),
+                                   np.array([100.0, 104.0]),
+                                   np.array([200.0, 210.0, 400.0])])
+def test_condition_estimate_tracks_two_norm(freqs):
+    """1/rcond lies within a factor 4K of the scaled Gram's 2-norm condition."""
+    w = make_window("hann", 481)
+    t = (np.arange(481) - 240) / FS
+    cols = []
+    for f in freqs:
+        e = np.exp(1j * 2 * np.pi * f * t)
+        cols += [2 * e.real, -2 * e.imag, 2 * t * e.real, -2 * t * e.imag]
+    Ew = np.stack(cols, axis=1) * w[:, None]
+    G = Ew.T @ Ew
+    d = np.sqrt(np.diag(G))
+    oracle = np.linalg.cond(G / np.outer(d, d))
+    assert oracle < COND_THRESHOLD
+    estimate = 1.0 / _LsSolver(_basis(t, 2 * np.pi * np.outer(t, freqs)), w).rcond
+    n = 4 * freqs.size
+    assert oracle / n <= estimate <= n * oracle
 
 
 # --- frequency correction --------------------------------------------------
