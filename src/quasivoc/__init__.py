@@ -1,15 +1,14 @@
 """Quasi-harmonic vocoder with cascaded ARMA spectral envelopes."""
 
-from .signals import (FrameGrid, SignalBuffer, Spectrogram, cubic_interp,
-                      linear_interp, make_grid, make_window, pseudo_stft,
-                      read_wav, write_wav)
+from .signals import (FrameGrid, SignalBuffer, cubic_interp, linear_interp,
+                      make_grid, make_window, read_wav, write_wav)
 from .qhm import (F0Track, HarmonicSet, QhmFrameParams, analyze_qhm, detect_f0,
                   framewise_amp_phase, frequency_correction, harmonic_grid,
-                  integrate_phase, qhm_ls_fit, refine_adaptive, refine_f0,
-                  smooth_phase)
+                  integrate_phase, qhm_ls_fit, refine_adaptive, refine_f0)
 from .arma import (ArmaCascade, ArmaSection, CascadeFrame, EnvelopeSample,
                    cascade_response, correction_capacity, filter_time_domain,
-                   fit_cascade, fit_frame, sample_harmonics, section_response)
+                   fit_cascade, fit_frame, sample_cascade, sample_harmonics,
+                   section_response)
 from .synth import (compensated_phase, delayed_phase, excitation_phase, render,
                     synthesize_arma, synthesize_qhm)
 from .modify import (ScaleSchedule, modified_amplitudes, modified_phases,

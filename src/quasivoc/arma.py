@@ -17,6 +17,8 @@ from .signals import FrameGrid, _wrap
 
 STABILITY_RADIUS = 0.995
 RESPONSE_EPS = 1e-12
+# complex values in one block's exp table when sampling many frames (4 MB)
+_TABLE_BUDGET = 1 << 18
 
 
 class EnvelopeError(Exception):
@@ -77,21 +79,33 @@ class ArmaCascade:
         return len(self.frames)
 
 
+def _section_values(ar, ma, table: list, shape) -> np.ndarray:
+    """(1 + sum b_q e^{-iwq}) / (1 + sum a_p e^{-iwp}) over a shared exp table.
+
+    table[q - 1] is e^{-iwq}, one entry for every polynomial at w.
+    Coefficients run along the first axis of ar and ma; each one is a
+    scalar or broadcasts against the table entries, which have `shape`.
+    """
+    num = np.ones(shape, dtype=np.complex128)
+    for b, e in zip(ma, table):
+        num += b * e
+    den = np.ones(shape, dtype=np.complex128)
+    for a, e in zip(ar, table):
+        den += a * e
+    if np.any(np.abs(den) < RESPONSE_EPS):
+        raise EnvelopeError("singular section response (|denominator| ~ 0)")
+    return num / den
+
+
 def section_response(section: ArmaSection, omega) -> np.ndarray:
     """Frequency response of one section at omega (rad/sample).
 
     H(w) = (1 + sum b_q e^{-iwq}) / (1 + sum a_p e^{-iwp}).
     """
     w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    num = np.ones(w.shape, dtype=np.complex128)
-    for q, b in enumerate(section.ma, start=1):
-        num += b * np.exp(-1j * w * q)
-    den = np.ones(w.shape, dtype=np.complex128)
-    for p, a in enumerate(section.ar, start=1):
-        den += a * np.exp(-1j * w * p)
-    if np.any(np.abs(den) < RESPONSE_EPS):
-        raise EnvelopeError("singular section response (|denominator| ~ 0)")
-    out = num / den
+    n = max(section.ar.size, section.ma.size)
+    table = [np.exp(-1j * w * q) for q in range(1, n + 1)]
+    out = _section_values(section.ar, section.ma, table, w.shape)
     return out if np.ndim(omega) else out[0]
 
 
@@ -112,6 +126,65 @@ class EnvelopeSample:
     phase_delays: np.ndarray
 
 
+def _stack(frames: list):
+    """Gains (L,), AR (L, r, p) and MA (L, r, q) of a list of frames.
+
+    Shorter coefficient vectors and missing sections are zero-padded. That
+    changes no value: a zero coefficient adds +-0.0 to a sum that starts at
+    1, and a zero section's response is exactly 1.
+    """
+    r = max((len(fr.sections) for fr in frames), default=0)
+    p = max((s.ar.size for fr in frames for s in fr.sections), default=0)
+    q = max((s.ma.size for fr in frames for s in fr.sections), default=0)
+    ar = np.zeros((len(frames), r, p))
+    ma = np.zeros((len(frames), r, q))
+    for l, fr in enumerate(frames):
+        for j, sec in enumerate(fr.sections):
+            ar[l, j, :sec.ar.size] = sec.ar
+            ma[l, j, :sec.ma.size] = sec.ma
+    return np.array([fr.gain for fr in frames], dtype=np.float64), ar, ma
+
+
+def _sample(gain, ar, ma, freqs, sample_rate: int):
+    """Magnitudes and summed section phase delays of stacked frames, (L, K) each.
+
+    gain is (L,), ar (L, r, p), ma (L, r, q) and freqs (L, K) in Hz. Frames
+    go in blocks whose exp table holds at most _TABLE_BUDGET values.
+    """
+    if np.any(freqs >= sample_rate / 2):
+        raise EnvelopeError("component frequency at or above Nyquist")
+    L, K = freqs.shape
+    n = max(ar.shape[2], ma.shape[2])
+    step = max(1, _TABLE_BUDGET // max(1, K * n))
+    # coefficient-first, so each coefficient is a (frames, 1) column
+    ar_t = np.moveaxis(ar, 0, -1)[..., None]
+    ma_t = np.moveaxis(ma, 0, -1)[..., None]
+    mag = np.empty((L, K))
+    delay = np.zeros((L, K))
+    for start in range(0, L, step):
+        rows = slice(start, start + step)
+        w = 2 * np.pi * freqs[rows] / sample_rate
+        table = [np.exp(-1j * w * q) for q in range(1, n + 1)]
+        mag[rows] = gain[rows, None]
+        for a, b in zip(ar_t, ma_t):
+            h = _section_values(a[:, rows], b[:, rows], table, w.shape)
+            mag[rows] *= np.abs(h)
+            delay[rows] += np.angle(h)
+    return mag, delay
+
+
+def sample_cascade(cascade: ArmaCascade, freqs):
+    """Envelope magnitudes and phase delays of every frame at its own frequencies.
+
+    freqs is (frames, K) in Hz; returns (magnitudes, delays), each
+    (frames, K), equal to sample_harmonics frame by frame.
+    """
+    f = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
+    if f.shape[0] != cascade.n_frames:
+        raise EnvelopeError("need one row of frequencies per cascade frame")
+    return _sample(*_stack(cascade.frames), f, cascade.sample_rate)
+
+
 def sample_harmonics(frame: CascadeFrame, freqs_hz, sample_rate: int) -> EnvelopeSample:
     """Magnitude and phase delay of the cascade at component frequencies.
 
@@ -120,16 +193,8 @@ def sample_harmonics(frame: CascadeFrame, freqs_hz, sample_rate: int) -> Envelop
     spans [-r*pi, r*pi].
     """
     f = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
-    if np.any(f >= sample_rate / 2):
-        raise EnvelopeError("component frequency at or above Nyquist")
-    w = 2 * np.pi * f / sample_rate
-    mag = np.full(w.shape, frame.gain)
-    delay = np.zeros(w.shape)
-    for sec in frame.sections:
-        h = np.atleast_1d(section_response(sec, w))
-        mag *= np.abs(h)
-        delay += np.angle(h)
-    return EnvelopeSample(mag, delay)
+    mag, delay = _sample(*_stack([frame]), f.reshape(1, -1), sample_rate)
+    return EnvelopeSample(mag.reshape(f.shape), delay.reshape(f.shape))
 
 
 def filter_time_domain(frame: CascadeFrame, x) -> np.ndarray:
@@ -170,8 +235,8 @@ def correction_capacity(frames: list, freq_hz: float, sample_rate: int,
     """
     if len(frames) < 2:
         raise EnvelopeError("need at least 2 frames")
-    delays = np.array([sample_harmonics(fr, freq_hz, sample_rate).phase_delays[0]
-                       for fr in frames])
+    freqs = np.full((len(frames), 1), freq_hz, dtype=np.float64)
+    delays = _sample(*_stack(frames), freqs, sample_rate)[1][:, 0]
     deltas = np.diff(delays) / (2 * np.pi * frame_shift)
     return deltas, float(np.sum(deltas))
 
@@ -217,11 +282,13 @@ def _pack(log_g: float, ars, mas) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _eval_fit(theta, w, p_sec, q_sec, r):
-    """Response, per-section numerator/denominator values at target omegas."""
+def _eval_fit(theta, ew, p_sec, q_sec, r):
+    """Response, per-section numerator/denominator values at target omegas.
+
+    ew is exp(-1j * outer(omega, 1..max(p_sec, q_sec))).
+    """
     log_g, ars, mas = _split(theta, p_sec, q_sec, r)
-    n = w.size
-    ew = np.exp(-1j * np.outer(w, np.arange(1, max(p_sec, q_sec) + 1)))
+    n = ew.shape[0]
     log_mag = np.full(n, log_g)
     angle_sum = np.zeros(n)
     nums, dens = [], []
@@ -232,7 +299,7 @@ def _eval_fit(theta, w, p_sec, q_sec, r):
         log_mag += np.log(np.maximum(np.abs(num), 1e-30))
         log_mag -= np.log(np.maximum(np.abs(den), 1e-30))
         angle_sum += np.angle(num) - np.angle(den)
-    return log_mag, angle_sum, nums, dens, ew
+    return log_mag, angle_sum, nums, dens
 
 
 def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
@@ -273,9 +340,18 @@ def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
     # components contribute only to the magnitude term
     phase_mask = (amp > amp_floor).astype(np.float64)
     lam = np.sqrt(phase_weight)
+    ew = np.exp(-1j * np.outer(w, np.arange(1, max(p_sec, q_sec) + 1)))
+    last = [None, None]
+
+    def evaluate(theta):
+        # least_squares asks for the Jacobian at the point it evaluated last
+        key = theta.tobytes()
+        if last[0] != key:
+            last[:] = key, _eval_fit(theta, ew, p_sec, q_sec, r)
+        return last[1]
 
     def residuals(theta, mag_only=False):
-        log_mag, angle_sum, _, _, _ = _eval_fit(theta, w, p_sec, q_sec, r)
+        log_mag, angle_sum, _, _ = evaluate(theta)
         d_mag = target_log - np.log(np.exp(log_mag) + amp_floor)
         if mag_only:
             return d_mag
@@ -283,7 +359,7 @@ def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
         return np.concatenate([d_mag, d_phi])
 
     def jacobian(theta, mag_only=False):
-        log_mag, _, nums, dens, ew = _eval_fit(theta, w, p_sec, q_sec, r)
+        log_mag, _, nums, dens = evaluate(theta)
         mag = np.exp(log_mag)
         n, npar = w.size, theta.size
         jm = np.zeros((n, npar))

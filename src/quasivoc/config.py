@@ -78,8 +78,6 @@ def load_config(path) -> PipelineConfig:
 
 def _coerce(key: str, value: str):
     default = getattr(PipelineConfig(), key)
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma import ArmaCascade, sample_harmonics
+from .arma import ArmaCascade, sample_cascade
 from .qhm import F0Track, harmonic_grid
 from .signals import FrameGrid, SignalBuffer, SignalError, linear_interp
 from .synth import NYQUIST_GUARD, mute_aliasing, render
@@ -63,8 +63,7 @@ def scaled_times(grid: FrameGrid, betas: np.ndarray) -> np.ndarray:
     return out
 
 
-def scaled_freqs(freqs: np.ndarray, rhos: np.ndarray, vuv: np.ndarray,
-                 sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+def scaled_freqs(freqs: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Voiced frequencies scaled by rho, unvoiced kept; both (frames, K).
 
     Voiced components pushed past Nyquist stay in the array and are muted
@@ -86,28 +85,18 @@ def modified_amplitudes(cascade: ArmaCascade, schedule: ScaleSchedule,
     changes under pitch scaling; unvoiced amplitudes are masked by 1-VUV
     at the original frequencies. Returns (voiced, unvoiced, flags).
     """
-    fs = cascade.sample_rate
-    nyq_lim = fs / 2 - guard
-    L, K = voiced_freqs.shape
-    amps_v = np.zeros((L, K))
-    amps_uv = np.zeros((L, K))
-    flags = np.zeros(L, dtype=np.int64)
-    for l in range(L):
-        k_l = counts[l]
-        if schedule.vuv[l]:
-            in_band = voiced_freqs[l, :k_l] <= nyq_lim
-            k_mod = int(np.count_nonzero(in_band))
-            if k_mod == 0:
-                flags[l] = 1
-                continue
-            norm = np.sqrt(k_l / k_mod)
-            safe = np.minimum(voiced_freqs[l], nyq_lim)
-            env = sample_harmonics(cascade.frames[l], safe, fs)
-            amps_v[l, :k_l] = norm * env.magnitudes[:k_l]
-            amps_v[l, :k_l][~in_band] = 0.0
-        else:
-            env = sample_harmonics(cascade.frames[l], unvoiced_freqs[l], fs)
-            amps_uv[l, :k_l] = env.magnitudes[:k_l]
+    nyq_lim = cascade.sample_rate / 2 - guard
+    counts = np.asarray(counts)
+    vuv = schedule.vuv[:, None]
+    live = np.arange(voiced_freqs.shape[1]) < counts[:, None]
+    in_band = live & (voiced_freqs <= nyq_lim)
+    k_mod = np.count_nonzero(in_band, axis=1)
+    flags = (schedule.vuv & (k_mod == 0)).astype(np.int64)
+    norm = np.sqrt(counts / np.maximum(k_mod, 1))
+    mags, _ = sample_cascade(cascade, np.where(vuv, np.minimum(voiced_freqs, nyq_lim),
+                                               unvoiced_freqs))
+    amps_v = np.where(vuv & in_band, norm[:, None] * mags, 0.0)
+    amps_uv = np.where(~vuv & live, mags, 0.0)
     return amps_v, amps_uv, flags
 
 
@@ -120,17 +109,12 @@ def modified_phases(cascade: ArmaCascade, schedule: ScaleSchedule,
     (already shifted or original) frequencies.
     """
     f = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
-    fs = cascade.sample_rate
     dt = np.diff(cascade.grid.centers)
     inc = np.pi * (f[:-1] + f[1:]) * (schedule.betas[1:] * dt)[:, None]
     phi = np.zeros_like(f)
     np.cumsum(inc, axis=0, out=phi[1:])
-    nyq_lim = fs / 2 - guard
-    delays = np.zeros_like(f)
-    for l in range(f.shape[0]):
-        safe = np.minimum(f[l], nyq_lim)
-        env = sample_harmonics(cascade.frames[l], safe, fs)
-        delays[l] = env.phase_delays
+    nyq_lim = cascade.sample_rate / 2 - guard
+    _, delays = sample_cascade(cascade, np.minimum(f, nyq_lim))
     # same frame-axis unwrap as plain synthesis (see delayed_phase): the
     # per-section principal angle can hop 2*pi between frames
     if delays.shape[0] > 1:
@@ -159,7 +143,7 @@ def modify(cascade: ArmaCascade, f0_track: F0Track, schedule: ScaleSchedule,
     t_hat = scaled_times(cascade.grid, schedule.betas)
     mod_grid = FrameGrid(t_hat, cascade.grid.frame_shift, cascade.grid.half_window,
                          cascade.grid.window_kind, cascade.grid.gauss_sigma)
-    f_v, f_uv = scaled_freqs(freqs, schedule.rhos, schedule.vuv, fs)
+    f_v, f_uv = scaled_freqs(freqs, schedule.rhos)
     amps_v, amps_uv, _ = modified_amplitudes(cascade, schedule, f_v, f_uv, counts, guard)
     phi_v = modified_phases(cascade, schedule, f_v, guard)
     phi_uv = modified_phases(cascade, schedule, f_uv, guard)

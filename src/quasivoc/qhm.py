@@ -208,38 +208,6 @@ def integrate_phase(inst_freq: np.ndarray, sample_rate: int,
     return phase0 + cumulative_trapezoid(2 * np.pi * f, dx=1.0 / sample_rate, initial=0.0)
 
 
-def smooth_phase(phase_l: float, target_next: float, inst_freq: np.ndarray,
-                 t_span: tuple[float, float], sample_rate: int,
-                 prev_span: float | None = None) -> np.ndarray:
-    """Phase over one frame matching the next frame's unwrapped target.
-
-    Integrates the frequency track from t_l to t_{l+1} and adds a
-    half-sine correction sized so the endpoint lands exactly on
-    target_next + 2*pi*M, M absorbing whole turns. prev_span switches the
-    sine argument to the previous frame's interval (the alternative index
-    reading); the endpoint property holds either way.
-    """
-    t_l, t_next = t_span
-    span = t_next - t_l
-    if span <= 0:
-        raise AnalysisError("frame bounds must be increasing")
-    phi = integrate_phase(inst_freq, sample_rate, phase0=phase_l)
-    err = phi[-1] - target_next
-    m = np.round(err / (2 * np.pi))
-    residual = (target_next + 2 * np.pi * m) - phi[-1]
-    z = np.pi * residual / (2 * span)
-    sine_span = span if prev_span is None else prev_span
-    # analytic integral of z*sin(pi*(u - t_l)/sine_span) from t_l to t
-    tt = t_l + np.arange(phi.size) / sample_rate
-    corr = z * (sine_span / np.pi) * (1.0 - np.cos(np.pi * (tt - t_l) / sine_span))
-    if prev_span is not None:
-        # rescale so the endpoint property survives the alternative interval
-        end = z * (sine_span / np.pi) * (1.0 - np.cos(np.pi * span / sine_span))
-        if abs(end) > 1e-300:
-            corr *= residual / end
-    return phi + corr
-
-
 def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
               f0_range: tuple[float, float] = (50.0, 500.0),
               voicing_threshold: float = 0.45) -> F0Track:

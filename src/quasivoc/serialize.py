@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .arma import ArmaCascade, ArmaSection, CascadeFrame
+from .arma import ArmaCascade, ArmaSection, CascadeFrame, EnvelopeError
 from .qhm import F0Track, HarmonicSet
 from .signals import FrameGrid
 
@@ -146,14 +146,23 @@ def cascade_from_json(text: str) -> ArmaCascade:
         raise SerializationError("not a cascade document")
     if doc.get("version") != FORMAT_VERSION:
         raise SerializationError(f"unsupported version: {doc.get('version')}")
-    frames = [
-        CascadeFrame(fr["gain"],
-                     [ArmaSection(np.array(s["ar"]), np.array(s["ma"]))
-                      for s in fr["sections"]])
-        for fr in doc["frames"]
-    ]
-    return ArmaCascade(_grid_from_meta(doc["grid"]), frames, tuple(doc["orders"]),
-                       int(doc["sample_rate"]), np.array(doc["flags"], dtype=np.int64))
+    try:
+        frames = [
+            CascadeFrame(fr["gain"],
+                         [ArmaSection(np.array(s["ar"]), np.array(s["ma"]))
+                          for s in fr["sections"]])
+            for fr in doc["frames"]
+        ]
+        cascade = ArmaCascade(_grid_from_meta(doc["grid"]), frames, tuple(doc["orders"]),
+                              int(doc["sample_rate"]), np.array(doc["flags"], dtype=np.int64))
+    except EnvelopeError as exc:
+        raise SerializationError(f"invalid cascade: {exc}") from None
+    p, q, r = cascade.orders
+    for fr in frames:
+        if len(fr.sections) != r or any(s.ar.shape != (p // r,) or s.ma.shape != (q // r,)
+                                        for s in fr.sections):
+            raise SerializationError("cascade frame sections disagree with the orders")
+    return cascade
 
 
 def cascade_to_bytes(cascade: ArmaCascade) -> bytes:

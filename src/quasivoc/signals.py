@@ -6,7 +6,7 @@ amplitudes are float64 internally.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -86,22 +86,6 @@ def make_grid(duration: float, frame_shift: float, half_window: float,
     n = int(np.floor(duration / frame_shift)) + 1
     centers = np.arange(n) * frame_shift
     return FrameGrid(centers, frame_shift, half_window, window_kind, gauss_sigma)
-
-
-@dataclass
-class Spectrogram:
-    """Real-valued time-frequency matrix indexed by (frame, bin)."""
-
-    values: np.ndarray
-    bin_frequencies: np.ndarray = field(default_factory=lambda: np.array([]))
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.bin_frequencies = np.asarray(self.bin_frequencies, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise SignalError("Spectrogram values must be 2-D")
-        if self.values.shape[1] != len(self.bin_frequencies):
-            raise SignalError("bin count mismatch")
 
 
 def read_wav(path) -> SignalBuffer:
@@ -211,24 +195,3 @@ def cubic_interp(knot_times, knot_values, query_times) -> np.ndarray:
         raise SignalError("cubic_interp requires at least 2 knots")
     q = np.clip(np.asarray(query_times, dtype=np.float64), t[0], t[-1])
     return PchipInterpolator(t, v)(q)
-
-
-def pseudo_stft(frame_freqs: np.ndarray, sigma: float,
-                bin_frequencies: np.ndarray) -> Spectrogram:
-    """Gaussian-bump spectrogram of unit-amplitude components.
-
-    frame_freqs is (frames, components) in Hz; each component contributes
-    a Gaussian bump at +-2*pi*f with width set by sigma (seconds). The
-    bin axis is in rad/s.
-    """
-    if sigma <= 0:
-        raise SignalError("sigma must be positive")
-    f = np.asarray(frame_freqs, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[None, :]
-    omega = np.asarray(bin_frequencies, dtype=np.float64)
-    # components at +-f: (frames, 2K) stacked
-    both = np.concatenate([f, -f], axis=1)
-    d = omega[None, None, :] - 2 * np.pi * both[:, :, None]
-    values = np.exp(-0.5 * (sigma * d) ** 2).sum(axis=1)
-    return Spectrogram(values, omega)

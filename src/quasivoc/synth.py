@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arma import ArmaCascade, sample_harmonics
+from .arma import ArmaCascade, sample_cascade
 from .qhm import F0Track, HarmonicSet, harmonic_grid
 from .signals import FrameGrid, SignalBuffer, SignalError, cubic_interp, linear_interp
 
@@ -48,15 +48,10 @@ def delayed_phase(excitation: np.ndarray, cascade: ArmaCascade,
     unwrapped along the frame axis per component before it is added;
     the result is a continuous phase track safe to interpolate.
     """
-    f = np.atleast_2d(np.asarray(frame_freqs, dtype=np.float64))
-    exc = np.atleast_2d(excitation)
-    delays = np.empty_like(exc)
-    for l in range(exc.shape[0]):
-        env = sample_harmonics(cascade.frames[l], f[l], cascade.sample_rate)
-        delays[l] = env.phase_delays
+    _, delays = sample_cascade(cascade, frame_freqs)
     if delays.shape[0] > 1:
         delays = np.unwrap(delays, axis=0)
-    return exc + delays
+    return np.atleast_2d(excitation) + delays
 
 
 def mute_aliasing(amplitudes: np.ndarray, frame_freqs: np.ndarray,
@@ -73,27 +68,38 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
 
     amplitudes and phases are (frames, K); phases must be unwrapped.
     Components are summed in ascending k; the conjugate-symmetric pair is
-    folded into 2*A*cos(phi) and the DC term is omitted.
+    folded into 2*A*cos(phi) and the DC term is omitted. A component is
+    rendered only where its interpolated amplitude can be nonzero: all-zero
+    columns are skipped, and the linear amplitude is exactly 0 up to the
+    frame center before its first nonzero frame and from the center after
+    its last, where the sum would only gain +-0.0.
     """
     amps = np.atleast_2d(np.asarray(amplitudes, dtype=np.float64))
     phis = np.atleast_2d(np.asarray(phases, dtype=np.float64))
     if amps.shape != phis.shape or amps.shape[0] != len(grid):
         raise SignalError("track shapes inconsistent with the grid")
-    L, K = amps.shape
+    L = amps.shape[0]
     if L == 0:
         return SignalBuffer(np.zeros(0), sample_rate)
     t0, t_end = grid.centers[0], grid.centers[-1]
     n = int(round((t_end - t0) * sample_rate)) + 1
     tt = t0 + np.arange(n) / sample_rate
     out = np.zeros(n)
+    nonzero = amps != 0
+    live = np.flatnonzero(nonzero.any(axis=0))
     if L == 1:
-        for k in range(K):
+        for k in live:
             out += 2 * amps[0, k] * np.cos(phis[0, k])
         return SignalBuffer(out, sample_rate)
-    for k in range(K):
-        phi = cubic_interp(grid.centers, phis[:, k], tt)
-        a = linear_interp(grid.centers, amps[:, k], tt)
-        out += 2 * a * np.cos(phi)
+    first = np.argmax(nonzero, axis=0)
+    last = L - 1 - np.argmax(nonzero[::-1], axis=0)
+    centers = grid.centers
+    for k in live:
+        lo = np.searchsorted(tt, centers[first[k] - 1], "right") if first[k] > 0 else 0
+        hi = np.searchsorted(tt, centers[last[k] + 1], "left") if last[k] < L - 1 else n
+        phi = cubic_interp(centers, phis[:, k], tt[lo:hi])
+        a = linear_interp(centers, amps[:, k], tt[lo:hi])
+        out[lo:hi] += 2 * a * np.cos(phi)
     return SignalBuffer(out, sample_rate)
 
 
@@ -124,12 +130,8 @@ def synthesize_arma(cascade: ArmaCascade, f0_track: F0Track,
     if cascade.n_frames != len(f0_track.values):
         raise SignalError("cascade and f0 track must share the frame grid")
     freqs, counts = harmonic_grid(f0_track, fs, guard, unvoiced_f0, max_components)
-    L, K = freqs.shape
-    amps = np.zeros((L, K))
-    for l in range(L):
-        env = sample_harmonics(cascade.frames[l], freqs[l], fs)
-        amps[l] = env.magnitudes
-        amps[l, counts[l]:] = 0.0
+    amps, _ = sample_cascade(cascade, freqs)
+    amps[np.arange(freqs.shape[1]) >= counts[:, None]] = 0.0
     exc = excitation_phase(freqs, cascade.grid)
     phases = delayed_phase(exc, cascade, freqs)
     amps = mute_aliasing(amps, freqs, fs, guard)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_frame
+from quasivoc import arma, fixtures
 from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, EnvelopeError,
                            _wrap, cascade_response, correction_capacity,
                            filter_time_domain, fit_cascade, fit_frame,
-                           project_stable, sample_harmonics, section_response)
+                           project_stable, sample_cascade, sample_harmonics,
+                           section_response)
 from quasivoc.qhm import F0Track, HarmonicSet
 from quasivoc.signals import make_grid
 
@@ -124,6 +126,91 @@ def test_phase_delay_range_bound():
                                  radius=0.95, coeff_range=0.9)
         env = sample_harmonics(fr, freqs, FS)
         assert np.all(np.abs(env.phase_delays) <= 8 * np.pi + 1e-12)
+
+
+# --- sampling every frame at once -----------------------------------------
+
+def _per_frame_sample(frame, freqs):
+    """Frame by frame, section by section, one exp per coefficient."""
+    w = 2 * np.pi * np.asarray(freqs, dtype=np.float64) / FS
+    mag = np.full(w.shape, frame.gain)
+    delay = np.zeros(w.shape)
+    for sec in frame.sections:
+        num = np.ones(w.shape, dtype=np.complex128)
+        for q, b in enumerate(sec.ma, start=1):
+            num += b * np.exp(-1j * w * q)
+        den = np.ones(w.shape, dtype=np.complex128)
+        for p, a in enumerate(sec.ar, start=1):
+            den += a * np.exp(-1j * w * p)
+        h = num / den
+        mag *= np.abs(h)
+        delay += np.angle(h)
+    return mag, delay
+
+
+def _assert_bitwise_per_frame(cascade, freqs):
+    mags, delays = sample_cascade(cascade, freqs)
+    assert mags.shape == delays.shape == freqs.shape
+    for l, fr in enumerate(cascade.frames):
+        mag, delay = _per_frame_sample(fr, freqs[l])
+        env = sample_harmonics(fr, freqs[l], FS)
+        for got in (mags[l], env.magnitudes):
+            assert got.tobytes() == mag.tobytes()
+        for got in (delays[l], env.phase_delays):
+            assert got.tobytes() == delay.tobytes()
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_sample_cascade_matches_per_frame_vowel(monkeypatch, blocked):
+    cascade = fixtures.vowel_cascade(FS, 23, 0.005, 0.010, 0.05)
+    freqs = np.random.default_rng(21).uniform(0.0, FS / 2 - 1.0, (23, 17))
+    if blocked:
+        # 3 frames per block, so the last block is a partial one
+        monkeypatch.setattr(arma, "_TABLE_BUDGET", 3 * 17 * 8)
+    _assert_bitwise_per_frame(cascade, freqs)
+
+
+def test_sample_cascade_zero_section_frames():
+    grid = make_grid(0.02, 0.005, 0.010)
+    frames = [CascadeFrame(0.5 + l, []) for l in range(len(grid))]
+    cascade = ArmaCascade(grid, frames, (0, 0, 1), FS)
+    freqs = np.tile([0.0, 150.0, 9000.0], (len(grid), 1))
+    mags, delays = sample_cascade(cascade, freqs)
+    np.testing.assert_array_equal(mags, np.repeat(0.5 + np.arange(len(grid)), 3)
+                                  .reshape(-1, 3))
+    assert delays.tobytes() == np.zeros_like(freqs).tobytes()
+    _assert_bitwise_per_frame(cascade, freqs)
+
+
+def test_sample_cascade_mixed_section_shapes():
+    """Frames with different section counts and lengths are zero-padded to
+    one stack; the padding must not move a single bit."""
+    rng = np.random.default_rng(22)
+    frames = [CascadeFrame(1.0, []),
+              CascadeFrame(2.0, [ArmaSection(np.array([-0.8]), np.zeros(0))]),
+              CascadeFrame(0.3, [ArmaSection(np.array([0.2, -0.1]), np.array([0.4, 0.1])),
+                                 ArmaSection(np.array([-0.5]), np.zeros(0))]),
+              random_stable_frame(rng, n_sections=3, p_sec=4, q_sec=2)]
+    cascade = ArmaCascade(make_grid(0.015, 0.005, 0.010), frames, (12, 6, 3), FS)
+    freqs = rng.uniform(0.0, FS / 2 - 1.0, (4, 9))
+    freqs[:, 0] = 0.0
+    _assert_bitwise_per_frame(cascade, freqs)
+
+
+def test_sample_cascade_errors():
+    cascade = fixtures.vowel_cascade(FS, 3, 0.005, 0.010)
+    freqs = np.full((3, 2), 100.0)
+    freqs[2, 1] = FS / 2
+    with pytest.raises(EnvelopeError):
+        sample_cascade(cascade, freqs)
+    with pytest.raises(EnvelopeError):
+        sample_cascade(cascade, np.full((2, 2), 100.0))
+    on_circle = ArmaSection(np.array([-1.0]), np.zeros(0))
+    frames = [CascadeFrame(1.0, [ArmaSection(np.array([-0.5]), np.zeros(0))]),
+              CascadeFrame(1.0, [on_circle])]
+    singular = ArmaCascade(make_grid(0.005, 0.005, 0.010), frames, (1, 0, 1), FS)
+    with pytest.raises(EnvelopeError):
+        sample_cascade(singular, np.zeros((2, 1)))
 
 
 # --- time-domain filtering -------------------------------------------------

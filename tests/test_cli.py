@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from quasivoc import fixtures, serialize
 from quasivoc.cli import main
+from quasivoc.qhm import F0Track
 from quasivoc.signals import read_wav
 
 
@@ -143,6 +145,19 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path):
                  "--orders", "nonsense"]) == 2
     assert main(["analyze", str(wav), str(tmp_path / "h.json"),
                  "--f0-range", "bad"]) == 2
+
+
+def test_synth_exit_code_2_on_ragged_cascade(tmp_path, capsys):
+    cascade = fixtures.vowel_cascade(24000, 5, 0.005, 0.010)
+    doc = json.loads(serialize.cascade_to_json(cascade))
+    doc["frames"][1]["sections"][0]["ar"] = [0.1, 0.0, 0.0]   # 3 taps, not 8
+    casc = tmp_path / "ragged.json"
+    casc.write_text(json.dumps(doc))
+    f0 = tmp_path / "f0.csv"
+    f0.write_text(serialize.f0_to_csv(F0Track(cascade.grid, np.full(5, 150.0))))
+    assert main(["synth", str(casc), str(tmp_path / "out.wav"), "--f0", str(f0)]) == 2
+    assert "malformed cascade file" in capsys.readouterr().err
+    assert not (tmp_path / "out.wav").exists()
 
 
 def test_config_file_flows_through(tmp_path, tone_wav):

@@ -3,6 +3,7 @@ and the full modification pipeline."""
 import numpy as np
 import pytest
 
+from quasivoc import arma, fixtures
 from quasivoc.arma import cascade_response, sample_harmonics
 from quasivoc.modify import (ModificationError, ScaleSchedule, load_schedule,
                              modified_amplitudes, modified_phases, modify,
@@ -74,11 +75,10 @@ def test_scaled_times_prefix_sum_oracle():
 
 def test_scaled_freqs():
     f = np.array([[100.0, 200.0], [150.0, 300.0]])
-    vuv = np.array([True, True])
-    v, uv = scaled_freqs(f, np.array([1.0, 1.0]), vuv, FS)
+    v, uv = scaled_freqs(f, np.array([1.0, 1.0]))
     np.testing.assert_array_equal(v, f)
     np.testing.assert_array_equal(uv, f)
-    v, uv = scaled_freqs(f, np.full(2, np.sqrt(2)), vuv, FS)
+    v, uv = scaled_freqs(f, np.full(2, np.sqrt(2)))
     np.testing.assert_allclose(v, np.sqrt(2) * f)
     np.testing.assert_array_equal(uv, f)
 
@@ -89,7 +89,7 @@ def test_modified_amplitudes_identity_matches_synthesis(vowel_data):
     _, _, cascade, track = vowel_data
     sched = _identity_schedule(track)
     freqs, counts = harmonic_grid(track, FS)
-    v, uv = scaled_freqs(freqs, sched.rhos, sched.vuv, FS)
+    v, uv = scaled_freqs(freqs, sched.rhos)
     amps_v, amps_uv, flags = modified_amplitudes(cascade, sched, v, uv, counts)
     assert np.all(flags == 0)
     np.testing.assert_array_equal(amps_uv, 0.0)  # all frames voiced
@@ -105,7 +105,7 @@ def test_modified_amplitudes_unvoiced_masking(vowel_data):
     vuv[:10] = False
     sched = ScaleSchedule.constant(len(vuv), 1.0, 1.0, vuv)
     freqs, counts = harmonic_grid(track, FS)
-    v, uv = scaled_freqs(freqs, sched.rhos, sched.vuv, FS)
+    v, uv = scaled_freqs(freqs, sched.rhos)
     amps_v, amps_uv, _ = modified_amplitudes(cascade, sched, v, uv, counts)
     np.testing.assert_array_equal(amps_v[:10], 0.0)
     assert amps_uv[:10].max() > 0
@@ -124,7 +124,7 @@ def test_modified_amplitudes_flat_envelope_power():
     track = F0Track(grid, np.full(L, 200.0))
     sched = ScaleSchedule.constant(L, 1.0, 2.0, track.voiced)
     freqs, counts = harmonic_grid(track, FS)
-    v, uv = scaled_freqs(freqs, sched.rhos, sched.vuv, FS)
+    v, uv = scaled_freqs(freqs, sched.rhos)
     amps_v, _, _ = modified_amplitudes(cascade, sched, v, uv, counts)
     p_orig = np.sum(2 * np.ones(counts[0]) ** 2)
     p_mod = np.sum(2 * amps_v[0] ** 2)
@@ -240,3 +240,21 @@ def test_modify_grid_mismatch(vowel_data):
     sched = ScaleSchedule.constant(3, 1.0, 1.0, np.ones(3, bool))
     with pytest.raises(SignalError):
         modify(cascade, track, sched)
+
+
+
+def test_modify_samples_every_frame_at_once(monkeypatch):
+    """Neither the per-frame sampler nor the per-section response runs."""
+    cascade = fixtures.vowel_cascade(FS, 41, 0.005, 0.010, 0.05)
+    f0 = np.full(41, 140.0)
+    f0[10:15] = 0.0
+    track = F0Track(cascade.grid, f0)
+    sched = ScaleSchedule.constant(41, 1.5, 1.3, track.voiced)
+    expect = modify(cascade, track, sched).samples
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-frame envelope sampling")
+
+    monkeypatch.setattr(arma, "section_response", forbidden)
+    monkeypatch.setattr(arma, "sample_harmonics", forbidden)
+    assert modify(cascade, track, sched).samples.tobytes() == expect.tobytes()

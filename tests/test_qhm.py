@@ -8,7 +8,7 @@ from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, QhmFrameParams,
                           analyze_qhm, compensations_from_phases, detect_f0,
                           framewise_amp_phase, frequency_correction,
                           harmonic_frequencies, harmonic_grid, integrate_phase,
-                          qhm_ls_fit, refine_adaptive, refine_f0, smooth_phase)
+                          qhm_ls_fit, refine_adaptive, refine_f0)
 from quasivoc.qhm import COND_THRESHOLD, _basis, _LsSolver
 from quasivoc.signals import SignalBuffer, make_grid, make_window
 
@@ -196,7 +196,7 @@ def test_framewise_amp_phase_cases():
     np.testing.assert_allclose(phase, [0.0, 0.0, -np.pi / 2])
 
 
-# --- phase integration and smoothing ---------------------------------------
+# --- phase integration -----------------------------------------------------
 
 def test_integrate_phase_constant():
     n = int(0.01 * FS) + 1
@@ -215,34 +215,6 @@ def test_integrate_phase_chirp_oracle():
     np.testing.assert_allclose(phi, expect, atol=1e-10)
     with pytest.raises(AnalysisError):
         integrate_phase(np.array([100.0, np.inf]), FS)
-
-
-def test_smooth_phase_zero_correction():
-    n = int(0.005 * FS) + 1
-    f = np.full(n, 200.0)
-    plain = integrate_phase(f, FS, phase0=0.1)
-    out = smooth_phase(0.1, plain[-1], f, (0.0, 0.005), FS)
-    np.testing.assert_allclose(out, plain, atol=1e-12)
-
-
-@pytest.mark.parametrize("prev_span", [None, 0.004])
-def test_smooth_phase_endpoint_property(prev_span):
-    n = int(0.005 * FS) + 1
-    f = np.full(n, 200.0)
-    plain = integrate_phase(f, FS)
-    target = plain[-1] + 0.3
-    out = smooth_phase(0.0, target, f, (0.0, 0.005), FS, prev_span=prev_span)
-    m = np.round((out[-1] - target) / (2 * np.pi))
-    assert abs(out[-1] - target - 2 * np.pi * m) < 1e-9
-    assert out[0] == plain[0]
-
-
-def test_smooth_phase_full_turn_absorbed():
-    n = int(0.005 * FS) + 1
-    f = np.full(n, 200.0)
-    plain = integrate_phase(f, FS)
-    out = smooth_phase(0.0, plain[-1] - 2 * np.pi, f, (0.0, 0.005), FS)
-    np.testing.assert_allclose(out, plain, atol=1e-9)
 
 
 # --- pitch detection -------------------------------------------------------

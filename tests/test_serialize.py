@@ -1,4 +1,6 @@
 """JSON/binary container round trips and format validation."""
+import json
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,18 @@ def test_container_validation():
         cascade_from_json(harmonics_to_json(hset))
     with pytest.raises(SerializationError):
         cascade_from_bytes(blob)  # harmonics magic under the cascade reader
+    doc = json.loads(cascade_to_json(_sample_cascade()))
+    doc["frames"][2]["sections"].pop()       # one section short of r
+    with pytest.raises(SerializationError):
+        cascade_from_json(json.dumps(doc))
+    doc = json.loads(cascade_to_json(_sample_cascade()))
+    doc["frames"][0]["sections"][1]["ma"].append(0.0)   # five MA taps, not four
+    with pytest.raises(SerializationError):
+        cascade_from_json(json.dumps(doc))
+    doc = json.loads(cascade_to_json(_sample_cascade()))
+    doc["orders"] = [8, 8, 3]                # r must divide P and Q
+    with pytest.raises(SerializationError):
+        cascade_from_json(json.dumps(doc))
 
 
 def test_f0_csv_round_trip():

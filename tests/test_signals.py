@@ -1,12 +1,12 @@
-"""Windows, interpolation, WAV I/O, and the Gaussian-bump spectrogram."""
+"""Windows, interpolation and WAV I/O."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
 from quasivoc.signals import (FrameGrid, SignalBuffer, SignalError, cubic_interp,
-                              linear_interp, make_grid, make_window, pseudo_stft,
-                              read_wav, write_wav)
+                              linear_interp, make_grid, make_window, read_wav,
+                              write_wav)
 
 
 # --- windows ---------------------------------------------------------------
@@ -189,39 +189,3 @@ def test_cubic_affine_reproduction_property(slope, intercept):
     q = np.linspace(0, 4, 41)
     out = cubic_interp(t, slope * t + intercept, q)
     np.testing.assert_allclose(out, slope * q + intercept, atol=1e-9)
-
-
-# --- pseudo spectrogram ----------------------------------------------------
-
-def test_pseudo_stft_peak_and_decay():
-    spec = pseudo_stft(np.array([[1000.0]]), sigma=0.01,
-                       bin_frequencies=np.array([2 * np.pi * 1000.0]))
-    # the mirrored component at -1000 Hz is far away at this sigma
-    np.testing.assert_allclose(spec.values[0, 0], 1.0, atol=1e-12)
-    far = pseudo_stft(np.array([[100.0]]), sigma=0.05,
-                      bin_frequencies=np.array([2 * np.pi * 5000.0]))
-    assert far.values[0, 0] < 1e-12
-
-
-def test_pseudo_stft_midpoint_termwise_oracle():
-    freqs = np.array([[100.0, 200.0]])
-    sigma = 0.01
-    omega = np.array([2 * np.pi * 150.0])
-    spec = pseudo_stft(freqs, sigma, omega)
-    expect = sum(np.exp(-0.5 * (sigma * (omega[0] - 2 * np.pi * f)) ** 2)
-                 for f in [100.0, 200.0, -100.0, -200.0])
-    np.testing.assert_allclose(spec.values[0, 0], expect, rtol=1e-12)
-
-
-def test_pseudo_stft_permutation_invariance():
-    rng = np.random.default_rng(5)
-    freqs = rng.uniform(50, 4000, (3, 6))
-    omega = np.linspace(0, 2 * np.pi * 5000, 64)
-    a = pseudo_stft(freqs, 0.002, omega)
-    b = pseudo_stft(freqs[:, ::-1], 0.002, omega)
-    np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
-
-
-def test_pseudo_stft_sigma_error():
-    with pytest.raises(SignalError):
-        pseudo_stft(np.array([[100.0]]), 0.0, np.array([0.0]))

@@ -3,9 +3,11 @@ pipelines."""
 import numpy as np
 import pytest
 
+from quasivoc import arma, fixtures
 from quasivoc.arma import ArmaCascade, ArmaSection, CascadeFrame, sample_harmonics
 from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm, harmonic_grid
-from quasivoc.signals import FrameGrid, SignalBuffer, SignalError, make_grid
+from quasivoc.signals import (FrameGrid, SignalBuffer, SignalError, cubic_interp,
+                              linear_interp, make_grid)
 from quasivoc.synth import (compensated_phase, delayed_phase, excitation_phase,
                             mute_aliasing, render, synthesize_arma,
                             synthesize_qhm)
@@ -187,6 +189,49 @@ def test_render_shape_mismatch():
         render(np.zeros((2, 2)), np.zeros((2, 2)), grid, FS)
 
 
+def _render_every_sample(amps, phis, grid):
+    """Every component over every output sample."""
+    L, K = amps.shape
+    t0 = grid.centers[0]
+    n = int(round((grid.centers[-1] - t0) * FS)) + 1
+    tt = t0 + np.arange(n) / FS
+    out = np.zeros(n)
+    for k in range(K):
+        if L == 1:
+            out += 2 * amps[0, k] * np.cos(phis[0, k])
+            continue
+        phi = cubic_interp(grid.centers, phis[:, k], tt)
+        a = linear_interp(grid.centers, amps[:, k], tt)
+        out += 2 * a * np.cos(phi)
+    return out
+
+
+@pytest.mark.parametrize("centers", [
+    0.005 * np.arange(12),
+    0.0123 + np.cumsum(np.r_[0.0, np.random.default_rng(4).uniform(0.004, 0.011, 11)]),
+])
+def test_render_skips_only_exact_zeros(centers):
+    """Skipped columns and the samples outside a component's support add
+    only +-0.0, so the sum matches the full loop bit for bit."""
+    L, K = len(centers), 8
+    grid = FrameGrid(centers, 0.005, 0.010)
+    rng = np.random.default_rng(11)
+    amps = np.zeros((L, K))
+    amps[0, 1] = 0.3                      # first frame only
+    amps[-1, 2] = 0.2                     # last frame only
+    amps[4:8, 3] = rng.uniform(0.1, 0.5, 4)   # interior support
+    amps[6, 4] = 0.4                      # one interior frame
+    amps[:, 5] = rng.uniform(0.1, 0.5, L)     # everywhere
+    amps[[2, 9], 6] = [0.1, -0.2]         # two islands, one negative
+    # column 0 and column 7 stay all zero
+    phis = excitation_phase(rng.uniform(100, 3000, (L, K)), grid) + rng.uniform(-3, 3, K)
+    out = render(amps, phis, grid, FS).samples
+    assert out.tobytes() == _render_every_sample(amps, phis, grid).tobytes()
+    one = render(amps[6:7], phis[6:7], FrameGrid(centers[6:7], 0.005, 0.010), FS).samples
+    assert one.tobytes() == _render_every_sample(amps[6:7], phis[6:7],
+                                                 FrameGrid(centers[6:7], 0.005, 0.010)).tobytes()
+
+
 def test_mute_aliasing():
     amps = np.ones((2, 2))
     f = np.array([[100.0, 11990.0], [100.0, 200.0]])
@@ -259,3 +304,19 @@ def test_synthesize_arma_grid_mismatch():
         synthesize_arma(cascade, track)
     empty = ArmaCascade(grid, [], (0, 0, 1), FS)
     assert len(synthesize_arma(empty, F0Track(grid, np.zeros(0)))) == 0
+
+
+def test_synthesize_arma_samples_every_frame_at_once(monkeypatch):
+    """Neither the per-frame sampler nor the per-section response runs."""
+    cascade = fixtures.vowel_cascade(FS, 41, 0.005, 0.010, 0.05)
+    f0 = np.full(41, 140.0)
+    f0[10:15] = 0.0
+    track = F0Track(cascade.grid, f0)
+    expect = synthesize_arma(cascade, track).samples
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-frame envelope sampling")
+
+    monkeypatch.setattr(arma, "section_response", forbidden)
+    monkeypatch.setattr(arma, "sample_harmonics", forbidden)
+    assert synthesize_arma(cascade, track).samples.tobytes() == expect.tobytes()
