@@ -11,8 +11,7 @@ from .arma import (ArmaCascade, ArmaSection, CascadeFrame, EnvelopeSample,
                    section_response)
 from .synth import (compensated_phase, delayed_phase, excitation_phase, render,
                     synthesize_arma, synthesize_qhm)
-from .modify import (ScaleSchedule, modified_amplitudes, modified_phases,
-                     modify, scaled_freqs, scaled_times)
+from .modify import ScaleSchedule, modified_tracks, modify, scaled_times
 from .metrics import (MetricReport, f0_rmse, mcd, mel_cepstrum, rtf, snr,
                       vuv_rate)
 

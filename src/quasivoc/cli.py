@@ -16,8 +16,8 @@ import numpy as np
 from . import fixtures, metrics, serialize
 from .arma import fit_cascade
 from .config import ConfigError, PipelineConfig, load_config
-from .modify import ScaleSchedule, load_schedule, modify
-from .qhm import F0Track, analyze_qhm, detect_f0, refine_adaptive
+from .modify import ModificationError, ScaleSchedule, load_schedule, modify
+from .qhm import AnalysisError, F0Track, analyze_qhm, detect_f0, refine_adaptive
 from .signals import SignalError, make_grid, read_wav, write_wav
 from .synth import synthesize_arma, synthesize_qhm
 
@@ -93,9 +93,7 @@ def _make_grid_for(buffer, cfg: PipelineConfig):
 
 def _f0_for(buffer, grid, cfg: PipelineConfig, f0_file=None) -> F0Track:
     if f0_file:
-        text = Path(f0_file).read_text()
-        track = serialize.f0_from_csv(text, cfg.frame_shift, cfg.half_window,
-                                      cfg.window_kind)
+        track = _load_f0_csv(Path(f0_file), cfg)
         if len(track.values) != len(grid):
             raise CliError("f0 file frame count does not match the frame grid")
         return F0Track(grid, track.values)
@@ -165,8 +163,11 @@ def _load_cascade(path: Path):
 def _load_f0_csv(path: Path, cfg: PipelineConfig) -> F0Track:
     if not path.exists():
         raise CliError(f"f0 file not found: {path}")
-    return serialize.f0_from_csv(path.read_text(), cfg.frame_shift,
-                                 cfg.half_window, cfg.window_kind)
+    try:
+        return serialize.f0_from_csv(path.read_text(), cfg.frame_shift,
+                                     cfg.half_window, cfg.window_kind)
+    except (ValueError, AnalysisError) as exc:
+        raise CliError(f"malformed f0 file: {exc}")
 
 
 def cmd_fit_envelope(args) -> int:
@@ -218,7 +219,10 @@ def cmd_modify(args) -> int:
         except Exception as exc:
             raise CliError(f"invalid schedule file: {exc}")
     else:
-        schedule = ScaleSchedule.constant(cascade.n_frames, args.beta, args.rho, vuv)
+        try:
+            schedule = ScaleSchedule.constant(cascade.n_frames, args.beta, args.rho, vuv)
+        except ModificationError as exc:
+            raise CliError(f"invalid --beta/--rho: {exc}")
     out = modify(cascade, track, schedule, guard=cfg.k_guard,
                  unvoiced_f0=cfg.unvoiced_f0, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
@@ -235,6 +239,8 @@ def cmd_eval(args) -> int:
     cfg = _build_config(args)
     gen = _read_input(args.generated)
     ref = _read_input(args.reference)
+    if gen.sample_rate != ref.sample_rate:
+        raise CliError(f"sample rates differ: {gen.sample_rate} vs {ref.sample_rate} Hz")
     report = metrics.MetricReport()
     grid_gen = _make_grid_for(gen, cfg)
     grid_ref = _make_grid_for(ref, cfg)
@@ -242,7 +248,6 @@ def cmd_eval(args) -> int:
     track_ref = detect_f0(ref, grid_ref, (cfg.f0_min, cfg.f0_max), cfg.voicing_threshold)
     n = min(len(track_gen.values), len(track_ref.values))
     tg = F0Track(grid_gen, track_gen.values[:n] if n else np.zeros(0))
-    tg.grid = grid_gen
     tr = F0Track(grid_ref, track_ref.values[:n] if n else np.zeros(0))
     rhos = np.full(n, args.rho)
     report.vuv_rate = metrics.vuv_rate(tg, tr)

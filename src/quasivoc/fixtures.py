@@ -111,7 +111,7 @@ def vowel(f0: float, duration: float, sample_rate: int, frame_shift: float = 0.0
     n_frames = int(np.floor(duration / frame_shift)) + 1
     cascade = vowel_cascade(sample_rate, n_frames, frame_shift, half_window, 1.0)
     track = F0Track(cascade.grid, np.full(n_frames, f0))
-    buf = synthesize_arma(cascade, track, sample_rate)
+    buf = synthesize_arma(cascade, track)
     scale = peak / np.abs(buf.samples).max()
     gain = scale
     cascade = vowel_cascade(sample_rate, n_frames, frame_shift, half_window, gain)

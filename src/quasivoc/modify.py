@@ -14,7 +14,7 @@ import numpy as np
 from .arma import ArmaCascade, sample_cascade
 from .qhm import F0Track, harmonic_grid
 from .signals import FrameGrid, SignalBuffer, SignalError, linear_interp
-from .synth import NYQUIST_GUARD, mute_aliasing, render
+from .synth import NYQUIST_GUARD, delayed_phase, excitation_phase, render
 
 
 class ModificationError(Exception):
@@ -63,68 +63,38 @@ def scaled_times(grid: FrameGrid, betas: np.ndarray) -> np.ndarray:
     return out
 
 
-def scaled_freqs(freqs: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Voiced frequencies scaled by rho, unvoiced kept; both (frames, K).
+def modified_tracks(cascade: ArmaCascade, schedule: ScaleSchedule, freqs: np.ndarray,
+                    counts: np.ndarray, guard: float = NYQUIST_GUARD):
+    """Amplitudes and phases of the voiced and unvoiced banks, one envelope pass.
 
-    Voiced components pushed past Nyquist stay in the array and are muted
-    by the amplitude mask later.
+    Both are (frames, 2K): the voiced bank at rho*f in the first K columns,
+    the unvoiced bank at f in the last K. The envelope is sampled once at
+    both, clamped below Nyquist - guard; components at or above that limit
+    are muted. Voiced amplitudes are masked by VUV and carry the gain
+    normalization G' = G * sqrt(K_orig / K_mod) so total power survives
+    harmonic-count changes under pitch scaling; unvoiced amplitudes are
+    masked by 1-VUV. Phases are the excitation phase on the stretched axis
+    (step i scaled by beta_i) plus the sampled phase delay.
     """
     f = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
-    rho = np.asarray(rhos, dtype=np.float64)
-    voiced = f * rho[:, None]
-    return voiced, f.copy()
-
-
-def modified_amplitudes(cascade: ArmaCascade, schedule: ScaleSchedule,
-                        voiced_freqs: np.ndarray, unvoiced_freqs: np.ndarray,
-                        counts: np.ndarray, guard: float = NYQUIST_GUARD):
-    """Envelope-resampled amplitudes for the voiced and unvoiced banks.
-
-    Voiced amplitudes are masked by VUV and carry the gain normalization
-    G' = G * sqrt(K_orig / K_mod) so total power survives harmonic-count
-    changes under pitch scaling; unvoiced amplitudes are masked by 1-VUV
-    at the original frequencies. Returns (voiced, unvoiced, flags).
-    """
+    both = np.hstack([f * schedule.rhos[:, None], f])
     nyq_lim = cascade.sample_rate / 2 - guard
+    mags, delays = sample_cascade(cascade, np.minimum(both, nyq_lim))
     counts = np.asarray(counts)
-    vuv = schedule.vuv[:, None]
-    live = np.arange(voiced_freqs.shape[1]) < counts[:, None]
-    in_band = live & (voiced_freqs <= nyq_lim)
-    k_mod = np.count_nonzero(in_band, axis=1)
-    flags = (schedule.vuv & (k_mod == 0)).astype(np.int64)
+    K = f.shape[1]
+    live = np.tile(np.arange(K) < counts[:, None], 2)
+    in_band = live & (both <= nyq_lim)
+    k_mod = np.count_nonzero(in_band[:, :K], axis=1)
     norm = np.sqrt(counts / np.maximum(k_mod, 1))
-    mags, _ = sample_cascade(cascade, np.where(vuv, np.minimum(voiced_freqs, nyq_lim),
-                                               unvoiced_freqs))
-    amps_v = np.where(vuv & in_band, norm[:, None] * mags, 0.0)
-    amps_uv = np.where(~vuv & live, mags, 0.0)
-    return amps_v, amps_uv, flags
-
-
-def modified_phases(cascade: ArmaCascade, schedule: ScaleSchedule,
-                    freqs: np.ndarray, guard: float = NYQUIST_GUARD) -> np.ndarray:
-    """Excitation phase on the stretched axis plus envelope phase delay.
-
-    The trapezoid increment of step i is scaled by beta_i, matching the
-    stretched frame spacing; phase delays are sampled at the given
-    (already shifted or original) frequencies.
-    """
-    f = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
-    dt = np.diff(cascade.grid.centers)
-    inc = np.pi * (f[:-1] + f[1:]) * (schedule.betas[1:] * dt)[:, None]
-    phi = np.zeros_like(f)
-    np.cumsum(inc, axis=0, out=phi[1:])
-    nyq_lim = cascade.sample_rate / 2 - guard
-    _, delays = sample_cascade(cascade, np.minimum(f, nyq_lim))
-    # same frame-axis unwrap as plain synthesis (see delayed_phase): the
-    # per-section principal angle can hop 2*pi between frames
-    if delays.shape[0] > 1:
-        delays = np.unwrap(delays, axis=0)
-    return phi + delays
+    vuv = schedule.vuv[:, None]
+    amps = np.hstack([np.where(vuv & in_band[:, :K], norm[:, None] * mags[:, :K], 0.0),
+                      np.where(~vuv & in_band[:, K:], mags[:, K:], 0.0)])
+    phases = delayed_phase(excitation_phase(both, cascade.grid, schedule.betas), delays)
+    return amps, phases
 
 
 def modify(cascade: ArmaCascade, f0_track: F0Track, schedule: ScaleSchedule,
-           sample_rate: int | None = None, guard: float = NYQUIST_GUARD,
-           unvoiced_f0: float = 100.0,
+           guard: float = NYQUIST_GUARD, unvoiced_f0: float = 100.0,
            max_components: int | None = None) -> SignalBuffer:
     """Full time/pitch modification pipeline.
 
@@ -134,7 +104,7 @@ def modify(cascade: ArmaCascade, f0_track: F0Track, schedule: ScaleSchedule,
     flips get a one-frame amplitude ramp for free from the linear
     interpolation of the masked framewise amplitudes.
     """
-    fs = sample_rate or cascade.sample_rate
+    fs = cascade.sample_rate
     if cascade.n_frames != len(schedule.betas) or cascade.n_frames != len(f0_track.values):
         raise SignalError("cascade, track, and schedule must share the frame grid")
     if cascade.n_frames == 0:
@@ -143,14 +113,10 @@ def modify(cascade: ArmaCascade, f0_track: F0Track, schedule: ScaleSchedule,
     t_hat = scaled_times(cascade.grid, schedule.betas)
     mod_grid = FrameGrid(t_hat, cascade.grid.frame_shift, cascade.grid.half_window,
                          cascade.grid.window_kind, cascade.grid.gauss_sigma)
-    f_v, f_uv = scaled_freqs(freqs, schedule.rhos)
-    amps_v, amps_uv, _ = modified_amplitudes(cascade, schedule, f_v, f_uv, counts, guard)
-    phi_v = modified_phases(cascade, schedule, f_v, guard)
-    phi_uv = modified_phases(cascade, schedule, f_uv, guard)
-    amps_v = mute_aliasing(amps_v, f_v, fs, guard)
-    amps_uv = mute_aliasing(amps_uv, f_uv, fs, guard)
-    voiced = render(amps_v, phi_v, mod_grid, fs)
-    unvoiced = render(amps_uv, phi_uv, mod_grid, fs)
+    amps, phases = modified_tracks(cascade, schedule, freqs, counts, guard)
+    K = freqs.shape[1]
+    voiced = render(amps[:, :K], phases[:, :K], mod_grid, fs)
+    unvoiced = render(amps[:, K:], phases[:, K:], mod_grid, fs)
     return SignalBuffer(voiced.samples + unvoiced.samples, fs)
 
 

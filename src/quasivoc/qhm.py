@@ -472,6 +472,8 @@ def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqh
         raise AnalysisError(f"unknown refinement mode: {mode}")
     if max_iters < 1:
         raise AnalysisError("max_iters must be >= 1")
+    if initial.sample_rate != buffer.sample_rate:
+        raise AnalysisError("harmonic set and buffer sample rates differ")
     fs = buffer.sample_rate
     grid = initial.grid
     window = grid_window(grid, fs)
@@ -486,7 +488,7 @@ def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqh
         # frames are not refined (their windows run off the signal) and
         # would otherwise mask interior improvement
         from .synth import synthesize_qhm
-        y = synthesize_qhm(hset, fs).samples
+        y = synthesize_qhm(hset).samples
         n = min(y.size, x.size)
         lo, hi = min(half, n // 4), n - min(half, n // 4)
         return float(np.sum((x[lo:hi] - y[lo:hi]) ** 2))

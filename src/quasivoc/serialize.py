@@ -80,21 +80,35 @@ def _pack_container(magic: bytes, header: dict, arrays: list[np.ndarray]) -> byt
 
 
 def _unpack_container(data: bytes, magic: bytes, n_arrays: int):
+    """Header dict and float64 arrays; every length field is checked first."""
     if data[:4] != magic:
         raise SerializationError("bad magic")
+    if len(data) < 12:
+        raise SerializationError("truncated container header")
     version, hdr_len = struct.unpack_from("<II", data, 4)
     if version != FORMAT_VERSION:
         raise SerializationError(f"unsupported version: {version}")
-    off = 12
-    header = json.loads(data[off:off + hdr_len].decode())
-    off += hdr_len
+    off = 12 + hdr_len
+    if off > len(data):
+        raise SerializationError("truncated container header")
+    header = json.loads(data[12:off].decode())
     arrays = []
     for _ in range(n_arrays):
+        if off + 8 > len(data):
+            raise SerializationError("truncated container: missing array length")
         (nbytes,) = struct.unpack_from("<Q", data, off)
         off += 8
+        if nbytes % 8 or off + nbytes > len(data):
+            raise SerializationError("truncated container: array payload")
         arrays.append(np.frombuffer(data[off:off + nbytes], dtype=np.float64).copy())
         off += nbytes
     return header, arrays
+
+
+def _shaped(arr: np.ndarray, shape: tuple) -> np.ndarray:
+    if arr.size != int(np.prod(shape)):
+        raise SerializationError(f"array of {arr.size} values does not fit shape {shape}")
+    return arr.reshape(shape)
 
 
 def harmonics_to_bytes(hset: HarmonicSet) -> bytes:
@@ -112,7 +126,7 @@ def harmonics_to_bytes(hset: HarmonicSet) -> bytes:
 def harmonics_from_bytes(data: bytes) -> HarmonicSet:
     header, arrays = _unpack_container(data, HARMONICS_MAGIC, 4)
     shape = (header["n_frames"], header["n_components"])
-    freqs, amps, phases, comp = (a.reshape(shape) for a in arrays)
+    freqs, amps, phases, comp = (_shaped(a, shape) for a in arrays)
     return HarmonicSet(_grid_from_meta(header["grid"]), freqs, amps, phases, comp,
                        int(header["sample_rate"]),
                        np.array(header["flags"], dtype=np.int64))
@@ -183,10 +197,12 @@ def cascade_to_bytes(cascade: ArmaCascade) -> bytes:
 def cascade_from_bytes(data: bytes) -> ArmaCascade:
     header, arrays = _unpack_container(data, CASCADE_MAGIC, 3)
     p, q, r = header["orders"]
+    if r < 1:
+        raise SerializationError(f"cascade needs at least one section, got orders {p, q, r}")
     n = header["n_frames"]
-    gains = arrays[0]
-    ar = arrays[1].reshape(n, r, p // r)
-    ma = arrays[2].reshape(n, r, q // r)
+    gains = _shaped(arrays[0], (n,))
+    ar = _shaped(arrays[1], (n, r, p // r))
+    ma = _shaped(arrays[2], (n, r, q // r))
     frames = [
         CascadeFrame(float(gains[l]),
                      [ArmaSection(ar[l, j], ma[l, j]) for j in range(r)])

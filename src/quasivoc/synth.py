@@ -15,16 +15,20 @@ from .signals import FrameGrid, SignalBuffer, SignalError, cubic_interp, linear_
 NYQUIST_GUARD = 50.0
 
 
-def excitation_phase(frame_freqs: np.ndarray, grid: FrameGrid) -> np.ndarray:
+def excitation_phase(frame_freqs: np.ndarray, grid: FrameGrid,
+                     betas: np.ndarray | None = None) -> np.ndarray:
     """Trapezoid-accumulated phase from framewise component frequencies.
 
-    phi[l] = pi * sum_i (f[i-1] + f[i]) * (t_i - t_{i-1}), phi[0] = 0.
+    phi[l] = pi * sum_i (f[i-1] + f[i]) * beta_i * (t_i - t_{i-1}), phi[0] = 0,
+    with beta_i = 1 unless per-frame time scales are given.
     frame_freqs is (frames, K); the result has the same shape.
     """
     f = np.atleast_2d(np.asarray(frame_freqs, dtype=np.float64))
     if not np.all(np.isfinite(f)):
         raise SignalError("frequencies must be finite")
     dt = np.diff(grid.centers)
+    if betas is not None:
+        dt = np.asarray(betas, dtype=np.float64)[1:] * dt
     inc = np.pi * (f[:-1] + f[1:]) * dt[:, None]
     phi = np.zeros_like(f)
     np.cumsum(inc, axis=0, out=phi[1:])
@@ -39,16 +43,16 @@ def compensated_phase(excitation: np.ndarray, compensations: np.ndarray) -> np.n
     return np.atleast_2d(excitation) + np.cumsum(comp, axis=0)
 
 
-def delayed_phase(excitation: np.ndarray, cascade: ArmaCascade,
-                  frame_freqs: np.ndarray) -> np.ndarray:
-    """Excitation phase plus the cascade's summed per-section phase delay.
+def delayed_phase(excitation: np.ndarray, delays: np.ndarray) -> np.ndarray:
+    """Excitation phase plus the envelope's sampled phase delays.
 
+    delays are the summed per-section delays from sample_cascade.
     Per-section principal angles can flip branch (jump by 2*pi) between
     frames when a pole angle sits near +-pi, so the delay track is
     unwrapped along the frame axis per component before it is added;
     the result is a continuous phase track safe to interpolate.
     """
-    _, delays = sample_cascade(cascade, frame_freqs)
+    delays = np.atleast_2d(delays)
     if delays.shape[0] > 1:
         delays = np.unwrap(delays, axis=0)
     return np.atleast_2d(excitation) + delays
@@ -103,9 +107,9 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     return SignalBuffer(out, sample_rate)
 
 
-def synthesize_qhm(hset: HarmonicSet, sample_rate: int | None = None) -> SignalBuffer:
+def synthesize_qhm(hset: HarmonicSet) -> SignalBuffer:
     """Resynthesis from a harmonic set via compensated excitation phase."""
-    fs = sample_rate or hset.sample_rate
+    fs = hset.sample_rate
     if hset.n_frames == 0:
         return SignalBuffer(np.zeros(0), fs)
     exc = excitation_phase(hset.frequencies, hset.grid)
@@ -115,7 +119,7 @@ def synthesize_qhm(hset: HarmonicSet, sample_rate: int | None = None) -> SignalB
 
 
 def synthesize_arma(cascade: ArmaCascade, f0_track: F0Track,
-                    sample_rate: int | None = None, guard: float = NYQUIST_GUARD,
+                    guard: float = NYQUIST_GUARD,
                     unvoiced_f0: float = 100.0,
                     max_components: int | None = None) -> SignalBuffer:
     """Resynthesis from an envelope cascade and an f0 track.
@@ -124,15 +128,14 @@ def synthesize_arma(cascade: ArmaCascade, f0_track: F0Track,
     synthetic grid on unvoiced frames); amplitudes come from the
     envelope magnitude, phases from excitation plus phase delay.
     """
-    fs = sample_rate or cascade.sample_rate
+    fs = cascade.sample_rate
     if cascade.n_frames == 0:
         return SignalBuffer(np.zeros(0), fs)
     if cascade.n_frames != len(f0_track.values):
         raise SignalError("cascade and f0 track must share the frame grid")
     freqs, counts = harmonic_grid(f0_track, fs, guard, unvoiced_f0, max_components)
-    amps, _ = sample_cascade(cascade, freqs)
+    amps, delays = sample_cascade(cascade, freqs)
     amps[np.arange(freqs.shape[1]) >= counts[:, None]] = 0.0
-    exc = excitation_phase(freqs, cascade.grid)
-    phases = delayed_phase(exc, cascade, freqs)
+    phases = delayed_phase(excitation_phase(freqs, cascade.grid), delays)
     amps = mute_aliasing(amps, freqs, fs, guard)
     return render(amps, phases, cascade.grid, fs)

@@ -133,7 +133,7 @@ def test_eval_rho_scaled_pair(tmp_path):
     assert rep["f0_rmse"] < 0.02
 
 
-def test_exit_code_2_on_missing_and_malformed(tmp_path):
+def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.wav"),
                  str(tmp_path / "h.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -145,6 +145,40 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path):
                  "--orders", "nonsense"]) == 2
     assert main(["analyze", str(wav), str(tmp_path / "h.json"),
                  "--f0-range", "bad"]) == 2
+    # malformed F0 CSVs, non-positive scales, cut containers, mixed rates
+    cascade = fixtures.vowel_cascade(24000, 5, 0.005, 0.010)
+    casc = tmp_path / "casc.bin"
+    casc.write_bytes(serialize.cascade_to_bytes(cascade))
+    f0 = tmp_path / "f0.csv"
+    f0.write_text(serialize.f0_to_csv(F0Track(cascade.grid, np.full(5, 150.0))))
+    out = tmp_path / "out.wav"
+    runs = []
+    for name, text in (("text", "time,f0\n0.0,abc\n"), ("short", "time,f0\n0.0\n"),
+                       ("negative", "time,f0\n0.0,-150.0\n")):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(text)
+        runs.append(["analyze", str(wav), str(tmp_path / "h.json"), "--f0-file", str(bad)])
+        runs.append(["synth", str(casc), str(out), "--f0", str(bad)])
+    runs.append(["modify", str(casc), str(out), "--f0", str(f0), "--beta", "-1"])
+    runs.append(["modify", str(casc), str(out), "--f0", str(f0), "--rho", "0"])
+    hset = tmp_path / "h.bin"
+    main(["analyze", str(wav), str(hset)])
+    assert hset.exists()
+    for src, keep in ((casc, -13), (casc, 10), (hset, -13)):
+        short = tmp_path / f"cut{keep}_{src.name}"
+        short.write_bytes(src.read_bytes()[:keep])
+        runs.append(["synth", str(short), str(out), "--f0", str(f0)]
+                    + (["--from-harmonics"] if src is hset else []))
+    slow, fast = tmp_path / "8k.wav", tmp_path / "48k.wav"
+    for path, rate in ((slow, 8000), (fast, 48000)):
+        assert main(["gen-fixture", "vowel", str(path), "--params",
+                     json.dumps({"f0": 150.0, "duration": 0.2, "sample_rate": rate})]) == 0
+    runs.append(["eval", str(slow), str(fast)])
+    capsys.readouterr()
+    for argv in runs:
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+    assert not out.exists()
 
 
 def test_synth_exit_code_2_on_ragged_cascade(tmp_path, capsys):

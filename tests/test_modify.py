@@ -1,13 +1,14 @@
 """Time-stretch and pitch-shift: schedules, scaled grids, bank splitting,
 and the full modification pipeline."""
+import importlib
+
 import numpy as np
 import pytest
 
-from quasivoc import arma, fixtures
+from quasivoc import arma, fixtures, synth
 from quasivoc.arma import cascade_response, sample_harmonics
 from quasivoc.modify import (ModificationError, ScaleSchedule, load_schedule,
-                             modified_amplitudes, modified_phases, modify,
-                             scaled_freqs, scaled_times)
+                             modified_tracks, modify, scaled_times)
 from quasivoc.qhm import F0Track, harmonic_grid
 from quasivoc.signals import make_grid
 from quasivoc.synth import excitation_phase, synthesize_arma
@@ -17,6 +18,11 @@ FS = 24000
 
 def _identity_schedule(track):
     return ScaleSchedule.constant(len(track.values), 1.0, 1.0, track.voiced)
+
+
+def _banks(tracks, K):
+    """Split (frames, 2K) modified tracks into the voiced and unvoiced halves."""
+    return tracks[:, :K], tracks[:, K:]
 
 
 # --- schedules -------------------------------------------------------------
@@ -55,7 +61,7 @@ def test_load_schedule(tmp_path):
         load_schedule(empty, grid, np.ones(len(grid), bool))
 
 
-# --- scaled times and frequencies ------------------------------------------
+# --- scaled times ----------------------------------------------------------
 
 def test_scaled_times_identity_and_double():
     grid = make_grid(0.02, 0.005, 0.010)
@@ -73,25 +79,15 @@ def test_scaled_times_prefix_sum_oracle():
         scaled_times(grid, np.array([1.0, 0.0, 1.0]))
 
 
-def test_scaled_freqs():
-    f = np.array([[100.0, 200.0], [150.0, 300.0]])
-    v, uv = scaled_freqs(f, np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(v, f)
-    np.testing.assert_array_equal(uv, f)
-    v, uv = scaled_freqs(f, np.full(2, np.sqrt(2)))
-    np.testing.assert_allclose(v, np.sqrt(2) * f)
-    np.testing.assert_array_equal(uv, f)
-
-
 # --- bank amplitudes and phases --------------------------------------------
 
 def test_modified_amplitudes_identity_matches_synthesis(vowel_data):
     _, _, cascade, track = vowel_data
     sched = _identity_schedule(track)
     freqs, counts = harmonic_grid(track, FS)
-    v, uv = scaled_freqs(freqs, sched.rhos)
-    amps_v, amps_uv, flags = modified_amplitudes(cascade, sched, v, uv, counts)
-    assert np.all(flags == 0)
+    amps, _ = modified_tracks(cascade, sched, freqs, counts)
+    amps_v, amps_uv = _banks(amps, freqs.shape[1])
+    assert np.all(amps_v.max(axis=1) > 0)  # every voiced frame keeps a component
     np.testing.assert_array_equal(amps_uv, 0.0)  # all frames voiced
     for l in (0, 50, 100):
         env = sample_harmonics(cascade.frames[l], freqs[l], FS)
@@ -105,8 +101,8 @@ def test_modified_amplitudes_unvoiced_masking(vowel_data):
     vuv[:10] = False
     sched = ScaleSchedule.constant(len(vuv), 1.0, 1.0, vuv)
     freqs, counts = harmonic_grid(track, FS)
-    v, uv = scaled_freqs(freqs, sched.rhos)
-    amps_v, amps_uv, _ = modified_amplitudes(cascade, sched, v, uv, counts)
+    amps, _ = modified_tracks(cascade, sched, freqs, counts)
+    amps_v, amps_uv = _banks(amps, freqs.shape[1])
     np.testing.assert_array_equal(amps_v[:10], 0.0)
     assert amps_uv[:10].max() > 0
     # mask partition: one bank is all-zero at every frame
@@ -124,8 +120,8 @@ def test_modified_amplitudes_flat_envelope_power():
     track = F0Track(grid, np.full(L, 200.0))
     sched = ScaleSchedule.constant(L, 1.0, 2.0, track.voiced)
     freqs, counts = harmonic_grid(track, FS)
-    v, uv = scaled_freqs(freqs, sched.rhos)
-    amps_v, _, _ = modified_amplitudes(cascade, sched, v, uv, counts)
+    amps, _ = modified_tracks(cascade, sched, freqs, counts)
+    amps_v, _ = _banks(amps, freqs.shape[1])
     p_orig = np.sum(2 * np.ones(counts[0]) ** 2)
     p_mod = np.sum(2 * amps_v[0] ** 2)
     assert abs(p_mod - p_orig) / p_orig < 0.01
@@ -133,18 +129,17 @@ def test_modified_amplitudes_flat_envelope_power():
     np.testing.assert_allclose(live, np.sqrt(counts[0] / live.size), rtol=1e-12)
 
 
-def test_modified_amplitudes_all_aliased_flagged():
+def test_modified_amplitudes_all_aliased_muted():
     from quasivoc.arma import ArmaCascade, CascadeFrame
     grid = make_grid(0.005, 0.005, 0.010)
     frames = [CascadeFrame(1.0, []) for _ in range(2)]
     cascade = ArmaCascade(grid, frames, (0, 0, 1), FS)
-    sched = ScaleSchedule.constant(2, 1.0, 1.0, np.ones(2, bool))
-    v = np.full((2, 3), 13000.0)  # everything beyond Nyquist
-    uv = np.full((2, 3), 100.0)
-    amps_v, _, flags = modified_amplitudes(cascade, sched, v, uv,
-                                           np.full(2, 3, dtype=np.int64))
-    assert np.all(flags == 1)
+    sched = ScaleSchedule.constant(2, 1.0, 130.0, np.ones(2, bool))
+    freqs = np.full((2, 3), 100.0)  # rho * f = 13 kHz, beyond Nyquist
+    amps, phases = modified_tracks(cascade, sched, freqs, np.full(2, 3, dtype=np.int64))
+    amps_v, _ = _banks(amps, 3)
     np.testing.assert_array_equal(amps_v, 0.0)
+    assert np.all(np.isfinite(phases))
 
 
 def test_modified_phases_identity(vowel_data):
@@ -155,9 +150,10 @@ def test_modified_phases_identity(vowel_data):
     ident = ArmaCascade(grid, [CascadeFrame(1.0, []) for _ in range(L)],
                         (0, 0, 1), FS)
     sched = _identity_schedule(track)
-    freqs, _ = harmonic_grid(track, FS)
-    out = modified_phases(ident, sched, freqs)
-    np.testing.assert_allclose(out, excitation_phase(freqs, grid), atol=1e-12)
+    freqs, counts = harmonic_grid(track, FS)
+    _, phases = modified_tracks(ident, sched, freqs, counts)
+    for out in _banks(phases, freqs.shape[1]):
+        np.testing.assert_allclose(out, excitation_phase(freqs, grid), atol=1e-12)
 
 
 def test_modified_phases_beta_doubles_increments():
@@ -168,10 +164,11 @@ def test_modified_phases_beta_doubles_increments():
                         (0, 0, 1), FS)
     sched = ScaleSchedule.constant(L, 2.0, 1.0, np.ones(L, bool))
     f = np.full((L, 1), 100.0)
-    out = modified_phases(ident, sched, f)
+    _, phases = modified_tracks(ident, sched, f, np.ones(L, dtype=np.int64))
     base = excitation_phase(f, grid)
-    np.testing.assert_allclose(np.diff(out, axis=0), 2 * np.diff(base, axis=0),
-                               atol=1e-12)
+    for out in _banks(phases, 1):
+        np.testing.assert_allclose(np.diff(out, axis=0), 2 * np.diff(base, axis=0),
+                                   atol=1e-12)
 
 
 def test_modified_phases_composition_oracle(vowel_data):
@@ -180,18 +177,19 @@ def test_modified_phases_composition_oracle(vowel_data):
     rng = np.random.default_rng(19)
     betas = rng.uniform(0.5, 2.0, L)
     sched = ScaleSchedule(betas, np.full(L, 1.3), track.voiced)
-    freqs, _ = harmonic_grid(track, FS)
-    f = 1.3 * freqs
-    out = modified_phases(cascade, sched, f)
+    freqs, counts = harmonic_grid(track, FS)
+    _, phases = modified_tracks(cascade, sched, freqs, counts)
     dt = np.diff(cascade.grid.centers)
-    phi = np.zeros_like(f)
-    for l in range(1, L):
-        phi[l] = phi[l - 1] + np.pi * (f[l - 1] + f[l]) * betas[l] * dt[l - 1]
-    for l in (0, 77, L - 1):
-        safe = np.minimum(f[l], FS / 2 - 50.0)
-        d = sample_harmonics(cascade.frames[l], safe, FS).phase_delays
-        err = np.angle(np.exp(1j * (out[l] - phi[l] - d)))
-        np.testing.assert_allclose(err, 0.0, atol=1e-8)
+    # the voiced bank runs at rho * f, the unvoiced bank at f
+    for out, f in zip(_banks(phases, freqs.shape[1]), (1.3 * freqs, freqs)):
+        phi = np.zeros_like(f)
+        for l in range(1, L):
+            phi[l] = phi[l - 1] + np.pi * (f[l - 1] + f[l]) * betas[l] * dt[l - 1]
+        for l in (0, 77, L - 1):
+            safe = np.minimum(f[l], FS / 2 - 50.0)
+            d = sample_harmonics(cascade.frames[l], safe, FS).phase_delays
+            err = np.angle(np.exp(1j * (out[l] - phi[l] - d)))
+            np.testing.assert_allclose(err, 0.0, atol=1e-8)
 
 
 # --- full pipeline ---------------------------------------------------------
@@ -258,3 +256,26 @@ def test_modify_samples_every_frame_at_once(monkeypatch):
     monkeypatch.setattr(arma, "section_response", forbidden)
     monkeypatch.setattr(arma, "sample_harmonics", forbidden)
     assert modify(cascade, track, sched).samples.tobytes() == expect.tobytes()
+
+
+def test_one_envelope_pass_per_call(monkeypatch):
+    """synthesize_arma and modify each sample the envelope exactly once."""
+    cascade = fixtures.vowel_cascade(FS, 21, 0.005, 0.010, 0.05)
+    f0 = np.full(21, 140.0)
+    f0[5:8] = 0.0
+    track = F0Track(cascade.grid, f0)
+    calls = {"synth": 0, "modify": 0}
+
+    def counter(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return arma.sample_cascade(*args, **kwargs)
+        return counted
+
+    # the package re-exports the modify() function under the module's name
+    modify_module = importlib.import_module("quasivoc.modify")
+    monkeypatch.setattr(synth, "sample_cascade", counter("synth"))
+    monkeypatch.setattr(modify_module, "sample_cascade", counter("modify"))
+    synth.synthesize_arma(cascade, track)
+    modify(cascade, track, ScaleSchedule.constant(21, 1.5, 1.3, track.voiced))
+    assert calls == {"synth": 1, "modify": 1}

@@ -366,3 +366,5 @@ def test_refine_adaptive_errors():
         refine_adaptive(buf, hset, "bogus")
     with pytest.raises(AnalysisError):
         refine_adaptive(buf, hset, "aqhm", max_iters=0)
+    with pytest.raises(AnalysisError):
+        refine_adaptive(SignalBuffer(np.zeros(100), 2 * FS), hset, "aqhm")

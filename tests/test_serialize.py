@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quasivoc.arma import ArmaCascade, ArmaSection, CascadeFrame
 from quasivoc.qhm import F0Track, HarmonicSet
@@ -120,6 +121,31 @@ def test_container_validation():
     doc["orders"] = [8, 8, 3]                # r must divide P and Q
     with pytest.raises(SerializationError):
         cascade_from_json(json.dumps(doc))
+    for data, key, value, read in (
+            (blob, "n_frames", 6, harmonics_from_bytes),   # arrays hold 5 frames
+            (cascade_to_bytes(_sample_cascade()), "orders", [0, 0, 0], cascade_from_bytes)):
+        hdr_len = int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12:12 + hdr_len])
+        header[key] = value
+        raw = json.dumps(header).encode()
+        with pytest.raises(SerializationError):
+            read(data[:8] + len(raw).to_bytes(4, "little") + raw + data[12 + hdr_len:])
+
+
+_HSET_BLOB = harmonics_to_bytes(_sample_hset())
+_CASCADE_BLOB = cascade_to_bytes(_sample_cascade())
+
+
+@given(st.integers(0, len(_HSET_BLOB) - 1), st.integers(0, len(_CASCADE_BLOB) - 1))
+@example(len(_HSET_BLOB) - 13, len(_CASCADE_BLOB) - 13)   # inside the last array
+@example(10, 10)                                          # inside the fixed header
+@settings(max_examples=60, deadline=None)
+def test_truncated_containers_raise(h_keep, c_keep):
+    """Any cut, in the header or inside an array, is a SerializationError."""
+    with pytest.raises(SerializationError):
+        harmonics_from_bytes(_HSET_BLOB[:h_keep])
+    with pytest.raises(SerializationError):
+        cascade_from_bytes(_CASCADE_BLOB[:c_keep])
 
 
 def test_f0_csv_round_trip():
