@@ -3,8 +3,9 @@
 A frame's envelope is a gain times a product of low-order ARMA sections;
 per-section phase angles are wrapped to [-pi, pi] and summed, so the
 cascade can represent phase delays in [-r*pi, r*pi]. The fitter estimates
-a stable cascade from harmonic amplitude/phase targets by gradient
-descent with pole-stability projection.
+a stable cascade from harmonic amplitude/phase targets by a batched
+damped Gauss-Newton (Levenberg-Marquardt) fit that steps every frame at
+once, with pole-stability projection.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ STABILITY_RADIUS = 0.995
 RESPONSE_EPS = 1e-12
 # complex values in one block's exp table when sampling many frames (4 MB)
 _TABLE_BUDGET = 1 << 18
+# Jacobian and normal-matrix values in one block of frame fits (16 MB)
+_FIT_BUDGET = 1 << 21
 
 
 class EnvelopeError(Exception):
@@ -79,22 +82,29 @@ class ArmaCascade:
         return len(self.frames)
 
 
-def _section_values(ar, ma, table: list, shape) -> np.ndarray:
-    """(1 + sum b_q e^{-iwq}) / (1 + sum a_p e^{-iwp}) over a shared exp table.
+def _poly(coef, table) -> np.ndarray:
+    """1 + sum_n coef[..., n] e^{-iw(n+1)}: (L, r, K) from coef (L, r, m).
 
-    table[q - 1] is e^{-iwq}, one entry for every polynomial at w.
-    Coefficients run along the first axis of ar and ma; each one is a
-    scalar or broadcasts against the table entries, which have `shape`.
+    table is (L, >= m, K) with table[:, n] = e^{-iw(n+1)}; every polynomial
+    of a frame shares its table.
     """
-    num = np.ones(shape, dtype=np.complex128)
-    for b, e in zip(ma, table):
-        num += b * e
-    den = np.ones(shape, dtype=np.complex128)
-    for a, e in zip(ar, table):
-        den += a * e
+    out = np.ones((coef.shape[0], coef.shape[1], table.shape[2]), dtype=np.complex128)
+    for n in range(coef.shape[2]):
+        out += coef[:, :, n, None] * table[:, None, n]
+    return out
+
+
+def _response(ar, ma, table) -> np.ndarray:
+    """Section responses (L, r, K) from AR (L, r, p) and MA (L, r, q)."""
+    den = _poly(ar, table)
     if np.any(np.abs(den) < RESPONSE_EPS):
         raise EnvelopeError("singular section response (|denominator| ~ 0)")
-    return num / den
+    return _poly(ma, table) / den
+
+
+def _table(w, n: int) -> np.ndarray:
+    """e^{-iwq} for q = 1..n: (L, n, K) from w (L, K) in rad/sample."""
+    return np.exp(-1j * w[:, None] * np.arange(1, n + 1)[:, None])
 
 
 def section_response(section: ArmaSection, omega) -> np.ndarray:
@@ -102,11 +112,10 @@ def section_response(section: ArmaSection, omega) -> np.ndarray:
 
     H(w) = (1 + sum b_q e^{-iwq}) / (1 + sum a_p e^{-iwp}).
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    n = max(section.ar.size, section.ma.size)
-    table = [np.exp(-1j * w * q) for q in range(1, n + 1)]
-    out = _section_values(section.ar, section.ma, table, w.shape)
-    return out if np.ndim(omega) else out[0]
+    w = np.asarray(omega, dtype=np.float64).reshape(1, -1)
+    table = _table(w, max(section.ar.size, section.ma.size))
+    out = _response(section.ar[None, None], section.ma[None, None], table)[0, 0]
+    return out.reshape(np.shape(omega)) if np.ndim(omega) else out[0]
 
 
 def cascade_response(frame: CascadeFrame, omega) -> np.ndarray:
@@ -156,20 +165,15 @@ def _sample(gain, ar, ma, freqs, sample_rate: int):
     L, K = freqs.shape
     n = max(ar.shape[2], ma.shape[2])
     step = max(1, _TABLE_BUDGET // max(1, K * n))
-    # coefficient-first, so each coefficient is a (frames, 1) column
-    ar_t = np.moveaxis(ar, 0, -1)[..., None]
-    ma_t = np.moveaxis(ma, 0, -1)[..., None]
     mag = np.empty((L, K))
     delay = np.zeros((L, K))
     for start in range(0, L, step):
         rows = slice(start, start + step)
-        w = 2 * np.pi * freqs[rows] / sample_rate
-        table = [np.exp(-1j * w * q) for q in range(1, n + 1)]
+        h = _response(ar[rows], ma[rows], _table(2 * np.pi * freqs[rows] / sample_rate, n))
         mag[rows] = gain[rows, None]
-        for a, b in zip(ar_t, ma_t):
-            h = _section_values(a[:, rows], b[:, rows], table, w.shape)
-            mag[rows] *= np.abs(h)
-            delay[rows] += np.angle(h)
+        for j in range(h.shape[1]):
+            mag[rows] *= np.abs(h[:, j])
+            delay[rows] += np.angle(h[:, j])
     return mag, delay
 
 
@@ -241,65 +245,179 @@ def correction_capacity(frames: list, freq_hz: float, sample_rate: int,
     return deltas, float(np.sum(deltas))
 
 
-def _reflect_stable(ar: np.ndarray, radius: float = STABILITY_RADIUS,
-                    trigger: float = 1.0):
-    """Reflect polynomial roots at or beyond the trigger into the circle.
-
-    Root c with |c| >= trigger becomes min(1/|c|, radius) * c/|c|, which
-    preserves the magnitude response up to a constant factor; adding the
-    returned correction to the log-gain restores it (up to the clamp at
-    the radius).
+class _Fit:
+    """A block of frames fitted together. A frame's parameters are [log gain |
+    AR (r, p) | MA (r, q)], p and q per section. Targets, frames first: the
+    exp table (L, max(p, q), K), log(A + floor), the phase and its weight.
     """
-    if ar.size == 0:
-        return ar, 0.0
-    roots = np.roots(np.concatenate(([1.0], ar)))
-    mags = np.abs(roots)
-    if np.all(mags < trigger):
-        return ar, 0.0
-    # reflecting root c divides |den| by |c|, so divide the gain by |c|
-    log_corr = -float(np.sum(np.log(mags[mags >= trigger])))
-    new_mags = np.where(mags >= trigger, np.minimum(1.0 / np.maximum(mags, 1e-300), radius), mags)
-    roots = roots * (new_mags / np.maximum(mags, 1e-300))
-    poly = np.poly(roots)
-    return np.real(poly[1:]), log_corr
+
+    def __init__(self, r, p, q, floor, *targets):
+        self.r, self.p, self.q, self.floor, self.targets = r, p, q, floor, targets
+
+    def split(self, theta):
+        """Views of the log gains (L,), AR (L, r, p) and MA (L, r, q) in theta."""
+        n, r, p = len(theta), self.r, self.p
+        return (theta[:, 0], theta[:, 1:1 + r * p].reshape(n, r, p),
+                theta[:, 1 + r * p:].reshape(n, r, self.q))
+
+    def residuals(self, theta, rows, mag_only: bool = False):
+        """Residuals (L, K), or (L, 2K) with the phase rows, of frames `rows`
+        at theta, and their transposed Jacobian (L, n_par, K or 2K)."""
+        table, log_amp, phase, weight = (t[rows] for t in self.targets)
+        n, _, K = table.shape
+        log_g, ar, ma = self.split(theta)
+        num, den = _poly(ma, table), _poly(ar, table)
+        mag = np.exp(log_g[:, None] + np.sum(np.log(np.maximum(np.abs(num), 1e-30))
+                                             - np.log(np.maximum(np.abs(den), 1e-30)), axis=1))
+        res = log_amp - np.log(mag + self.floor)
+        if not mag_only:
+            angle = np.sum(np.angle(num) - np.angle(den), axis=1)
+            res = np.concatenate([res, weight * _wrap(phase - angle)], axis=1)
+        # chain through log(|H|+eps): factor |H|/(|H|+eps) on the magnitude
+        # rows. dlogH/da = -e^{-iwn}/den and dlogH/db = e^{-iwn}/num;
+        # log|H| takes the real part, angle H the imaginary part
+        jt = np.zeros((n, theta.shape[1], res.shape[1]))
+        cm = mag / (mag + self.floor)
+        jt[:, 0, :K] = -cm
+        for poly, order, off in ((-den, self.p, 1), (num, self.q, 1 + self.r * self.p)):
+            t = table[:, None, :order] * (1.0 / poly)[:, :, None]
+            cols = slice(off, off + self.r * order)
+            jt[:, cols, :K] = -(cm[:, None, None] * t.real).reshape(n, -1, K)
+            if not mag_only:
+                jt[:, cols, K:] = -(weight[:, None, None] * t.imag).reshape(n, -1, K)
+        return res, jt
+
+    def loss(self, theta, rows):
+        return np.sum(self.residuals(theta, rows)[0] ** 2, axis=1)
 
 
-def _split(theta: np.ndarray, p_sec: int, q_sec: int, r: int):
-    """Unpack flat parameters into (log_gain, ar list, ma list)."""
-    log_g = theta[0]
-    ars, mas = [], []
-    off = 1
-    for _ in range(r):
-        ars.append(theta[off:off + p_sec]); off += p_sec
-        mas.append(theta[off:off + q_sec]); off += q_sec
-    return log_g, ars, mas
+def _normal(res, jt):
+    """J^T J (L, n_par, n_par) and J^T r (L, n_par)."""
+    return jt @ jt.transpose(0, 2, 1), (jt @ res[..., None])[..., 0]
 
 
-def _pack(log_g: float, ars, mas) -> np.ndarray:
-    parts = [np.array([log_g])]
-    for a, b in zip(ars, mas):
-        parts.append(a); parts.append(b)
-    return np.concatenate(parts)
+def _levenberg_marquardt(fit: _Fit, theta, rows, mag_only: bool, max_steps: int):
+    """Minimize the residuals of frames `rows` from theta (L, n_par), all at once.
 
-
-def _eval_fit(theta, ew, p_sec, q_sec, r):
-    """Response, per-section numerator/denominator values at target omegas.
-
-    ew is exp(-1j * outer(omega, 1..max(p_sec, q_sec))).
+    Each frame solves (A + mu diag A) h = -g, A = J^T J and g = J^T r, with
+    its own damping mu (Nielsen's update), and stops after max_steps trial
+    steps or once a step's actual and predicted cost decrease are both
+    below 1e-10 of its cost. No frame's result depends on another's.
     """
-    log_g, ars, mas = _split(theta, p_sec, q_sec, r)
-    n = ew.shape[0]
-    log_mag = np.full(n, log_g)
-    angle_sum = np.zeros(n)
-    nums, dens = [], []
-    for a, b in zip(ars, mas):
-        num = 1.0 + ew[:, :q_sec] @ b if q_sec else np.ones(n, dtype=np.complex128)
-        den = 1.0 + ew[:, :p_sec] @ a if p_sec else np.ones(n, dtype=np.complex128)
-        nums.append(num); dens.append(den)
-        log_mag += np.log(np.maximum(np.abs(num), 1e-30))
-        log_mag -= np.log(np.maximum(np.abs(den), 1e-30))
-        angle_sum += np.angle(num) - np.angle(den)
-    return log_mag, angle_sum, nums, dens
+    theta, active = theta.copy(), np.arange(len(theta))
+    res, jt = fit.residuals(theta, rows, mag_only)
+    cost, (a, g) = 0.5 * np.sum(res ** 2, axis=1), _normal(res, jt)
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    mu, nu, steps = np.full(len(theta), 1e-2), np.full(len(theta), 2.0), np.zeros(len(theta))
+    while active.size:
+        # the floor keeps the damped matrix invertible where J^T J is singular
+        d = diag[active]
+        damp = mu[active, None] * np.maximum(d, 1e-12 * d.max(axis=1, keepdims=True))
+        h = np.linalg.solve(a[active] + damp[:, :, None] * np.eye(d.shape[1]),
+                            -g[active][..., None])[..., 0]
+        res, jt = fit.residuals(theta[active] + h, rows[active], mag_only)
+        old, new = cost[active], 0.5 * np.sum(res ** 2, axis=1)
+        predicted = 0.5 * np.sum(h * (damp * h - g[active]), axis=1)
+        steps[active] += 1
+        done = (np.maximum(old - new, predicted) <= 1e-10 * old) | (steps[active] >= max_steps)
+        ok = new < old
+        took = active[ok]
+        theta[took] += h[ok]
+        cost[took], (a[took], g[took]) = new[ok], _normal(res[ok], jt[ok])
+        rho = np.minimum((old - new) / np.maximum(predicted, 1e-300), 1.0)
+        mu[active] *= np.where(ok, np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), nu[active])
+        nu[active] = np.where(ok, 2.0, 2.0 * nu[active])
+        active = active[~done]
+    return theta
+
+
+def _reflect(polys, radius: float = STABILITY_RADIUS):
+    """Move each root c with |c| >= 1 of the polynomials 1 + sum_n polys[..., n]
+    z^-(n+1) to min(1/|c|, radius) c/|c|, dividing the magnitude response by
+    |c|. Returns the polynomials (unchanged where no root moved) and the log
+    corrections (...) to add to a denominator's log-gain, or subtract for a
+    numerator's."""
+    flat = polys.reshape(-1, polys.shape[-1])
+    n, m = flat.shape
+    companion = np.tile(np.eye(m, k=-1), (n, 1, 1))
+    companion[:, 0] = -flat
+    roots = np.linalg.eigvals(companion)
+    mags = np.maximum(np.abs(roots), 1e-300)
+    out = mags >= 1.0
+    roots = roots * np.where(out, np.minimum(1.0 / mags, radius) / mags, 1.0)
+    moved = np.array([np.poly(c)[1:].real for c in roots]).reshape(n, m)
+    flat = np.where(out.any(axis=1)[:, None], moved, flat)
+    corr = -np.sum(np.log(np.where(out, mags, 1.0)), axis=1)
+    return flat.reshape(polys.shape), corr.reshape(polys.shape[:-1])
+
+
+def _cycles(fit: _Fit, theta, rows, max_cycles: int, max_steps: int):
+    """Joint fits of frames `rows` from theta, re-reflecting unstable poles after
+    each cycle; a frame leaves once a cycle ends stable. Returns each frame's
+    best (theta, loss) and flag 2 where the last cycle still needed reflecting.
+    """
+    theta, best, best_loss = theta.copy(), theta.copy(), fit.loss(theta, rows)
+    flags, left = np.zeros(len(theta), dtype=np.int64), np.arange(len(theta))
+    for _ in range(max_cycles):
+        th = _levenberg_marquardt(fit, theta[left], rows[left], False, max_steps)
+        log_g, ar, _ = fit.split(th)
+        ar[...], corr = _reflect(ar)
+        log_g += corr.sum(axis=1)
+        loss, unstable = fit.loss(th, rows[left]), np.any(corr != 0.0, axis=1)
+        won = loss < best_loss[left]
+        best[left[won]], best_loss[left[won]] = th[won], loss[won]
+        theta[left], flags[left] = th, 2 * unstable
+        left = left[unstable]
+        if not left.size:
+            break
+    return best, best_loss, flags
+
+
+def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: float,
+               max_steps: int, amp_floor: float = 1e-7, max_cycles: int = 4):
+    """fit_frame on every row of (L, K) targets: (frames, losses (L,), flags (L,))."""
+    p, q, r = orders
+    if r <= 0 or p % r or q % r:
+        raise EnvelopeError("r must divide both P and Q")
+    amps = np.asarray(amps, dtype=np.float64)
+    if np.any(amps < 0):
+        raise EnvelopeError("target amplitudes must be nonnegative")
+    w = 2 * np.pi * np.asarray(freqs, dtype=np.float64) / sample_rate
+    # a component at or below the amplitude floor has no defined phase (it
+    # is indistinguishable from silence), so it weighs on the magnitude only
+    fit = _Fit(r, p // r, q // r, amp_floor, _table(w, max(p, q) // r),
+               np.log(amps + amp_floor), np.asarray(phases, dtype=np.float64),
+               np.sqrt(phase_weight) * (amps > amp_floor))
+    start = np.zeros((len(amps), 1 + p + q))
+    start[:, 0] = np.log(np.maximum(np.mean(amps, axis=1), amp_floor))
+    # stage one: magnitude-only fit, then fold all roots inside the circle
+    # (minimum-phase start); unreflected zeros cover non-minimum phase
+    every = np.arange(len(amps))
+    mixed_phase = _levenberg_marquardt(fit, start, every, True, max_steps)
+    log_g, ar, _ = fit.split(mixed_phase)
+    ar[...], corr = _reflect(ar)
+    log_g += corr.sum(axis=1)
+    min_phase = mixed_phase.copy()
+    log_g, _, ma = fit.split(min_phase)
+    ma[...], corr = _reflect(ma)
+    log_g -= corr.sum(axis=1)
+    theta, loss, flags = _cycles(fit, min_phase, every, max_cycles, max_steps)
+    retry = np.flatnonzero(loss > 1e-4 * amps.shape[1])
+    if retry.size:
+        alt, alt_loss, alt_flag = _cycles(fit, mixed_phase[retry], retry, max_cycles, max_steps)
+        won = alt_loss < loss[retry]
+        rows = retry[won]
+        theta[rows], loss[rows], flags[rows] = alt[won], alt_loss[won], alt_flag[won]
+    # all-silent targets: the floor gain and flat sections
+    silent = np.all(amps <= amp_floor, axis=1)
+    theta[silent], loss[silent], flags[silent] = 0.0, 0.0, 1
+    if not np.all(np.isfinite(loss)):
+        raise EnvelopeError("non-finite fit loss")
+    log_g, ars, mas = fit.split(theta)
+    gains = np.where(silent, amp_floor, np.exp(log_g))
+    return [CascadeFrame(float(g), [ArmaSection(project_stable(a, radius=1.0 - 1e-4), b)
+                                    for a, b in zip(ar, ma)])
+            for g, ar, ma in zip(gains, ars, mas)], loss, flags
 
 
 def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
@@ -309,131 +427,23 @@ def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
     """Fit a stable cascade to harmonic amplitude/phase targets.
 
     Minimizes sum_k (log(A_k+eps) - log(|H_k|+eps))^2
-    + phase_weight * wrap(phi_k - angle(H_k))^2 by damped least squares
-    (trust-region with the analytic Jacobian) in two stages. Stage one
-    fits the magnitude alone, then reflects every pole and zero outside
-    the unit circle to its magnitude-equivalent inside (with gain
-    compensation), yielding a stable minimum-phase warm start whose
-    phase is already close for vocal-tract-like envelopes. Stage two
-    fits magnitude and phase jointly from that start, re-reflecting
-    unstable poles and re-optimizing if needed. Returns (frame, final
-    loss, flag) where flag 1 marks degenerate all-zero targets and
-    flag 2 a fit that still needed stabilizing after the last cycle.
+    + phase_weight * wrap(phi_k - angle(H_k))^2 by Levenberg-Marquardt
+    with the analytic Jacobian, in two stages. Stage one fits the
+    magnitude alone, then reflects every pole and zero outside the unit
+    circle to its magnitude-equivalent inside (with gain compensation),
+    yielding a stable minimum-phase warm start whose phase is already
+    close for vocal-tract-like envelopes. Stage two fits magnitude and
+    phase jointly from that start, re-reflecting unstable poles and
+    re-optimizing if needed, and again with the zeros unreflected if the
+    loss stays above 1e-4 per component. Returns (frame, final loss, flag)
+    where flag 1 marks degenerate all-zero targets and flag 2 a fit that
+    still needed stabilizing after the last cycle. It is the one-frame
+    case of the batched fit in fit_cascade.
     """
-    from scipy.optimize import least_squares
-    p, q, r = orders
-    if r <= 0 or p % r or q % r:
-        raise EnvelopeError("r must divide both P and Q")
-    p_sec, q_sec = p // r, q // r
-    f = np.asarray(freqs_hz, dtype=np.float64)
-    amp = np.asarray(amplitudes, dtype=np.float64)
-    phi = np.asarray(residual_phases, dtype=np.float64)
-    if np.any(amp < 0):
-        raise EnvelopeError("target amplitudes must be nonnegative")
-    w = 2 * np.pi * f / sample_rate
-    if np.all(amp <= amp_floor):
-        sections = [ArmaSection(np.zeros(p_sec), np.zeros(q_sec)) for _ in range(r)]
-        return CascadeFrame(amp_floor, sections), 0.0, 1
-    target_log = np.log(amp + amp_floor)
-    # the phase of a component at or below the amplitude floor is
-    # undefined (it is indistinguishable from silence), so such
-    # components contribute only to the magnitude term
-    phase_mask = (amp > amp_floor).astype(np.float64)
-    lam = np.sqrt(phase_weight)
-    ew = np.exp(-1j * np.outer(w, np.arange(1, max(p_sec, q_sec) + 1)))
-    last = [None, None]
-
-    def evaluate(theta):
-        # least_squares asks for the Jacobian at the point it evaluated last
-        key = theta.tobytes()
-        if last[0] != key:
-            last[:] = key, _eval_fit(theta, ew, p_sec, q_sec, r)
-        return last[1]
-
-    def residuals(theta, mag_only=False):
-        log_mag, angle_sum, _, _ = evaluate(theta)
-        d_mag = target_log - np.log(np.exp(log_mag) + amp_floor)
-        if mag_only:
-            return d_mag
-        d_phi = lam * phase_mask * _wrap(phi - angle_sum)
-        return np.concatenate([d_mag, d_phi])
-
-    def jacobian(theta, mag_only=False):
-        log_mag, _, nums, dens = evaluate(theta)
-        mag = np.exp(log_mag)
-        n, npar = w.size, theta.size
-        jm = np.zeros((n, npar))
-        jp = np.zeros((n, npar))
-        # chain through log(|H|+eps): factor |H|/(|H|+eps) on the
-        # magnitude rows
-        cm = mag / (mag + amp_floor)
-        jm[:, 0] = -cm
-        off = 1
-        for j in range(r):
-            if p_sec:
-                # dlogH/da_p = -e^{-iwp}/den -> log|H| takes Re, angle Im
-                t = -ew[:, :p_sec] / dens[j][:, None]
-                jm[:, off:off + p_sec] = -cm[:, None] * t.real
-                jp[:, off:off + p_sec] = -lam * phase_mask[:, None] * t.imag
-                off += p_sec
-            if q_sec:
-                t = ew[:, :q_sec] / nums[j][:, None]
-                jm[:, off:off + q_sec] = -cm[:, None] * t.real
-                jp[:, off:off + q_sec] = -lam * phase_mask[:, None] * t.imag
-                off += q_sec
-        return jm if mag_only else np.vstack([jm, jp])
-
-    theta = np.zeros(1 + r * (p_sec + q_sec))
-    theta[0] = np.log(max(float(np.mean(amp)), amp_floor))
-    # stage one: magnitude-only fit, then fold all roots inside the
-    # unit circle (minimum-phase warm start, magnitude unchanged)
-    sol = least_squares(lambda th: residuals(th, True), theta,
-                        jac=lambda th: jacobian(th, True), method="trf",
-                        max_nfev=max_steps, xtol=1e-12, ftol=1e-12,
-                        gtol=1e-12)
-    log_g, ars, mas = _split(sol.x, p_sec, q_sec, r)
-    ar_refl = [_reflect_stable(a) for a in ars]
-    ma_refl = [_reflect_stable(b) for b in mas]
-    # a reflected zero divides |num| (gain correction sign flips)
-    min_phase = _pack(log_g + sum(c for _, c in ar_refl)
-                      - sum(c for _, c in ma_refl),
-                      [a for a, _ in ar_refl], [b for b, _ in ma_refl])
-    # keeping the zeros unreflected covers non-minimum-phase targets
-    mixed_phase = _pack(log_g + sum(c for _, c in ar_refl),
-                        [a for a, _ in ar_refl], mas)
-
-    def cycles(theta):
-        best_theta = theta.copy()
-        best_loss = float(np.sum(residuals(theta) ** 2))
-        flag = 0
-        for _ in range(max_cycles):
-            sol = least_squares(residuals, theta, jac=jacobian, method="trf",
-                                max_nfev=max_steps, xtol=1e-14, ftol=1e-14,
-                                gtol=1e-14)
-            log_g, ars, mas = _split(sol.x, p_sec, q_sec, r)
-            reflected = [_reflect_stable(a) for a in ars]
-            stable = all(corr == 0.0 for _, corr in reflected)
-            log_g = log_g + sum(corr for _, corr in reflected)
-            theta = _pack(log_g, [a for a, _ in reflected], mas)
-            loss = float(np.sum(residuals(theta) ** 2))
-            if loss < best_loss:
-                best_theta, best_loss = theta.copy(), loss
-            flag = 0 if stable else 2
-            if stable:
-                break
-        return best_theta, best_loss, flag
-
-    best_theta, best_loss, flag = cycles(min_phase)
-    if best_loss > 1e-4 * f.size:
-        alt_theta, alt_loss, alt_flag = cycles(mixed_phase)
-        if alt_loss < best_loss:
-            best_theta, best_loss, flag = alt_theta, alt_loss, alt_flag
-    if not np.isfinite(best_loss):
-        raise EnvelopeError("non-finite fit loss")
-    log_g, ars, mas = _split(best_theta, p_sec, q_sec, r)
-    ars = [project_stable(a, radius=1.0 - 1e-4) for a in ars]
-    sections = [ArmaSection(a, b) for a, b in zip(ars, mas)]
-    return CascadeFrame(float(np.exp(log_g)), sections), best_loss, flag
+    targets = (np.reshape(x, (1, -1)) for x in (freqs_hz, amplitudes, residual_phases))
+    frames, losses, flags = _fit_block(*targets, sample_rate, orders, phase_weight,
+                                       max_steps, amp_floor, max_cycles)
+    return frames[0], float(losses[0]), int(flags[0])
 
 
 def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float = 0.1,
@@ -446,34 +456,23 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float =
     given, the excitation frequencies are rebuilt as the harmonic grid of
     that track (the same grid harmonic synthesis uses), keeping analysis
     and synthesis phase references consistent; otherwise the set's own
-    corrected frequencies are used. Frames are independent; n_workers > 1
-    fits them in a thread pool with order-preserving assembly
-    (bit-identical to sequential).
+    corrected frequencies are used. Frames are fitted together, in blocks
+    whose Jacobians and normal matrices hold at most _FIT_BUDGET values;
+    no frame's result depends on its block. n_workers is ignored.
     """
     from .qhm import harmonic_grid
     from .synth import excitation_phase
-    fs = hset.sample_rate
+    fs, freqs = hset.sample_rate, hset.frequencies
     if f0_track is not None:
         freqs, _ = harmonic_grid(f0_track, fs, guard, unvoiced_f0,
                                  max_components=hset.n_components)
         if freqs.shape != hset.frequencies.shape:
             raise EnvelopeError("f0 track harmonic grid does not match the set")
-    else:
-        freqs = hset.frequencies
-    exc = excitation_phase(freqs, hset.grid)
-    residual = _wrap(hset.phases - exc)
-
-    def fit_one(l):
-        return fit_frame(freqs[l], hset.amplitudes[l], residual[l],
+    residual = _wrap(hset.phases - excitation_phase(freqs, hset.grid))
+    n_par = 1 + orders[0] + orders[1]
+    step = max(1, _FIT_BUDGET // ((2 * freqs.shape[1] + n_par) * n_par))
+    blocks = [_fit_block(freqs[i:i + step], hset.amplitudes[i:i + step], residual[i:i + step],
                          fs, orders, phase_weight, max_steps)
-
-    indices = range(hset.n_frames)
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(fit_one, indices))
-    else:
-        results = [fit_one(l) for l in indices]
-    frames = [res[0] for res in results]
-    flags = np.array([res[2] for res in results], dtype=np.int64)
-    return ArmaCascade(hset.grid, frames, tuple(orders), fs, flags)
+              for i in range(0, hset.n_frames, step)]
+    flags = np.concatenate([np.zeros(0, dtype=np.int64)] + [b[2] for b in blocks])
+    return ArmaCascade(hset.grid, [fr for b in blocks for fr in b[0]], tuple(orders), fs, flags)

@@ -43,7 +43,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--k-guard", type=float, dest="k_guard")
     p.add_argument("--max-components", type=int, dest="max_components")
     p.add_argument("--f0-range", help="min,max in Hz")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility; envelope fitting no longer uses it")
     p.add_argument("--format", choices=["float32", "pcm16"], dest="output_format")
 
 

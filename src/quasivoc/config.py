@@ -29,7 +29,7 @@ class PipelineConfig:
     refine_mode: str = "none"        # none | aqhm | eaqhm
     refine_iters: int = 3
     output_format: str = "float32"   # float32 | pcm16
-    threads: int = 1
+    threads: int = 1                 # accepted and ignored: the fit is batched
     seed: int = 0
 
     def validate(self):

@@ -57,12 +57,18 @@ def harmonics_to_json(hset: HarmonicSet) -> str:
     return json.dumps(doc)
 
 
-def harmonics_from_json(text: str) -> HarmonicSet:
+def _document(text: str, kind: str) -> dict:
+    """The JSON object of a `kind` product, with its format and version checked."""
     doc = json.loads(text)
-    if doc.get("format") != "quasivoc-harmonics":
-        raise SerializationError("not a harmonics document")
+    if not isinstance(doc, dict) or doc.get("format") != f"quasivoc-{kind}":
+        raise SerializationError(f"not a {kind} document")
     if doc.get("version") != FORMAT_VERSION:
         raise SerializationError(f"unsupported version: {doc.get('version')}")
+    return doc
+
+
+def harmonics_from_json(text: str) -> HarmonicSet:
+    doc = _document(text, "harmonics")
     return HarmonicSet(_grid_from_meta(doc["grid"]),
                        np.array(doc["frequencies"]), np.array(doc["amplitudes"]),
                        np.array(doc["phases"]), np.array(doc["compensations"]),
@@ -92,6 +98,8 @@ def _unpack_container(data: bytes, magic: bytes, n_arrays: int):
     if off > len(data):
         raise SerializationError("truncated container header")
     header = json.loads(data[12:off].decode())
+    if not isinstance(header, dict):
+        raise SerializationError("container header is not a JSON object")
     arrays = []
     for _ in range(n_arrays):
         if off + 8 > len(data):
@@ -155,11 +163,7 @@ def cascade_to_json(cascade: ArmaCascade) -> str:
 
 
 def cascade_from_json(text: str) -> ArmaCascade:
-    doc = json.loads(text)
-    if doc.get("format") != "quasivoc-cascade":
-        raise SerializationError("not a cascade document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise SerializationError(f"unsupported version: {doc.get('version')}")
+    doc = _document(text, "cascade")
     try:
         frames = [
             CascadeFrame(fr["gain"],

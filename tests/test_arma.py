@@ -10,8 +10,10 @@ from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, EnvelopeError
                            filter_time_domain, fit_cascade, fit_frame,
                            project_stable, sample_cascade, sample_harmonics,
                            section_response)
-from quasivoc.qhm import F0Track, HarmonicSet
+from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm
+from quasivoc.serialize import cascade_to_bytes
 from quasivoc.signals import make_grid
+from quasivoc.synth import synthesize_arma
 
 FS = 24000
 
@@ -381,6 +383,53 @@ def test_fit_cascade_thread_determinism():
         for sa, sb in zip(a.sections, b.sections):
             np.testing.assert_array_equal(sa.ar, sb.ar)
             np.testing.assert_array_equal(sa.ma, sb.ma)
+
+
+def _vibrato_hset(n_frames=12):
+    """Analysis of a short vowel whose F0 rises and falls: every frame differs."""
+    cascade = fixtures.vowel_cascade(FS, n_frames, 0.005, 0.010, 0.05)
+    f0 = 150.0 + 20.0 * np.sin(np.linspace(0.0, np.pi, n_frames))
+    track = F0Track(cascade.grid, f0)
+    buf = synthesize_arma(cascade, track)
+    return analyze_qhm(buf, cascade.grid, track, max_components=12), track
+
+
+@pytest.mark.parametrize("frames_per_block", [1, 5, None])
+def test_fit_cascade_blocks_and_workers_byte_identical(monkeypatch, frames_per_block):
+    hset, track = _vibrato_hset()
+    assert len({hset.amplitudes[l].tobytes() for l in range(hset.n_frames)}) == hset.n_frames
+    ref = cascade_to_bytes(fit_cascade(hset, track, orders=(8, 8, 2), max_steps=40))
+    n_par = 1 + 8 + 8
+    per_frame = (2 * hset.n_components + n_par) * n_par
+    # 1 frame per block, 5 (the last block a partial one) or all frames in one
+    monkeypatch.setattr(arma, "_FIT_BUDGET", per_frame * (frames_per_block or hset.n_frames))
+    for workers in (1, 4):
+        got = fit_cascade(hset, track, orders=(8, 8, 2), max_steps=40, n_workers=workers)
+        assert cascade_to_bytes(got) == ref
+
+
+def test_fit_without_scipy_optimize(monkeypatch):
+    """The fitter is numpy only: scipy's least_squares is never called."""
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.least_squares called")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", refuse)
+    rng = np.random.default_rng(43)
+    f = np.sort(rng.uniform(100, 10000, 24))
+    env = sample_harmonics(random_stable_frame(rng), f, FS)
+    fr, loss, flag = fit_frame(f, env.magnitudes, _wrap(env.phase_delays), FS,
+                               orders=(8, 8, 2), max_steps=60)
+    hset, track = _vibrato_hset(6)
+    cascade = fit_cascade(hset, track, orders=(8, 8, 2), max_steps=40)
+    assert np.isfinite(loss) and flag in (0, 2)
+    assert cascade.n_frames == 6 and set(cascade.flags.tolist()) <= {0, 2}
+    for frame in [fr] + cascade.frames:
+        assert np.isfinite(frame.gain) and frame.gain > 0
+        for sec in frame.sections:
+            roots = np.roots(np.concatenate(([1.0], sec.ar)))
+            assert np.all(np.abs(roots) <= 1.0 - 1e-4 + 1e-9)
 
 
 def test_fit_cascade_track_grid_mismatch():

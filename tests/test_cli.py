@@ -169,6 +169,18 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
         short.write_bytes(src.read_bytes()[:keep])
         runs.append(["synth", str(short), str(out), "--f0", str(f0)]
                     + (["--from-harmonics"] if src is hset else []))
+    # JSON products whose top level is not an object
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]")
+    runs.append(["synth", str(listed), str(out), "--f0", str(f0), "--from-harmonics"])
+    runs.append(["synth", str(listed), str(out), "--f0", str(f0)])
+    runs.append(["modify", str(listed), str(out), "--f0", str(f0)])
+    runs.append(["fit-envelope", str(listed), str(tmp_path / "c.json")])
+    blob = casc.read_bytes()
+    listed_bin = tmp_path / "listed.bin"
+    listed_bin.write_bytes(blob[:8] + (6).to_bytes(4, "little") + b"[1, 2]"
+                           + blob[12 + int.from_bytes(blob[8:12], "little"):])
+    runs.append(["synth", str(listed_bin), str(out), "--f0", str(f0)])
     slow, fast = tmp_path / "8k.wav", tmp_path / "48k.wav"
     for path, rate in ((slow, 8000), (fast, 48000)):
         assert main(["gen-fixture", "vowel", str(path), "--params",

@@ -107,6 +107,16 @@ def test_container_validation():
         harmonics_from_json('{"format": "something-else"}')
     with pytest.raises(SerializationError):
         cascade_from_json(harmonics_to_json(hset))
+    for text in ("[1, 2]", "3", '"quasivoc-cascade"', "null"):   # top level not an object
+        for read in (harmonics_from_json, cascade_from_json):
+            with pytest.raises(SerializationError):
+                read(text)
+        for data, read in ((blob, harmonics_from_bytes),
+                           (cascade_to_bytes(_sample_cascade()), cascade_from_bytes)):
+            hdr_len = int.from_bytes(data[8:12], "little")
+            raw = text.encode()
+            with pytest.raises(SerializationError):
+                read(data[:8] + len(raw).to_bytes(4, "little") + raw + data[12 + hdr_len:])
     with pytest.raises(SerializationError):
         cascade_from_bytes(blob)  # harmonics magic under the cascade reader
     doc = json.loads(cascade_to_json(_sample_cascade()))
