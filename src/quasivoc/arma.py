@@ -42,8 +42,6 @@ class ArmaSection:
             raise EnvelopeError("section coefficients must be finite")
 
     def is_stable(self, margin: float = 1e-4) -> bool:
-        if self.ar.size == 0:
-            return True
         roots = np.roots(np.concatenate(([1.0], self.ar)))
         return bool(np.all(np.abs(roots) <= 1.0 - margin))
 
@@ -218,8 +216,6 @@ def filter_time_domain(frame: CascadeFrame, x) -> np.ndarray:
 
 def project_stable(ar: np.ndarray, radius: float = STABILITY_RADIUS) -> np.ndarray:
     """Pull AR roots with modulus above the radius radially onto it."""
-    if ar.size == 0:
-        return ar
     roots = np.roots(np.concatenate(([1.0], ar)))
     mags = np.abs(roots)
     if np.all(mags <= radius):
@@ -281,10 +277,10 @@ class _Fit:
         jt[:, 0, :K] = -cm
         for poly, order, off in ((-den, self.p, 1), (num, self.q, 1 + self.r * self.p)):
             t = table[:, None, :order] * (1.0 / poly)[:, :, None]
-            cols = slice(off, off + self.r * order)
-            jt[:, cols, :K] = -(cm[:, None, None] * t.real).reshape(n, -1, K)
+            cols, shape = slice(off, off + self.r * order), (n, self.r * order, K)
+            jt[:, cols, :K] = -(cm[:, None, None] * t.real).reshape(shape)
             if not mag_only:
-                jt[:, cols, K:] = -(weight[:, None, None] * t.imag).reshape(n, -1, K)
+                jt[:, cols, K:] = -(weight[:, None, None] * t.imag).reshape(shape)
         return res, jt
 
     def loss(self, theta, rows):
@@ -337,6 +333,8 @@ def _reflect(polys, radius: float = STABILITY_RADIUS):
     |c|. Returns the polynomials (unchanged where no root moved) and the log
     corrections (...) to add to a denominator's log-gain, or subtract for a
     numerator's."""
+    if not polys.shape[-1]:
+        return polys, np.zeros(polys.shape[:-1])
     flat = polys.reshape(-1, polys.shape[-1])
     n, m = flat.shape
     companion = np.tile(np.eye(m, k=-1), (n, 1, 1))
@@ -382,17 +380,20 @@ def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: floa
     amps = np.asarray(amps, dtype=np.float64)
     if np.any(amps < 0):
         raise EnvelopeError("target amplitudes must be nonnegative")
-    w = 2 * np.pi * np.asarray(freqs, dtype=np.float64) / sample_rate
+    # all-silent targets get the floor gain and flat sections (flag 1), unfitted
+    silent = np.all(amps <= amp_floor, axis=1)
+    live = np.flatnonzero(~silent)
+    a, w = amps[live], 2 * np.pi * np.asarray(freqs, dtype=np.float64)[live] / sample_rate
     # a component at or below the amplitude floor has no defined phase (it
     # is indistinguishable from silence), so it weighs on the magnitude only
     fit = _Fit(r, p // r, q // r, amp_floor, _table(w, max(p, q) // r),
-               np.log(amps + amp_floor), np.asarray(phases, dtype=np.float64),
-               np.sqrt(phase_weight) * (amps > amp_floor))
-    start = np.zeros((len(amps), 1 + p + q))
-    start[:, 0] = np.log(np.maximum(np.mean(amps, axis=1), amp_floor))
+               np.log(a + amp_floor), np.asarray(phases, dtype=np.float64)[live],
+               np.sqrt(phase_weight) * (a > amp_floor))
+    start = np.zeros((live.size, 1 + p + q))
+    start[:, 0] = np.log(np.maximum(np.mean(a, axis=1), amp_floor))
     # stage one: magnitude-only fit, then fold all roots inside the circle
     # (minimum-phase start); unreflected zeros cover non-minimum phase
-    every = np.arange(len(amps))
+    every = np.arange(live.size)
     mixed_phase = _levenberg_marquardt(fit, start, every, True, max_steps)
     log_g, ar, _ = fit.split(mixed_phase)
     ar[...], corr = _reflect(ar)
@@ -408,16 +409,16 @@ def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: floa
         won = alt_loss < loss[retry]
         rows = retry[won]
         theta[rows], loss[rows], flags[rows] = alt[won], alt_loss[won], alt_flag[won]
-    # all-silent targets: the floor gain and flat sections
-    silent = np.all(amps <= amp_floor, axis=1)
-    theta[silent], loss[silent], flags[silent] = 0.0, 0.0, 1
     if not np.all(np.isfinite(loss)):
         raise EnvelopeError("non-finite fit loss")
-    log_g, ars, mas = fit.split(theta)
+    params, losses = np.zeros((len(amps), 1 + p + q)), np.zeros(len(amps))
+    out = silent.astype(np.int64)
+    params[live], losses[live], out[live] = theta, loss, flags
+    log_g, ars, mas = fit.split(params)
     gains = np.where(silent, amp_floor, np.exp(log_g))
     return [CascadeFrame(float(g), [ArmaSection(project_stable(a, radius=1.0 - 1e-4), b)
                                     for a, b in zip(ar, ma)])
-            for g, ar, ma in zip(gains, ars, mas)], loss, flags
+            for g, ar, ma in zip(gains, ars, mas)], losses, out
 
 
 def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,

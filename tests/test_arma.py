@@ -432,6 +432,60 @@ def test_fit_without_scipy_optimize(monkeypatch):
             assert np.all(np.abs(roots) <= 1.0 - 1e-4 + 1e-9)
 
 
+@pytest.mark.parametrize("orders", [(8, 0, 2), (0, 8, 2)])
+def test_fit_with_a_zero_order(orders):
+    """All-pole and all-zero cascades fit: an empty AR or MA part has no roots
+    to reflect and no Jacobian columns."""
+    p, q, r = orders
+    rng = np.random.default_rng(47)
+    f = np.sort(rng.uniform(100, 10000, 24))
+    env = sample_harmonics(random_stable_frame(rng), f, FS)
+    fr, loss, flag = fit_frame(f, env.magnitudes, _wrap(env.phase_delays), FS,
+                               orders=orders, max_steps=60)
+    hset, track = _vibrato_hset(4)
+    cascade = fit_cascade(hset, track, orders=orders, max_steps=40)
+    assert np.isfinite(loss) and flag in (0, 2)
+    assert cascade.orders == orders and set(cascade.flags.tolist()) <= {0, 2}
+    for frame in [fr] + cascade.frames:
+        assert np.isfinite(frame.gain) and frame.gain > 0 and len(frame.sections) == r
+        for sec in frame.sections:
+            assert sec.ar.shape == (p // r,) and sec.ma.shape == (q // r,)
+            assert sec.is_stable(margin=1e-4 - 1e-9)
+
+
+def test_fit_cascade_silent_frames_are_not_fitted(monkeypatch):
+    """At the default step limit, all-zero frames get the floor gain and flat
+    sections without entering the optimizer, and the other frames' results
+    do not change."""
+    hset, track = _vibrato_hset(6)
+    silent = [0, 3, 5]
+    amps = hset.amplitudes.copy()
+    amps[silent] = 0.0
+    quiet = HarmonicSet(hset.grid, hset.frequencies, amps, hset.phases,
+                        hset.compensations, FS)
+    ref = fit_cascade(hset, track, orders=(8, 8, 2))
+    fitted = []
+    solver = arma._levenberg_marquardt
+
+    def counting(fit, theta, rows, *args):
+        fitted.append(len(theta))
+        return solver(fit, theta, rows, *args)
+
+    monkeypatch.setattr(arma, "_levenberg_marquardt", counting)
+    got = fit_cascade(quiet, track, orders=(8, 8, 2))
+    assert fitted and max(fitted) <= hset.n_frames - len(silent)
+    assert got.flags[silent].tolist() == [1, 1, 1]
+    for l in range(hset.n_frames):
+        a, b = got.frames[l], ref.frames[l]
+        if l in silent:
+            assert a.gain == 1e-7
+            assert all(not s.ar.any() and not s.ma.any() for s in a.sections)
+            continue
+        assert a.gain == b.gain and got.flags[l] == ref.flags[l]
+        for sa, sb in zip(a.sections, b.sections):
+            assert sa.ar.tobytes() == sb.ar.tobytes() and sa.ma.tobytes() == sb.ma.tobytes()
+
+
 def test_fit_cascade_track_grid_mismatch():
     hset = _small_hset()
     bad_grid = make_grid(0.01, 0.005, 0.010)

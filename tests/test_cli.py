@@ -85,6 +85,18 @@ def test_binary_products_round_trip(tmp_path, tone_wav):
                  "--max-components", "3"]) == 0
 
 
+@pytest.mark.parametrize("orders", ["4,0,1", "0,4,1"])
+def test_fit_envelope_all_pole_and_all_zero(tmp_path, tone_wav, orders):
+    harm = tmp_path / "harm.bin"
+    f0 = tmp_path / "f0.csv"
+    assert main(["analyze", str(tone_wav), str(harm), "--f0-out", str(f0),
+                 "--max-components", "3"]) == 0
+    casc = tmp_path / "casc.json"
+    assert main(["fit-envelope", str(harm), str(casc), "--orders", orders,
+                 "--f0", str(f0)]) in (0, 1)
+    assert json.loads(casc.read_text())["orders"] == [int(x) for x in orders.split(",")]
+
+
 def test_synth_from_harmonics(tmp_path, tone_wav):
     harm = tmp_path / "harm.json"
     assert main(["analyze", str(tone_wav), str(harm),
