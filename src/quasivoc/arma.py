@@ -5,7 +5,8 @@ per-section phase angles are wrapped to [-pi, pi] and summed, so the
 cascade can represent phase delays in [-r*pi, r*pi]. The fitter estimates
 a stable cascade from harmonic amplitude/phase targets by a batched
 damped Gauss-Newton (Levenberg-Marquardt) fit that steps every frame at
-once, with pole-stability projection.
+once, from a minimum-phase start, with pole-stability projection. Each
+frame stops on its own once its cost stops falling or reaches a floor.
 """
 from __future__ import annotations
 
@@ -22,6 +23,11 @@ RESPONSE_EPS = 1e-12
 _TABLE_BUDGET = 1 << 18
 # Jacobian and normal-matrix values in one block of frame fits (16 MB)
 _FIT_BUDGET = 1 << 21
+# A frame's LM fit stops once its cost fell by at most _STOP_TOL of itself over
+# its last _STOP_WINDOW trial steps, or is at most _COST_FLOOR per residual
+_STOP_WINDOW = 10
+_STOP_TOL = 5e-5
+_COST_FLOOR = 1e-8
 
 
 class EnvelopeError(Exception):
@@ -256,9 +262,9 @@ class _Fit:
         return (theta[:, 0], theta[:, 1:1 + r * p].reshape(n, r, p),
                 theta[:, 1 + r * p:].reshape(n, r, self.q))
 
-    def residuals(self, theta, rows, mag_only: bool = False):
+    def residuals(self, theta, rows, mag_only: bool = False, jacobian: bool = True):
         """Residuals (L, K), or (L, 2K) with the phase rows, of frames `rows`
-        at theta, and their transposed Jacobian (L, n_par, K or 2K)."""
+        at theta, and their transposed Jacobian (L, n_par, K or 2K) or None."""
         table, log_amp, phase, weight = (t[rows] for t in self.targets)
         n, _, K = table.shape
         log_g, ar, ma = self.split(theta)
@@ -269,6 +275,8 @@ class _Fit:
         if not mag_only:
             angle = np.sum(np.angle(num) - np.angle(den), axis=1)
             res = np.concatenate([res, weight * _wrap(phase - angle)], axis=1)
+        if not jacobian:
+            return res, None
         # chain through log(|H|+eps): factor |H|/(|H|+eps) on the magnitude
         # rows. dlogH/da = -e^{-iwn}/den and dlogH/db = e^{-iwn}/num;
         # log|H| takes the real part, angle H the imaginary part
@@ -284,7 +292,7 @@ class _Fit:
         return res, jt
 
     def loss(self, theta, rows):
-        return np.sum(self.residuals(theta, rows)[0] ** 2, axis=1)
+        return np.sum(self.residuals(theta, rows, jacobian=False)[0] ** 2, axis=1)
 
 
 def _normal(res, jt):
@@ -296,15 +304,17 @@ def _levenberg_marquardt(fit: _Fit, theta, rows, mag_only: bool, max_steps: int)
     """Minimize the residuals of frames `rows` from theta (L, n_par), all at once.
 
     Each frame solves (A + mu diag A) h = -g, A = J^T J and g = J^T r, with
-    its own damping mu (Nielsen's update), and stops after max_steps trial
-    steps or once a step's actual and predicted cost decrease are both
-    below 1e-10 of its cost. No frame's result depends on another's.
+    its own damping mu (Nielsen's update). It stops after max_steps trial
+    steps, once a step's actual and predicted cost decrease are both below
+    1e-10 of its cost, or by the window and floor rules of _STOP_WINDOW and
+    _COST_FLOOR. No frame's result depends on another's.
     """
     theta, active = theta.copy(), np.arange(len(theta))
     res, jt = fit.residuals(theta, rows, mag_only)
     cost, (a, g) = 0.5 * np.sum(res ** 2, axis=1), _normal(res, jt)
     diag = np.diagonal(a, axis1=1, axis2=2)
     mu, nu, steps = np.full(len(theta), 1e-2), np.full(len(theta), 2.0), np.zeros(len(theta))
+    checkpoint = cost.copy()
     while active.size:
         # the floor keeps the damped matrix invertible where J^T J is singular
         d = diag[active]
@@ -315,7 +325,6 @@ def _levenberg_marquardt(fit: _Fit, theta, rows, mag_only: bool, max_steps: int)
         old, new = cost[active], 0.5 * np.sum(res ** 2, axis=1)
         predicted = 0.5 * np.sum(h * (damp * h - g[active]), axis=1)
         steps[active] += 1
-        done = (np.maximum(old - new, predicted) <= 1e-10 * old) | (steps[active] >= max_steps)
         ok = new < old
         took = active[ok]
         theta[took] += h[ok]
@@ -323,7 +332,11 @@ def _levenberg_marquardt(fit: _Fit, theta, rows, mag_only: bool, max_steps: int)
         rho = np.minimum((old - new) / np.maximum(predicted, 1e-300), 1.0)
         mu[active] *= np.where(ok, np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), nu[active])
         nu[active] = np.where(ok, 2.0, 2.0 * nu[active])
-        active = active[~done]
+        now, window = cost[active], steps[active] % _STOP_WINDOW == 0
+        stalled = window & (now >= (1 - _STOP_TOL) * checkpoint[active])
+        checkpoint[active[window]] = now[window]
+        active = active[~((np.maximum(old - new, predicted) <= 1e-10 * old) | stalled
+                          | (now <= _COST_FLOOR * res.shape[1]) | (steps[active] >= max_steps))]
     return theta
 
 
@@ -349,28 +362,6 @@ def _reflect(polys, radius: float = STABILITY_RADIUS):
     return flat.reshape(polys.shape), corr.reshape(polys.shape[:-1])
 
 
-def _cycles(fit: _Fit, theta, rows, max_cycles: int, max_steps: int):
-    """Joint fits of frames `rows` from theta, re-reflecting unstable poles after
-    each cycle; a frame leaves once a cycle ends stable. Returns each frame's
-    best (theta, loss) and flag 2 where the last cycle still needed reflecting.
-    """
-    theta, best, best_loss = theta.copy(), theta.copy(), fit.loss(theta, rows)
-    flags, left = np.zeros(len(theta), dtype=np.int64), np.arange(len(theta))
-    for _ in range(max_cycles):
-        th = _levenberg_marquardt(fit, theta[left], rows[left], False, max_steps)
-        log_g, ar, _ = fit.split(th)
-        ar[...], corr = _reflect(ar)
-        log_g += corr.sum(axis=1)
-        loss, unstable = fit.loss(th, rows[left]), np.any(corr != 0.0, axis=1)
-        won = loss < best_loss[left]
-        best[left[won]], best_loss[left[won]] = th[won], loss[won]
-        theta[left], flags[left] = th, 2 * unstable
-        left = left[unstable]
-        if not left.size:
-            break
-    return best, best_loss, flags
-
-
 def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: float,
                max_steps: int, amp_floor: float = 1e-7, max_cycles: int = 4):
     """fit_frame on every row of (L, K) targets: (frames, losses (L,), flags (L,))."""
@@ -392,28 +383,35 @@ def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: floa
     start = np.zeros((live.size, 1 + p + q))
     start[:, 0] = np.log(np.maximum(np.mean(a, axis=1), amp_floor))
     # stage one: magnitude-only fit, then fold all roots inside the circle
-    # (minimum-phase start); unreflected zeros cover non-minimum phase
-    every = np.arange(live.size)
-    mixed_phase = _levenberg_marquardt(fit, start, every, True, max_steps)
-    log_g, ar, _ = fit.split(mixed_phase)
+    # (minimum-phase start)
+    left = np.arange(live.size)
+    theta = _levenberg_marquardt(fit, start, left, True, max_steps)
+    log_g, ar, ma = fit.split(theta)
     ar[...], corr = _reflect(ar)
     log_g += corr.sum(axis=1)
-    min_phase = mixed_phase.copy()
-    log_g, _, ma = fit.split(min_phase)
     ma[...], corr = _reflect(ma)
     log_g -= corr.sum(axis=1)
-    theta, loss, flags = _cycles(fit, min_phase, every, max_cycles, max_steps)
-    retry = np.flatnonzero(loss > 1e-4 * amps.shape[1])
-    if retry.size:
-        alt, alt_loss, alt_flag = _cycles(fit, mixed_phase[retry], retry, max_cycles, max_steps)
-        won = alt_loss < loss[retry]
-        rows = retry[won]
-        theta[rows], loss[rows], flags[rows] = alt[won], alt_loss[won], alt_flag[won]
+    # stage two: joint fits, re-reflecting unstable poles after each cycle. A
+    # frame leaves once a cycle ends stable, keeps its best (theta, loss) and
+    # gets flag 2 if its last cycle still needed reflecting.
+    best, loss, flags = theta.copy(), fit.loss(theta, left), np.zeros(live.size, dtype=np.int64)
+    for _ in range(max_cycles):
+        th = _levenberg_marquardt(fit, theta[left], left, False, max_steps)
+        log_g, ar, _ = fit.split(th)
+        ar[...], corr = _reflect(ar)
+        log_g += corr.sum(axis=1)
+        th_loss, unstable = fit.loss(th, left), np.any(corr != 0.0, axis=1)
+        won = th_loss < loss[left]
+        best[left[won]], loss[left[won]] = th[won], th_loss[won]
+        theta[left], flags[left] = th, 2 * unstable
+        left = left[unstable]
+        if not left.size:
+            break
     if not np.all(np.isfinite(loss)):
         raise EnvelopeError("non-finite fit loss")
     params, losses = np.zeros((len(amps), 1 + p + q)), np.zeros(len(amps))
     out = silent.astype(np.int64)
-    params[live], losses[live], out[live] = theta, loss, flags
+    params[live], losses[live], out[live] = best, loss, flags
     log_g, ars, mas = fit.split(params)
     gains = np.where(silent, amp_floor, np.exp(log_g))
     return [CascadeFrame(float(g), [ArmaSection(project_stable(a, radius=1.0 - 1e-4), b)
@@ -435,9 +433,10 @@ def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
     yielding a stable minimum-phase warm start whose phase is already
     close for vocal-tract-like envelopes. Stage two fits magnitude and
     phase jointly from that start, re-reflecting unstable poles and
-    re-optimizing if needed, and again with the zeros unreflected if the
-    loss stays above 1e-4 per component. Returns (frame, final loss, flag)
-    where flag 1 marks degenerate all-zero targets and flag 2 a fit that
+    re-optimizing if needed. Each fit stops after max_steps trial steps,
+    or sooner once its cost falls by at most 5e-5 of itself over 10 steps
+    or reaches 1e-8 per residual. Returns (frame, final loss, flag) where
+    flag 1 marks degenerate all-zero targets and flag 2 a fit that
     still needed stabilizing after the last cycle. It is the one-frame
     case of the batched fit in fit_cascade.
     """

@@ -1,5 +1,9 @@
 """Cascade responses, time-domain filtering, stability handling, and the
 envelope fitter."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,10 +14,10 @@ from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, EnvelopeError
                            filter_time_domain, fit_cascade, fit_frame,
                            project_stable, sample_cascade, sample_harmonics,
                            section_response)
-from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm
+from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm, harmonic_grid
 from quasivoc.serialize import cascade_to_bytes
 from quasivoc.signals import make_grid
-from quasivoc.synth import synthesize_arma
+from quasivoc.synth import excitation_phase, synthesize_arma
 
 FS = 24000
 
@@ -406,6 +410,67 @@ def test_fit_cascade_blocks_and_workers_byte_identical(monkeypatch, frames_per_b
     for workers in (1, 4):
         got = fit_cascade(hset, track, orders=(8, 8, 2), max_steps=40, n_workers=workers)
         assert cascade_to_bytes(got) == ref
+
+
+def test_fit_stops_before_max_steps(monkeypatch):
+    """On real analysis targets each frame's magnitude and joint fits stop
+    once the cost stops falling or reaches its floor, well before the step
+    limit."""
+    buf, _, cascade, track = fixtures.vowel(150.0, 0.05, FS)
+    hset = analyze_qhm(buf, cascade.grid, track)
+    freqs, _ = harmonic_grid(track, FS, max_components=hset.n_components)
+    residual = _wrap(hset.phases - excitation_phase(freqs, hset.grid))
+    evaluate = arma._Fit.residuals
+    rows_by_stage = []
+
+    def counting(self, theta, rows, mag_only=False, **kwargs):
+        if kwargs.get("jacobian", True):
+            rows_by_stage[-1][mag_only] += len(rows)
+        return evaluate(self, theta, rows, mag_only, **kwargs)
+
+    monkeypatch.setattr(arma._Fit, "residuals", counting)
+    for l in (3, 5, 7):
+        rows_by_stage.append({True: 0, False: 0})
+        _, _, flag = fit_frame(freqs[l], hset.amplitudes[l], residual[l], FS,
+                               orders=(16, 16, 2), max_steps=500)
+        assert flag == 0
+    for stages in rows_by_stage:
+        assert 0 < stages[True] < 500 and 0 < stages[False] < 500
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from quasivoc import fixtures
+from quasivoc.arma import _wrap, fit_cascade, sample_cascade
+from quasivoc.qhm import F0Track, HarmonicSet, harmonic_grid
+from quasivoc.serialize import cascade_to_bytes
+from quasivoc.synth import excitation_phase
+
+cascade = fixtures.vowel_cascade(24000, 6, 0.005, 0.010, 0.05)
+track = F0Track(cascade.grid, 150.0 + 20.0 * np.sin(np.linspace(0.0, np.pi, 6)))
+freqs, _ = harmonic_grid(track, 24000, max_components=40)
+mags, delays = sample_cascade(cascade, freqs)
+phases = _wrap(delays + excitation_phase(freqs, cascade.grid))
+hset = HarmonicSet(cascade.grid, freqs, mags, phases, np.zeros_like(mags), 24000)
+fitted = fit_cascade(hset, track, orders=(32, 32, 2), max_steps=100)
+sys.stdout.write(hashlib.sha256(cascade_to_bytes(fitted)).hexdigest())
+"""
+
+
+def test_fit_cascade_blas_thread_independent():
+    """The fit's bytes, stop decisions included, do not depend on the BLAS
+    thread count. Targets are sampled from a known cascade because analysis
+    itself does depend on it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        digests.append(run.stdout)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_fit_without_scipy_optimize(monkeypatch):
