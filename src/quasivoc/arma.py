@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .signals import FrameGrid, _wrap
+from .signals import FrameGrid, QuasivocError, _wrap
 
 STABILITY_RADIUS = 0.995
 RESPONSE_EPS = 1e-12
@@ -30,7 +30,7 @@ _STOP_TOL = 5e-5
 _COST_FLOOR = 1e-8
 
 
-class EnvelopeError(Exception):
+class EnvelopeError(QuasivocError):
     """Raised for invalid cascades or singular responses."""
 
 
@@ -47,14 +47,10 @@ class ArmaSection:
         if not (np.all(np.isfinite(self.ar)) and np.all(np.isfinite(self.ma))):
             raise EnvelopeError("section coefficients must be finite")
 
-    def is_stable(self, margin: float = 1e-4) -> bool:
-        roots = np.roots(np.concatenate(([1.0], self.ar)))
-        return bool(np.all(np.abs(roots) <= 1.0 - margin))
-
 
 @dataclass
 class CascadeFrame:
-    """Gain plus r sections for one frame."""
+    """Gain plus sections for one frame: the argument of the one-frame oracles."""
 
     gain: float
     sections: list
@@ -66,24 +62,48 @@ class CascadeFrame:
 
 @dataclass
 class ArmaCascade:
-    """Per-frame envelope cascades over a frame grid."""
+    """Per-frame envelope cascades over a frame grid, stacked: gain (L,),
+    AR (L, r, p) and MA (L, r, q), r >= 1 sections per frame. The orders
+    (P, Q, r) = (r*p, r*q, r) come from the shapes."""
 
     grid: FrameGrid
-    frames: list
-    orders: tuple  # (P, Q, r)
+    gain: np.ndarray
+    ar: np.ndarray
+    ma: np.ndarray
     sample_rate: int
     flags: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        p, q, r = self.orders
-        if r <= 0 or p % r or q % r:
-            raise EnvelopeError("r must divide both P and Q")
+        self.gain, self.ar, self.ma = (np.asarray(x, dtype=np.float64)
+                                       for x in (self.gain, self.ar, self.ma))
+        if (self.gain.ndim != 1 or self.ar.ndim != 3 or self.ma.ndim != 3 or self.ar.shape[1] < 1
+                or self.ar.shape[:2] != self.ma.shape[:2] or len(self.ar) != len(self.gain)):
+            raise EnvelopeError("need gain (L,), AR (L, r, p) and MA (L, r, q) with r >= 1")
+        if not (all(np.all(np.isfinite(x)) for x in (self.gain, self.ar, self.ma))
+                and np.all(self.gain > 0)):
+            raise EnvelopeError("gains must be positive, and gains and coefficients finite")
         if self.flags is None:
-            self.flags = np.zeros(len(self.frames), dtype=np.int64)
+            self.flags = np.zeros(len(self.gain), dtype=np.int64)
+
+    @property
+    def orders(self) -> tuple:
+        _, r, p = self.ar.shape
+        return (r * p, r * self.ma.shape[2], r)
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return len(self.gain)
+
+    @property
+    def frames(self) -> list:
+        """One CascadeFrame per frame over rows of the arrays, built on each
+        access, for callers outside the package; the package reads the arrays."""
+        return [_frame(*row) for row in zip(self.gain, self.ar, self.ma)]
+
+
+def _frame(gain, ar, ma) -> CascadeFrame:
+    """One frame's gain, AR (r, p) and MA (r, q) as a CascadeFrame."""
+    return CascadeFrame(float(gain), [ArmaSection(a, b) for a, b in zip(ar, ma)])
 
 
 def _poly(coef, table) -> np.ndarray:
@@ -139,25 +159,6 @@ class EnvelopeSample:
     phase_delays: np.ndarray
 
 
-def _stack(frames: list):
-    """Gains (L,), AR (L, r, p) and MA (L, r, q) of a list of frames.
-
-    Shorter coefficient vectors and missing sections are zero-padded. That
-    changes no value: a zero coefficient adds +-0.0 to a sum that starts at
-    1, and a zero section's response is exactly 1.
-    """
-    r = max((len(fr.sections) for fr in frames), default=0)
-    p = max((s.ar.size for fr in frames for s in fr.sections), default=0)
-    q = max((s.ma.size for fr in frames for s in fr.sections), default=0)
-    ar = np.zeros((len(frames), r, p))
-    ma = np.zeros((len(frames), r, q))
-    for l, fr in enumerate(frames):
-        for j, sec in enumerate(fr.sections):
-            ar[l, j, :sec.ar.size] = sec.ar
-            ma[l, j, :sec.ma.size] = sec.ma
-    return np.array([fr.gain for fr in frames], dtype=np.float64), ar, ma
-
-
 def _sample(gain, ar, ma, freqs, sample_rate: int):
     """Magnitudes and summed section phase delays of stacked frames, (L, K) each.
 
@@ -190,7 +191,7 @@ def sample_cascade(cascade: ArmaCascade, freqs):
     f = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
     if f.shape[0] != cascade.n_frames:
         raise EnvelopeError("need one row of frequencies per cascade frame")
-    return _sample(*_stack(cascade.frames), f, cascade.sample_rate)
+    return _sample(cascade.gain, cascade.ar, cascade.ma, f, cascade.sample_rate)
 
 
 def sample_harmonics(frame: CascadeFrame, freqs_hz, sample_rate: int) -> EnvelopeSample:
@@ -198,10 +199,17 @@ def sample_harmonics(frame: CascadeFrame, freqs_hz, sample_rate: int) -> Envelop
 
     Magnitudes multiply across sections; phase delays are each section's
     wrapped angle in [-pi, pi] summed without re-wrapping, so the total
-    spans [-r*pi, r*pi].
+    spans [-r*pi, r*pi]. Shorter sections are zero-padded, which changes no
+    value: a zero coefficient adds +-0.0 to a sum that starts at 1.
     """
     f = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
-    mag, delay = _sample(*_stack([frame]), f.reshape(1, -1), sample_rate)
+    secs = frame.sections
+    ar = np.zeros((1, len(secs), max((s.ar.size for s in secs), default=0)))
+    ma = np.zeros((1, len(secs), max((s.ma.size for s in secs), default=0)))
+    for j, sec in enumerate(secs):
+        ar[0, j, :sec.ar.size], ma[0, j, :sec.ma.size] = sec.ar, sec.ma
+    mag, delay = _sample(np.array([frame.gain], dtype=np.float64), ar, ma,
+                         f.reshape(1, -1), sample_rate)
     return EnvelopeSample(mag.reshape(f.shape), delay.reshape(f.shape))
 
 
@@ -220,30 +228,49 @@ def filter_time_domain(frame: CascadeFrame, x) -> np.ndarray:
     return frame.gain * y
 
 
-def project_stable(ar: np.ndarray, radius: float = STABILITY_RADIUS) -> np.ndarray:
-    """Pull AR roots with modulus above the radius radially onto it."""
-    roots = np.roots(np.concatenate(([1.0], ar)))
-    mags = np.abs(roots)
-    if np.all(mags <= radius):
-        return ar
-    roots = np.where(mags > radius, roots * (radius / np.maximum(mags, 1e-300)), roots)
-    poly = np.poly(roots)
-    return np.real(poly[1:])
+def _roots(polys) -> np.ndarray:
+    """Roots (..., m) of the polynomials z^m + sum_n polys[..., n] z^(m-n-1),
+    from the eigenvalues of their stacked companion matrices."""
+    m = polys.shape[-1]
+    companion = np.broadcast_to(np.eye(m, k=-1), polys.shape + (m,)).copy()
+    companion[..., :1, :] = -polys[..., None, :]
+    return np.linalg.eigvals(companion)
 
 
-def correction_capacity(frames: list, freq_hz: float, sample_rate: int,
-                        frame_shift: float):
-    """Per-frame frequency correction implied by phase-delay changes.
+def _rebuilt(polys, roots, moved) -> np.ndarray:
+    """polys (..., m), with each polynomial where `moved` rebuilt from its roots."""
+    out = polys.copy()
+    for i in map(tuple, np.argwhere(moved)):
+        out[i] = np.poly(roots[i])[1:].real
+    return out
 
-    Returns (per-frame deltas in Hz, cumulative sum). The cumulative sum
-    telescopes to the endpoint phase-delay difference over 2*pi*dt and is
-    bounded by r/dt in magnitude for an r-section cascade.
+
+def project_stable(ar, radius: float = STABILITY_RADIUS) -> np.ndarray:
+    """Pull AR roots with modulus above the radius radially onto it.
+
+    ar is (..., p); polynomials whose roots all lie within the radius come
+    back unchanged.
     """
-    if len(frames) < 2:
+    ar = np.asarray(ar, dtype=np.float64)
+    roots = _roots(ar)
+    mags = np.abs(roots)
+    out = mags > radius
+    roots = np.where(out, roots * (radius / np.maximum(mags, 1e-300)), roots)
+    return _rebuilt(ar, roots, out.any(axis=-1))
+
+
+def correction_capacity(cascade: ArmaCascade, freq_hz: float):
+    """Per-frame frequency correction implied by phase-delay changes at freq_hz.
+
+    Returns (per-frame deltas in Hz, cumulative sum), with the grid's frame
+    shift as the time step. The cumulative sum telescopes to the endpoint
+    phase-delay difference over 2*pi*dt and is bounded by r/dt in magnitude
+    for an r-section cascade.
+    """
+    if cascade.n_frames < 2:
         raise EnvelopeError("need at least 2 frames")
-    freqs = np.full((len(frames), 1), freq_hz, dtype=np.float64)
-    delays = _sample(*_stack(frames), freqs, sample_rate)[1][:, 0]
-    deltas = np.diff(delays) / (2 * np.pi * frame_shift)
+    delays = sample_cascade(cascade, np.full((cascade.n_frames, 1), freq_hz))[1][:, 0]
+    deltas = np.diff(delays) / (2 * np.pi * cascade.grid.frame_shift)
     return deltas, float(np.sum(deltas))
 
 
@@ -346,25 +373,18 @@ def _reflect(polys, radius: float = STABILITY_RADIUS):
     |c|. Returns the polynomials (unchanged where no root moved) and the log
     corrections (...) to add to a denominator's log-gain, or subtract for a
     numerator's."""
-    if not polys.shape[-1]:
-        return polys, np.zeros(polys.shape[:-1])
-    flat = polys.reshape(-1, polys.shape[-1])
-    n, m = flat.shape
-    companion = np.tile(np.eye(m, k=-1), (n, 1, 1))
-    companion[:, 0] = -flat
-    roots = np.linalg.eigvals(companion)
+    roots = _roots(polys)
     mags = np.maximum(np.abs(roots), 1e-300)
     out = mags >= 1.0
     roots = roots * np.where(out, np.minimum(1.0 / mags, radius) / mags, 1.0)
-    moved = np.array([np.poly(c)[1:].real for c in roots]).reshape(n, m)
-    flat = np.where(out.any(axis=1)[:, None], moved, flat)
-    corr = -np.sum(np.log(np.where(out, mags, 1.0)), axis=1)
-    return flat.reshape(polys.shape), corr.reshape(polys.shape[:-1])
+    corr = -np.sum(np.log(np.where(out, mags, 1.0)), axis=-1)
+    return _rebuilt(polys, roots, out.any(axis=-1)), corr
 
 
 def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: float,
                max_steps: int, amp_floor: float = 1e-7, max_cycles: int = 4):
-    """fit_frame on every row of (L, K) targets: (frames, losses (L,), flags (L,))."""
+    """fit_frame on every row of (L, K) targets: gains (L,), AR (L, r, P/r),
+    MA (L, r, Q/r), losses (L,) and flags (L,)."""
     p, q, r = orders
     if r <= 0 or p % r or q % r:
         raise EnvelopeError("r must divide both P and Q")
@@ -412,11 +432,9 @@ def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: floa
     params, losses = np.zeros((len(amps), 1 + p + q)), np.zeros(len(amps))
     out = silent.astype(np.int64)
     params[live], losses[live], out[live] = best, loss, flags
-    log_g, ars, mas = fit.split(params)
+    log_g, ar, ma = fit.split(params)
     gains = np.where(silent, amp_floor, np.exp(log_g))
-    return [CascadeFrame(float(g), [ArmaSection(project_stable(a, radius=1.0 - 1e-4), b)
-                                    for a, b in zip(ar, ma)])
-            for g, ar, ma in zip(gains, ars, mas)], losses, out
+    return gains, project_stable(ar, radius=1.0 - 1e-4), ma, losses, out
 
 
 def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
@@ -441,9 +459,9 @@ def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
     case of the batched fit in fit_cascade.
     """
     targets = (np.reshape(x, (1, -1)) for x in (freqs_hz, amplitudes, residual_phases))
-    frames, losses, flags = _fit_block(*targets, sample_rate, orders, phase_weight,
-                                       max_steps, amp_floor, max_cycles)
-    return frames[0], float(losses[0]), int(flags[0])
+    gain, ar, ma, loss, flag = _fit_block(*targets, sample_rate, orders, phase_weight,
+                                          max_steps, amp_floor, max_cycles)
+    return _frame(gain[0], ar[0], ma[0]), float(loss[0]), int(flag[0])
 
 
 def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float = 0.1,
@@ -458,7 +476,8 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float =
     and synthesis phase references consistent; otherwise the set's own
     corrected frequencies are used. Frames are fitted together, in blocks
     whose Jacobians and normal matrices hold at most _FIT_BUDGET values;
-    no frame's result depends on its block. n_workers is ignored.
+    no frame's result depends on its block. n_workers is ignored; it is kept
+    only for existing keyword callers.
     """
     from .qhm import harmonic_grid
     from .synth import excitation_phase
@@ -471,8 +490,9 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float =
     residual = _wrap(hset.phases - excitation_phase(freqs, hset.grid))
     n_par = 1 + orders[0] + orders[1]
     step = max(1, _FIT_BUDGET // ((2 * freqs.shape[1] + n_par) * n_par))
+    # an empty set still makes one (empty) block, which fixes the shapes
     blocks = [_fit_block(freqs[i:i + step], hset.amplitudes[i:i + step], residual[i:i + step],
                          fs, orders, phase_weight, max_steps)
-              for i in range(0, hset.n_frames, step)]
-    flags = np.concatenate([np.zeros(0, dtype=np.int64)] + [b[2] for b in blocks])
-    return ArmaCascade(hset.grid, [fr for b in blocks for fr in b[0]], tuple(orders), fs, flags)
+              for i in range(0, max(1, hset.n_frames), step)]
+    gain, ar, ma, _, flags = (np.concatenate(parts) for parts in zip(*blocks))
+    return ArmaCascade(hset.grid, gain, ar, ma, fs, flags)

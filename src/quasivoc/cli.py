@@ -15,10 +15,10 @@ import numpy as np
 
 from . import fixtures, metrics, serialize
 from .arma import fit_cascade
-from .config import ConfigError, PipelineConfig, load_config
-from .modify import ModificationError, ScaleSchedule, load_schedule, modify
+from .config import PipelineConfig, load_config
+from .modify import ScaleSchedule, load_schedule, modify
 from .qhm import AnalysisError, F0Track, analyze_qhm, detect_f0, refine_adaptive
-from .signals import SignalError, make_grid, read_wav, write_wav
+from .signals import QuasivocError, SignalError, make_grid, read_wav, write_wav
 from .synth import synthesize_arma, synthesize_qhm
 
 EXIT_OK = 0
@@ -26,10 +26,8 @@ EXIT_QUALITY = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class CliError(QuasivocError):
+    """Raised for bad command-line usage; like every QuasivocError, it exits 2."""
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -43,23 +41,16 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--k-guard", type=float, dest="k_guard")
     p.add_argument("--max-components", type=int, dest="max_components")
     p.add_argument("--f0-range", help="min,max in Hz")
-    p.add_argument("--threads", type=int,
-                   help="accepted for compatibility; envelope fitting no longer uses it")
     p.add_argument("--format", choices=["float32", "pcm16"], dest="output_format")
 
 
 def _build_config(args) -> PipelineConfig:
-    try:
-        cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    except (ConfigError, OSError) as exc:
-        raise CliError(str(exc))
-    for name in ("seed", "frame_shift", "half_window", "k_guard", "threads",
+    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
+    for name in ("seed", "frame_shift", "half_window", "window_kind", "k_guard",
                  "output_format", "max_components"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    if getattr(args, "window_kind", None):
-        cfg.window_kind = args.window_kind
     if getattr(args, "orders", None):
         try:
             p, q, r = (int(s) for s in args.orders.split(","))
@@ -72,19 +63,13 @@ def _build_config(args) -> PipelineConfig:
         except ValueError:
             raise CliError("--f0-range expects min,max")
         cfg.f0_min, cfg.f0_max = lo, hi
-    try:
-        return cfg.validate()
-    except ConfigError as exc:
-        raise CliError(str(exc))
+    return cfg.validate()
 
 
 def _read_input(path: Path):
     if not path.exists():
         raise CliError(f"input file not found: {path}")
-    try:
-        return read_wav(path)
-    except SignalError as exc:
-        raise CliError(str(exc))
+    return read_wav(path)
 
 
 def _make_grid_for(buffer, cfg: PipelineConfig):
@@ -137,28 +122,16 @@ def cmd_analyze(args) -> int:
     return EXIT_QUALITY if n_flagged else EXIT_OK
 
 
-def _load_harmonics(path: Path):
+def _load_product(path: Path, kind: str):
+    """The harmonics or cascade product in a .bin or .json file."""
     if not path.exists():
-        raise CliError(f"harmonics file not found: {path}")
+        raise CliError(f"{kind} file not found: {path}")
     try:
         if path.suffix == ".bin":
-            return serialize.harmonics_from_bytes(path.read_bytes())
-        return serialize.harmonics_from_json(path.read_text())
-    except (serialize.SerializationError, json.JSONDecodeError, KeyError,
-            UnicodeDecodeError) as exc:
-        raise CliError(f"malformed harmonics file: {exc}")
-
-
-def _load_cascade(path: Path):
-    if not path.exists():
-        raise CliError(f"cascade file not found: {path}")
-    try:
-        if path.suffix == ".bin":
-            return serialize.cascade_from_bytes(path.read_bytes())
-        return serialize.cascade_from_json(path.read_text())
-    except (serialize.SerializationError, json.JSONDecodeError, KeyError,
-            UnicodeDecodeError) as exc:
-        raise CliError(f"malformed cascade file: {exc}")
+            return getattr(serialize, f"{kind}_from_bytes")(path.read_bytes())
+        return getattr(serialize, f"{kind}_from_json")(path.read_text())
+    except (serialize.SerializationError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed {kind} file: {exc}")
 
 
 def _load_f0_csv(path: Path, cfg: PipelineConfig) -> F0Track:
@@ -173,11 +146,11 @@ def _load_f0_csv(path: Path, cfg: PipelineConfig) -> F0Track:
 
 def cmd_fit_envelope(args) -> int:
     cfg = _build_config(args)
-    hset = _load_harmonics(args.harmonics)
+    hset = _load_product(args.harmonics, "harmonics")
     track = _load_f0_csv(args.f0, cfg) if args.f0 else None
-    cascade = fit_cascade(hset, track, cfg.orders, cfg.phase_weight,
-                          cfg.fit_max_steps, cfg.threads,
-                          cfg.k_guard, cfg.unvoiced_f0)
+    cascade = fit_cascade(hset, track, orders=cfg.orders, phase_weight=cfg.phase_weight,
+                          max_steps=cfg.fit_max_steps, guard=cfg.k_guard,
+                          unvoiced_f0=cfg.unvoiced_f0)
     _write_product(args.output, serialize.cascade_to_json(cascade),
                    serialize.cascade_to_bytes(cascade))
     divergent = np.flatnonzero(cascade.flags & 2).tolist()
@@ -190,10 +163,10 @@ def cmd_fit_envelope(args) -> int:
 def cmd_synth(args) -> int:
     cfg = _build_config(args)
     if args.from_harmonics:
-        hset = _load_harmonics(args.model)
+        hset = _load_product(args.model, "harmonics")
         out = synthesize_qhm(hset)
     else:
-        cascade = _load_cascade(args.model)
+        cascade = _load_product(args.model, "cascade")
         track = _load_f0_csv(args.f0, cfg)
         if len(track.values) != cascade.n_frames:
             raise CliError("f0 track and cascade frame counts differ")
@@ -208,7 +181,7 @@ def cmd_synth(args) -> int:
 
 def cmd_modify(args) -> int:
     cfg = _build_config(args)
-    cascade = _load_cascade(args.model)
+    cascade = _load_product(args.model, "cascade")
     track = _load_f0_csv(args.f0, cfg)
     if len(track.values) != cascade.n_frames:
         raise CliError("f0 track and cascade frame counts differ")
@@ -220,10 +193,7 @@ def cmd_modify(args) -> int:
         except Exception as exc:
             raise CliError(f"invalid schedule file: {exc}")
     else:
-        try:
-            schedule = ScaleSchedule.constant(cascade.n_frames, args.beta, args.rho, vuv)
-        except ModificationError as exc:
-            raise CliError(f"invalid --beta/--rho: {exc}")
+        schedule = ScaleSchedule.constant(cascade.n_frames, args.beta, args.rho, vuv)
     out = modify(cascade, track, schedule, guard=cfg.k_guard,
                  unvoiced_f0=cfg.unvoiced_f0, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
@@ -293,7 +263,12 @@ def cmd_bench(args) -> int:
 
 def cmd_gen_fixture(args) -> int:
     cfg = _build_config(args)
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise CliError(f"--params is not valid JSON: {exc}")
+    if not isinstance(params, dict):
+        raise CliError("--params must be a JSON object")
     params.setdefault("sample_rate", cfg.sample_rate)
     params.setdefault("duration", 1.0)
     if args.kind == "noise":
@@ -376,10 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (SignalError, OSError) as exc:
+    except (QuasivocError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,10 +1,13 @@
 """Pipeline configuration: defaults, config-file parsing, CLI overrides."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
+
+from .signals import QuasivocError
 
 
-class ConfigError(Exception):
+class ConfigError(QuasivocError):
     """Raised for unknown keys or out-of-range values."""
 
 
@@ -29,10 +32,11 @@ class PipelineConfig:
     refine_mode: str = "none"        # none | aqhm | eaqhm
     refine_iters: int = 3
     output_format: str = "float32"   # float32 | pcm16
-    threads: int = 1                 # accepted and ignored: the fit is batched
     seed: int = 0
 
     def validate(self):
+        if not all(math.isfinite(v) for v in vars(self).values() if isinstance(v, float)):
+            raise ConfigError("numeric values must be finite")
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be positive")
         if self.frame_shift <= 0 or self.half_window <= 0:
@@ -60,7 +64,7 @@ class PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     """Parse 'key = value' lines into a PipelineConfig; unknown keys reject."""
-    known = {f.name: f.type for f in fields(PipelineConfig)}
+    defaults = vars(PipelineConfig())
     kwargs = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -70,16 +74,12 @@ def load_config(path) -> PipelineConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in known:
+            if key not in defaults:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            kwargs[key] = _coerce(key, value)
+            try:
+                kwargs[key] = type(defaults[key])(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return PipelineConfig(**kwargs).validate()
 
 
-def _coerce(key: str, value: str):
-    default = getattr(PipelineConfig(), key)
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return value

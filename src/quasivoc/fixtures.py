@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arma import ArmaCascade, ArmaSection, CascadeFrame
+from .arma import ArmaCascade
 from .signals import SignalBuffer, SignalError, make_grid
 
 
@@ -75,7 +75,8 @@ def vowel_cascade(sample_rate: int, n_frames: int, frame_shift: float,
     """Time-invariant vowel-like envelope: resonant poles plus mild zeros.
 
     Two sections, each a pair of resonances, giving a smooth formant-ish
-    magnitude with nontrivial phase delay.
+    magnitude with nontrivial phase delay; orders sets the section lengths
+    P/r and Q/r.
     """
     p, q, r = orders
     p_sec, q_sec = p // r, q // r
@@ -89,13 +90,13 @@ def vowel_cascade(sample_rate: int, n_frames: int, frame_shift: float,
         out[:poly.size - 1] = poly[1:]
         return out
 
-    sec1 = ArmaSection(resonant_ar([500, 1500], [0.92, 0.90]), np.zeros(q_sec))
-    ma2 = np.zeros(q_sec)
-    ma2[0] = 0.3
-    sec2 = ArmaSection(resonant_ar([2500, 3500], [0.88, 0.85]), ma2)
-    frames = [CascadeFrame(gain, [sec1, sec2]) for _ in range(n_frames)]
+    ar = np.array([resonant_ar([500, 1500], [0.92, 0.90]),
+                   resonant_ar([2500, 3500], [0.88, 0.85])])
+    ma = np.zeros((2, q_sec))
+    ma[1, 0] = 0.3
     grid = make_grid((n_frames - 1) * frame_shift, frame_shift, half_window)
-    return ArmaCascade(grid, frames, orders, sample_rate)
+    return ArmaCascade(grid, np.full(n_frames, gain), np.tile(ar, (n_frames, 1, 1)),
+                       np.tile(ma, (n_frames, 1, 1)), sample_rate)
 
 
 def vowel(f0: float, duration: float, sample_rate: int, frame_shift: float = 0.005,

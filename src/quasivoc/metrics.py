@@ -9,7 +9,7 @@ import numpy as np
 from scipy.fft import dct, rfft
 
 from .qhm import F0Track
-from .signals import FrameGrid, SignalBuffer, SignalError, grid_window
+from .signals import FrameGrid, QuasivocError, SignalBuffer, SignalError, grid_window
 
 LOG_FLOOR = 1e-10
 SNR_CAP_DB = 120.0
@@ -17,7 +17,7 @@ N_MEL_FILTERS = 40
 N_CEPSTRA = 24
 
 
-class MetricError(Exception):
+class MetricError(QuasivocError):
     """Raised for incompatible metric inputs."""
 
 

@@ -13,11 +13,11 @@ import numpy as np
 
 from .arma import ArmaCascade, sample_cascade
 from .qhm import F0Track, harmonic_grid
-from .signals import FrameGrid, SignalBuffer, SignalError, linear_interp
+from .signals import FrameGrid, QuasivocError, SignalBuffer, SignalError, linear_interp
 from .synth import NYQUIST_GUARD, delayed_phase, excitation_phase, render
 
 
-class ModificationError(Exception):
+class ModificationError(QuasivocError):
     """Raised for invalid scale schedules."""
 
 
@@ -33,8 +33,8 @@ class ScaleSchedule:
         self.betas = np.asarray(self.betas, dtype=np.float64)
         self.rhos = np.asarray(self.rhos, dtype=np.float64)
         self.vuv = np.asarray(self.vuv, dtype=bool)
-        if np.any(self.betas <= 0) or np.any(self.rhos <= 0):
-            raise ModificationError("scale factors must be positive")
+        if not all(np.all(np.isfinite(x) & (x > 0)) for x in (self.betas, self.rhos)):
+            raise ModificationError("scale factors must be positive and finite")
         if not (len(self.betas) == len(self.rhos) == len(self.vuv)):
             raise ModificationError("schedule arrays must have equal length")
 
@@ -47,6 +47,8 @@ class ScaleSchedule:
     def from_breakpoints(cls, times, betas, rhos, grid: FrameGrid,
                          vuv: np.ndarray) -> "ScaleSchedule":
         """Linear interpolation of breakpoint (time, beta, rho) onto frames."""
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ModificationError("breakpoint times must be finite and increasing")
         b = linear_interp(times, betas, grid.centers)
         r = linear_interp(times, rhos, grid.centers)
         return cls(b, r, vuv)

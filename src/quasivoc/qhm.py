@@ -17,14 +17,14 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .signals import FrameGrid, SignalBuffer, SignalError, _wrap, grid_window, linear_interp
+from .signals import FrameGrid, QuasivocError, SignalBuffer, _wrap, grid_window, linear_interp
 
 AMPLITUDE_FLOOR = 1e-7
 COND_THRESHOLD = 1e10
 RIDGE_SCALE = 1e-8
 
 
-class AnalysisError(Exception):
+class AnalysisError(QuasivocError):
     """Raised when a frame cannot be analyzed."""
 
 
@@ -89,8 +89,8 @@ class F0Track:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(self.values < 0):
-            raise AnalysisError("f0 values must be nonnegative")
+        if not np.all(np.isfinite(self.values) & (self.values >= 0)):
+            raise AnalysisError("f0 values must be finite and nonnegative")
 
     @property
     def voiced(self) -> np.ndarray:

@@ -12,16 +12,16 @@ import struct
 
 import numpy as np
 
-from .arma import ArmaCascade, ArmaSection, CascadeFrame, EnvelopeError
+from .arma import ArmaCascade, EnvelopeError
 from .qhm import F0Track, HarmonicSet
-from .signals import FrameGrid
+from .signals import FrameGrid, QuasivocError
 
 HARMONICS_MAGIC = b"QVHS"
 CASCADE_MAGIC = b"QVAC"
 FORMAT_VERSION = 1
 
 
-class SerializationError(Exception):
+class SerializationError(QuasivocError):
     """Raised for malformed or mismatched containers."""
 
 
@@ -151,36 +151,49 @@ def cascade_to_json(cascade: ArmaCascade) -> str:
         "grid": _grid_meta(cascade.grid),
         "flags": cascade.flags.tolist(),
         "frames": [
-            {
-                "gain": fr.gain,
-                "sections": [{"ar": s.ar.tolist(), "ma": s.ma.tolist()}
-                             for s in fr.sections],
-            }
-            for fr in cascade.frames
+            {"gain": g, "sections": [{"ar": a, "ma": b} for a, b in zip(ar, ma)]}
+            for g, ar, ma in zip(cascade.gain.tolist(), cascade.ar.tolist(),
+                                 cascade.ma.tolist())
         ],
     }
     return json.dumps(doc)
 
 
-def cascade_from_json(text: str) -> ArmaCascade:
-    doc = _document(text, "cascade")
+def _section_shapes(orders) -> tuple:
+    """(r, P/r, Q/r) of a product's declared (P, Q, r)."""
+    p, q, r = orders
+    if r < 1 or p % r or q % r:
+        raise SerializationError(f"cascade orders {p, q, r}: r must be >= 1 and divide P and Q")
+    return r, p // r, q // r
+
+
+def _cascade(grid, gain, ar, ma, sample_rate, flags) -> ArmaCascade:
     try:
-        frames = [
-            CascadeFrame(fr["gain"],
-                         [ArmaSection(np.array(s["ar"]), np.array(s["ma"]))
-                          for s in fr["sections"]])
-            for fr in doc["frames"]
-        ]
-        cascade = ArmaCascade(_grid_from_meta(doc["grid"]), frames, tuple(doc["orders"]),
-                              int(doc["sample_rate"]), np.array(doc["flags"], dtype=np.int64))
+        return ArmaCascade(grid, gain, ar, ma, int(sample_rate), np.array(flags, dtype=np.int64))
     except EnvelopeError as exc:
         raise SerializationError(f"invalid cascade: {exc}") from None
-    p, q, r = cascade.orders
-    for fr in frames:
-        if len(fr.sections) != r or any(s.ar.shape != (p // r,) or s.ma.shape != (q // r,)
-                                        for s in fr.sections):
-            raise SerializationError("cascade frame sections disagree with the orders")
-    return cascade
+
+
+def _floats(values: list, shape: tuple) -> np.ndarray:
+    """Nested JSON numbers as a float64 array of the given shape."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):   # ragged, or not numbers
+        arr = None
+    if arr is None or (values and arr.shape != shape):
+        raise SerializationError(f"cascade frames do not fit shape {shape}")
+    return arr.reshape(shape)
+
+
+def cascade_from_json(text: str) -> ArmaCascade:
+    doc = _document(text, "cascade")
+    r, p, q = _section_shapes(doc["orders"])
+    frames = doc["frames"]
+    L = len(frames)
+    gain = _floats([fr["gain"] for fr in frames], (L,))
+    ar, ma = (_floats([[s[key] for s in fr["sections"]] for fr in frames], (L, r, n))
+              for key, n in (("ar", p), ("ma", q)))
+    return _cascade(_grid_from_meta(doc["grid"]), gain, ar, ma, doc["sample_rate"], doc["flags"])
 
 
 def cascade_to_bytes(cascade: ArmaCascade) -> bytes:
@@ -192,29 +205,16 @@ def cascade_to_bytes(cascade: ArmaCascade) -> bytes:
         "grid": _grid_meta(cascade.grid),
         "flags": cascade.flags.tolist(),
     }
-    gains = np.array([fr.gain for fr in cascade.frames])
-    ar = np.array([[s.ar for s in fr.sections] for fr in cascade.frames])
-    ma = np.array([[s.ma for s in fr.sections] for fr in cascade.frames])
-    return _pack_container(CASCADE_MAGIC, header, [gains, ar, ma])
+    return _pack_container(CASCADE_MAGIC, header, [cascade.gain, cascade.ar, cascade.ma])
 
 
 def cascade_from_bytes(data: bytes) -> ArmaCascade:
     header, arrays = _unpack_container(data, CASCADE_MAGIC, 3)
-    p, q, r = header["orders"]
-    if r < 1:
-        raise SerializationError(f"cascade needs at least one section, got orders {p, q, r}")
+    r, p, q = _section_shapes(header["orders"])
     n = header["n_frames"]
-    gains = _shaped(arrays[0], (n,))
-    ar = _shaped(arrays[1], (n, r, p // r))
-    ma = _shaped(arrays[2], (n, r, q // r))
-    frames = [
-        CascadeFrame(float(gains[l]),
-                     [ArmaSection(ar[l, j], ma[l, j]) for j in range(r)])
-        for l in range(n)
-    ]
-    return ArmaCascade(_grid_from_meta(header["grid"]), frames, (p, q, r),
-                       int(header["sample_rate"]),
-                       np.array(header["flags"], dtype=np.int64))
+    return _cascade(_grid_from_meta(header["grid"]), _shaped(arrays[0], (n,)),
+                    _shaped(arrays[1], (n, r, p)), _shaped(arrays[2], (n, r, q)),
+                    header["sample_rate"], header["flags"])
 
 
 # --- F0 tracks (CSV sidecar) ----------------------------------------------

@@ -13,7 +13,11 @@ from scipy.interpolate import PchipInterpolator
 from scipy.io import wavfile
 
 
-class SignalError(Exception):
+class QuasivocError(Exception):
+    """Base class of the package's errors: bad input, not a bug."""
+
+
+class SignalError(QuasivocError):
     """Raised for invalid signals or unsupported audio files."""
 
 

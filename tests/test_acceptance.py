@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from conftest import cascade_of, frame_at
 from quasivoc import fixtures
-from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, _wrap,
+from quasivoc.arma import (ArmaSection, CascadeFrame, _wrap,
                            cascade_response, correction_capacity, fit_cascade,
                            fit_frame, filter_time_domain, project_stable,
                            sample_harmonics)
@@ -141,7 +142,7 @@ def test_criterion_4_phase_delay_range():
                             rng.uniform(-0.6, 0.6, 2)) for _ in range(8)]
         frames.append(CascadeFrame(1.0, secs))
     dt = 0.005
-    deltas, total = correction_capacity(frames, 900.0, FS, dt)
+    deltas, total = correction_capacity(cascade_of(frames, dt), 900.0)
     d0 = sample_harmonics(frames[0], 900.0, FS).phase_delays[0]
     dl = sample_harmonics(frames[-1], 900.0, FS).phase_delays[0]
     telescope_err = abs(total - (dl - d0) / (2 * np.pi * dt))
@@ -188,8 +189,7 @@ def test_criterion_6_end_to_end_envelope_synthesis(vowel_data):
     track = detect_f0(buf, grid)
     track = refine_f0(analyze_qhm(buf, grid, track), track)
     hset = analyze_qhm(buf, grid, track)
-    cascade = fit_cascade(hset, track, orders=(16, 16, 2), max_steps=150,
-                          n_workers=4)
+    cascade = fit_cascade(hset, track, orders=(16, 16, 2), max_steps=150)
     out = synthesize_arma(cascade, track)
     got_snr = snr(out, buf)
     got_mcd = mcd(mel_cepstrum(out, grid), mel_cepstrum(buf, grid))
@@ -208,7 +208,7 @@ def test_criterion_7_modification_laws(vowel_data):
     ident_err = float(np.max(np.abs(identity.samples - plain.samples)))
 
     probe = np.array([300.0, 1200.0, 5000.0])
-    env_before = sample_harmonics(cascade.frames[0], probe, FS).magnitudes.copy()
+    env_before = sample_harmonics(frame_at(cascade, 0), probe, FS).magnitudes.copy()
 
     shifted = modify(cascade, track,
                      ScaleSchedule.constant(cascade.n_frames, 1.0, 2.0,
@@ -229,7 +229,7 @@ def test_criterion_7_modification_laws(vowel_data):
                                               track.voiced))
     dur_err = abs(stretched.duration - 2 * plain.duration)
 
-    env_after = sample_harmonics(cascade.frames[0], probe, FS).magnitudes
+    env_after = sample_harmonics(frame_at(cascade, 0), probe, FS).magnitudes
     env_same = bool(np.array_equal(env_before, env_after))
 
     _report(7, "modification laws",
@@ -295,8 +295,7 @@ def test_criterion_10_determinism(multisine_data):
         analyze_qhm(buf, grid, track, max_components=8))) for _ in range(2)}
     hset = analyze_qhm(buf, grid, track, max_components=8)
     c_runs = {digest(cascade_to_bytes(
-        fit_cascade(hset, track, orders=(8, 8, 2), max_steps=60, n_workers=w)))
-        for w in (1, 4, 4)}
+        fit_cascade(hset, track, orders=(8, 8, 2), max_steps=60))) for _ in range(3)}
     cascade = fit_cascade(hset, track, orders=(8, 8, 2), max_steps=60)
     s_runs = {digest(synthesize_arma(cascade, track).samples.tobytes())
               for _ in range(2)}
@@ -305,5 +304,4 @@ def test_criterion_10_determinism(multisine_data):
               for _ in range(2)}
     ok = all(len(s) == 1 for s in (h_runs, c_runs, s_runs, m_runs))
     _report(10, "determinism", ok,
-            "analysis/fit/synthesis/modification hashes identical across runs "
-            "and thread counts")
+            "analysis/fit/synthesis/modification hashes identical across runs")

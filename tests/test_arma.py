@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_stable_frame
+from conftest import cascade_of, frame_at, random_stable_frame
 from quasivoc import arma, fixtures
 from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, EnvelopeError,
                            _wrap, cascade_response, correction_capacity,
@@ -43,8 +43,6 @@ def test_section_response_singular():
 def test_section_validation():
     with pytest.raises(EnvelopeError):
         ArmaSection(np.array([np.inf]), np.zeros(0))
-    assert ArmaSection(np.array([-0.5]), np.zeros(0)).is_stable()
-    assert not ArmaSection(np.array([-1.5]), np.zeros(0)).is_stable()
 
 
 def test_cascade_response_gain_only():
@@ -99,18 +97,17 @@ def test_sample_harmonics_real_pole_zero_delay_at_dc():
 
 def test_sample_harmonics_matches_termwise_oracle(vowel_data):
     _, _, cascade, _ = vowel_data
-    fr = cascade.frames[0]
     freqs = np.array([450.0, 1500.0, 3600.0])
-    env = sample_harmonics(fr, freqs, FS)
+    env = sample_harmonics(frame_at(cascade, 0), freqs, FS)
     w = 2 * np.pi * freqs / FS
-    mag = np.full(3, fr.gain)
+    mag = np.full(3, cascade.gain[0])
     delay = np.zeros(3)
-    for sec in fr.sections:
+    for ar, ma in zip(cascade.ar[0], cascade.ma[0]):
         num = np.ones(3, complex)
-        for q, b in enumerate(sec.ma, start=1):
+        for q, b in enumerate(ma, start=1):
             num = num + b * np.exp(-1j * w * q)
         den = np.ones(3, complex)
-        for p, a in enumerate(sec.ar, start=1):
+        for p, a in enumerate(ar, start=1):
             den = den + a * np.exp(-1j * w * p)
         mag = mag * np.abs(num / den)
         delay = delay + np.angle(num / den)
@@ -136,17 +133,18 @@ def test_phase_delay_range_bound():
 
 # --- sampling every frame at once -----------------------------------------
 
-def _per_frame_sample(frame, freqs):
-    """Frame by frame, section by section, one exp per coefficient."""
+def _per_frame_sample(gain, sections, freqs):
+    """Frame by frame, section by section, one exp per coefficient;
+    sections are (ar, ma) pairs."""
     w = 2 * np.pi * np.asarray(freqs, dtype=np.float64) / FS
-    mag = np.full(w.shape, frame.gain)
+    mag = np.full(w.shape, gain)
     delay = np.zeros(w.shape)
-    for sec in frame.sections:
+    for ar, ma in sections:
         num = np.ones(w.shape, dtype=np.complex128)
-        for q, b in enumerate(sec.ma, start=1):
+        for q, b in enumerate(ma, start=1):
             num += b * np.exp(-1j * w * q)
         den = np.ones(w.shape, dtype=np.complex128)
-        for p, a in enumerate(sec.ar, start=1):
+        for p, a in enumerate(ar, start=1):
             den += a * np.exp(-1j * w * p)
         h = num / den
         mag *= np.abs(h)
@@ -154,11 +152,14 @@ def _per_frame_sample(frame, freqs):
     return mag, delay
 
 
-def _assert_bitwise_per_frame(cascade, freqs):
+def _assert_bitwise_per_frame(cascade, freqs, frames=None):
+    """sample_cascade and sample_harmonics equal the oracle bit for bit on
+    every frame; frames, if given, are the cascade's frames before padding."""
     mags, delays = sample_cascade(cascade, freqs)
     assert mags.shape == delays.shape == freqs.shape
-    for l, fr in enumerate(cascade.frames):
-        mag, delay = _per_frame_sample(fr, freqs[l])
+    for l in range(cascade.n_frames):
+        fr = frames[l] if frames else frame_at(cascade, l)
+        mag, delay = _per_frame_sample(fr.gain, [(s.ar, s.ma) for s in fr.sections], freqs[l])
         env = sample_harmonics(fr, freqs[l], FS)
         for got in (mags[l], env.magnitudes):
             assert got.tobytes() == mag.tobytes()
@@ -178,8 +179,9 @@ def test_sample_cascade_matches_per_frame_vowel(monkeypatch, blocked):
 
 def test_sample_cascade_zero_section_frames():
     grid = make_grid(0.02, 0.005, 0.010)
-    frames = [CascadeFrame(0.5 + l, []) for l in range(len(grid))]
-    cascade = ArmaCascade(grid, frames, (0, 0, 1), FS)
+    L = len(grid)
+    cascade = ArmaCascade(grid, 0.5 + np.arange(L), np.zeros((L, 1, 0)), np.zeros((L, 1, 0)), FS)
+    assert cascade.orders == (0, 0, 1)
     freqs = np.tile([0.0, 150.0, 9000.0], (len(grid), 1))
     mags, delays = sample_cascade(cascade, freqs)
     np.testing.assert_array_equal(mags, np.repeat(0.5 + np.arange(len(grid)), 3)
@@ -189,18 +191,24 @@ def test_sample_cascade_zero_section_frames():
 
 
 def test_sample_cascade_mixed_section_shapes():
-    """Frames with different section counts and lengths are zero-padded to
-    one stack; the padding must not move a single bit."""
+    """Frames with different section counts and lengths, zero-padded to one
+    stack: the padding must not move a single bit, in the stack or in
+    sample_harmonics' own padding of the unpadded frames."""
     rng = np.random.default_rng(22)
     frames = [CascadeFrame(1.0, []),
               CascadeFrame(2.0, [ArmaSection(np.array([-0.8]), np.zeros(0))]),
               CascadeFrame(0.3, [ArmaSection(np.array([0.2, -0.1]), np.array([0.4, 0.1])),
                                  ArmaSection(np.array([-0.5]), np.zeros(0))]),
               random_stable_frame(rng, n_sections=3, p_sec=4, q_sec=2)]
-    cascade = ArmaCascade(make_grid(0.015, 0.005, 0.010), frames, (12, 6, 3), FS)
+    ar, ma = np.zeros((4, 3, 4)), np.zeros((4, 3, 2))
+    for l, fr in enumerate(frames):
+        for j, sec in enumerate(fr.sections):
+            ar[l, j, :sec.ar.size], ma[l, j, :sec.ma.size] = sec.ar, sec.ma
+    cascade = ArmaCascade(make_grid(0.015, 0.005, 0.010), [fr.gain for fr in frames],
+                          ar, ma, FS)
     freqs = rng.uniform(0.0, FS / 2 - 1.0, (4, 9))
     freqs[:, 0] = 0.0
-    _assert_bitwise_per_frame(cascade, freqs)
+    _assert_bitwise_per_frame(cascade, freqs, frames)
 
 
 def test_sample_cascade_errors():
@@ -211,10 +219,9 @@ def test_sample_cascade_errors():
         sample_cascade(cascade, freqs)
     with pytest.raises(EnvelopeError):
         sample_cascade(cascade, np.full((2, 2), 100.0))
-    on_circle = ArmaSection(np.array([-1.0]), np.zeros(0))
-    frames = [CascadeFrame(1.0, [ArmaSection(np.array([-0.5]), np.zeros(0))]),
-              CascadeFrame(1.0, [on_circle])]
-    singular = ArmaCascade(make_grid(0.005, 0.005, 0.010), frames, (1, 0, 1), FS)
+    # the second frame's pole is on the unit circle
+    singular = ArmaCascade(make_grid(0.005, 0.005, 0.010), np.ones(2),
+                           np.array([[[-0.5]], [[-1.0]]]), np.zeros((2, 1, 0)), FS)
     with pytest.raises(EnvelopeError):
         sample_cascade(singular, np.zeros((2, 1)))
 
@@ -263,23 +270,49 @@ def test_project_stable():
     roots = np.roots(np.concatenate(([1.0], proj)))
     assert np.all(np.abs(roots) <= 0.995 + 1e-9)
     assert project_stable(np.zeros(0)).size == 0
+    # stacked: each polynomial is projected on its own, the stable one unchanged
+    both = project_stable(np.array([[stable, unstable]]), radius=0.995)
+    assert both.shape == (1, 2, 2)
+    assert both[0, 0].tobytes() == stable.tobytes() and both[0, 1].tobytes() == proj.tobytes()
+    assert project_stable(np.zeros((3, 2, 0))).shape == (3, 2, 0)
+
+
+def test_project_stable_matches_np_roots():
+    """The stacked companion-matrix roots give the bits of np.roots, so the
+    batched projection equals projecting each polynomial through np.roots."""
+    rng = np.random.default_rng(53)
+
+    def one(ar, radius):
+        roots = np.roots(np.concatenate(([1.0], ar)))
+        mags = np.abs(roots)
+        if np.all(mags <= radius):
+            return ar
+        return np.real(np.poly(np.where(mags > radius, roots * (radius / mags), roots))[1:])
+
+    for order in (1, 2, 5, 8, 16):
+        ar = rng.uniform(-1.5, 1.5, (6, 3, order))
+        got = project_stable(ar, radius=0.9)
+        want = np.array([[one(a, 0.9) for a in row] for row in ar])
+        assert got.tobytes() == want.tobytes()
 
 
 # --- correction capacity ---------------------------------------------------
 
 def test_correction_capacity_time_invariant(vowel_data):
     _, _, cascade, _ = vowel_data
-    deltas, total = correction_capacity(cascade.frames[:5], 450.0, FS, 0.005)
+    head = ArmaCascade(make_grid(0.02, 0.005, 0.010), cascade.gain[:5], cascade.ar[:5],
+                       cascade.ma[:5], FS)
+    deltas, total = correction_capacity(head, 450.0)
     np.testing.assert_allclose(deltas, 0.0, atol=1e-12)
     assert total == 0.0
 
 
 def test_correction_capacity_closed_form():
-    ident = CascadeFrame(1.0, [])
+    ident = CascadeFrame(1.0, [ArmaSection(np.zeros(1), np.zeros(0))])
     delayed = CascadeFrame(1.0, [ArmaSection(np.array([-0.8]), np.zeros(0))])
     dt = 0.005
     d = sample_harmonics(delayed, 500.0, FS).phase_delays[0]
-    deltas, total = correction_capacity([ident, delayed], 500.0, FS, dt)
+    deltas, total = correction_capacity(cascade_of([ident, delayed], dt), 500.0)
     np.testing.assert_allclose(total, d / (2 * np.pi * dt), rtol=1e-12)
     np.testing.assert_allclose(deltas, [total])
 
@@ -288,12 +321,12 @@ def test_correction_capacity_telescoping():
     rng = np.random.default_rng(29)
     frames = [random_stable_frame(rng) for _ in range(12)]
     dt = 0.005
-    deltas, total = correction_capacity(frames, 700.0, FS, dt)
+    deltas, total = correction_capacity(cascade_of(frames, dt), 700.0)
     d0 = sample_harmonics(frames[0], 700.0, FS).phase_delays[0]
     dl = sample_harmonics(frames[-1], 700.0, FS).phase_delays[0]
     np.testing.assert_allclose(total, (dl - d0) / (2 * np.pi * dt), atol=1e-9)
     with pytest.raises(EnvelopeError):
-        correction_capacity(frames[:1], 700.0, FS, dt)
+        correction_capacity(cascade_of(frames[:1], dt), 700.0)
 
 
 # --- fitter ----------------------------------------------------------------
@@ -378,15 +411,12 @@ def _small_hset():
     return HarmonicSet(grid, freqs, amps, phases, np.zeros((L, 12)), FS)
 
 
-def test_fit_cascade_thread_determinism():
+def test_fit_cascade_repeat_determinism():
     hset = _small_hset()
-    seq = fit_cascade(hset, orders=(8, 8, 2), max_steps=40, n_workers=1)
-    par = fit_cascade(hset, orders=(8, 8, 2), max_steps=40, n_workers=4)
-    for a, b in zip(seq.frames, par.frames):
-        assert a.gain == b.gain
-        for sa, sb in zip(a.sections, b.sections):
-            np.testing.assert_array_equal(sa.ar, sb.ar)
-            np.testing.assert_array_equal(sa.ma, sb.ma)
+    first = fit_cascade(hset, orders=(8, 8, 2), max_steps=40)
+    again = fit_cascade(hset, orders=(8, 8, 2), max_steps=40)
+    for name in ("gain", "ar", "ma", "flags"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(again, name))
 
 
 def _vibrato_hset(n_frames=12):
@@ -407,9 +437,8 @@ def test_fit_cascade_blocks_and_workers_byte_identical(monkeypatch, frames_per_b
     per_frame = (2 * hset.n_components + n_par) * n_par
     # 1 frame per block, 5 (the last block a partial one) or all frames in one
     monkeypatch.setattr(arma, "_FIT_BUDGET", per_frame * (frames_per_block or hset.n_frames))
-    for workers in (1, 4):
-        got = fit_cascade(hset, track, orders=(8, 8, 2), max_steps=40, n_workers=workers)
-        assert cascade_to_bytes(got) == ref
+    got = fit_cascade(hset, track, orders=(8, 8, 2), max_steps=40)
+    assert cascade_to_bytes(got) == ref
 
 
 def test_fit_stops_before_max_steps(monkeypatch):
@@ -490,11 +519,11 @@ def test_fit_without_scipy_optimize(monkeypatch):
     cascade = fit_cascade(hset, track, orders=(8, 8, 2), max_steps=40)
     assert np.isfinite(loss) and flag in (0, 2)
     assert cascade.n_frames == 6 and set(cascade.flags.tolist()) <= {0, 2}
-    for frame in [fr] + cascade.frames:
-        assert np.isfinite(frame.gain) and frame.gain > 0
-        for sec in frame.sections:
-            roots = np.roots(np.concatenate(([1.0], sec.ar)))
-            assert np.all(np.abs(roots) <= 1.0 - 1e-4 + 1e-9)
+    gains = np.append(cascade.gain, fr.gain)
+    assert np.all(np.isfinite(gains)) and np.all(gains > 0)
+    for ar in [s.ar for s in fr.sections] + list(cascade.ar.reshape(-1, 4)):
+        roots = np.roots(np.concatenate(([1.0], ar)))
+        assert np.all(np.abs(roots) <= 1.0 - 1e-4 + 1e-9)
 
 
 @pytest.mark.parametrize("orders", [(8, 0, 2), (0, 8, 2)])
@@ -511,11 +540,14 @@ def test_fit_with_a_zero_order(orders):
     cascade = fit_cascade(hset, track, orders=orders, max_steps=40)
     assert np.isfinite(loss) and flag in (0, 2)
     assert cascade.orders == orders and set(cascade.flags.tolist()) <= {0, 2}
-    for frame in [fr] + cascade.frames:
-        assert np.isfinite(frame.gain) and frame.gain > 0 and len(frame.sections) == r
-        for sec in frame.sections:
-            assert sec.ar.shape == (p // r,) and sec.ma.shape == (q // r,)
-            assert sec.is_stable(margin=1e-4 - 1e-9)
+    assert cascade.ar.shape == (4, r, p // r) and cascade.ma.shape == (4, r, q // r)
+    gains = np.append(cascade.gain, fr.gain)
+    assert np.all(np.isfinite(gains)) and np.all(gains > 0) and len(fr.sections) == r
+    for sec in fr.sections:
+        assert sec.ar.shape == (p // r,) and sec.ma.shape == (q // r,)
+    for ar in [s.ar for s in fr.sections] + list(cascade.ar.reshape(4 * r, p // r)):
+        roots = np.roots(np.concatenate(([1.0], ar)))
+        assert np.all(np.abs(roots) <= 1.0 - 1e-4 + 1e-9)
 
 
 def test_fit_cascade_silent_frames_are_not_fitted(monkeypatch):
@@ -541,14 +573,13 @@ def test_fit_cascade_silent_frames_are_not_fitted(monkeypatch):
     assert fitted and max(fitted) <= hset.n_frames - len(silent)
     assert got.flags[silent].tolist() == [1, 1, 1]
     for l in range(hset.n_frames):
-        a, b = got.frames[l], ref.frames[l]
         if l in silent:
-            assert a.gain == 1e-7
-            assert all(not s.ar.any() and not s.ma.any() for s in a.sections)
+            assert got.gain[l] == 1e-7
+            assert not got.ar[l].any() and not got.ma[l].any()
             continue
-        assert a.gain == b.gain and got.flags[l] == ref.flags[l]
-        for sa, sb in zip(a.sections, b.sections):
-            assert sa.ar.tobytes() == sb.ar.tobytes() and sa.ma.tobytes() == sb.ma.tobytes()
+        assert got.gain[l] == ref.gain[l] and got.flags[l] == ref.flags[l]
+        assert got.ar[l].tobytes() == ref.ar[l].tobytes()
+        assert got.ma[l].tobytes() == ref.ma[l].tobytes()
 
 
 def test_fit_cascade_track_grid_mismatch():
@@ -562,5 +593,29 @@ def test_fit_cascade_track_grid_mismatch():
 
 def test_cascade_orders_validation():
     grid = make_grid(0.01, 0.005, 0.010)
-    with pytest.raises(EnvelopeError):
-        ArmaCascade(grid, [], (8, 8, 3), FS)
+    L = len(grid)
+    cascade = ArmaCascade(grid, np.ones(L), np.zeros((L, 2, 4)), np.zeros((L, 2, 3)), FS)
+    assert cascade.orders == (8, 6, 2) and cascade.n_frames == L
+    assert cascade.flags.tolist() == [0] * L
+    bad = [(np.ones(L), np.zeros((L, 0, 4)), np.zeros((L, 0, 4))),     # no section
+           (np.ones(L), np.zeros((L, 2, 4)), np.zeros((L, 3, 4))),     # section counts
+           (np.ones(L + 1), np.zeros((L, 2, 4)), np.zeros((L, 2, 4))),  # frame counts
+           (np.ones(L), np.zeros((L, 8)), np.zeros((L, 8))),           # not stacked
+           (np.zeros(L), np.zeros((L, 2, 4)), np.zeros((L, 2, 4))),    # zero gain
+           (np.full(L, np.inf), np.zeros((L, 2, 4)), np.zeros((L, 2, 4))),
+           (np.ones(L), np.full((L, 2, 4), np.nan), np.zeros((L, 2, 4)))]
+    for gain, ar, ma in bad:
+        with pytest.raises(EnvelopeError):
+            ArmaCascade(grid, gain, ar, ma, FS)
+
+
+def test_frames_view():
+    """The read-only per-frame view holds the stacked arrays' values."""
+    cascade = fixtures.vowel_cascade(FS, 3, 0.005, 0.010, 0.05)
+    frames = cascade.frames
+    assert len(frames) == 3 and all(len(fr.sections) == 2 for fr in frames)
+    for l, fr in enumerate(frames):
+        assert fr.gain == cascade.gain[l]
+        for j, sec in enumerate(fr.sections):
+            assert sec.ar.tobytes() == cascade.ar[l, j].tobytes()
+            assert sec.ma.tobytes() == cascade.ma[l, j].tobytes()

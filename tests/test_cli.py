@@ -3,11 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasivoc import fixtures, serialize
 from quasivoc.cli import main
+from quasivoc.config import PipelineConfig
 from quasivoc.qhm import F0Track
-from quasivoc.signals import read_wav
+from quasivoc.signals import SignalBuffer, read_wav, write_wav
 
 
 @pytest.fixture()
@@ -193,6 +195,14 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
     listed_bin.write_bytes(blob[:8] + (6).to_bytes(4, "little") + b"[1, 2]"
                            + blob[12 + int.from_bytes(blob[8:12], "little"):])
     runs.append(["synth", str(listed_bin), str(out), "--f0", str(f0)])
+    # fields of the wrong JSON type
+    for key, value in (("orders", 5), ("frames", 5), ("frames", [5] * 5), ("grid", []),
+                       ("sample_rate", None)):
+        doc = json.loads(serialize.cascade_to_json(cascade))
+        doc[key] = value
+        typed = tmp_path / f"typed_{len(runs)}.json"
+        typed.write_text(json.dumps(doc))
+        runs.append(["synth", str(typed), str(out), "--f0", str(f0)])
     slow, fast = tmp_path / "8k.wav", tmp_path / "48k.wav"
     for path, rate in ((slow, 8000), (fast, 48000)):
         assert main(["gen-fixture", "vowel", str(path), "--params",
@@ -228,3 +238,101 @@ def test_config_file_flows_through(tmp_path, tone_wav):
     bad = tmp_path / "bad.txt"
     bad.write_text("bogus_key = 1\n")
     assert main(["analyze", str(tone_wav), str(harm), "--config", str(bad)]) == 2
+
+
+def _bad_value_config(tmp_path, wav, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"max_components = 4\n" + line + b"\n")
+    return ["analyze", wav, str(tmp_path / "h.json"), "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"frame_shift = abc"),
+    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"order_p = 1.5"),
+    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"seed = \xff\xfe"),
+    lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params", "{bad"],
+    lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params", "[1,2]"],
+    lambda d, wavs: ["analyze", wavs["short"], str(d / "h.json")],
+    lambda d, wavs: ["bench", wavs["short"], "--runs", "1"],
+    lambda d, wavs: ["eval", wavs["tone"], wavs["silent"]],
+], ids=["config-text-value", "config-float-order", "config-not-utf8", "params-not-json",
+        "params-not-object", "analyze-5-samples", "bench-5-samples", "eval-zero-reference"])
+def test_exit_code_2_on_unparseable_values_and_unusable_audio(tmp_path, tone_wav, capsys,
+                                                              make_argv):
+    """Config values that do not parse, a config file that is not text,
+    --params that is not a JSON object, a WAV too short to analyze and an
+    all-zero reference all exit 2 with a message, not a traceback."""
+    wavs = {"tone": str(tone_wav), "short": str(tmp_path / "short.wav"),
+            "silent": str(tmp_path / "silent.wav")}
+    write_wav(SignalBuffer(np.full(5, 0.1), 24000), wavs["short"])
+    write_wav(SignalBuffer(np.zeros(len(read_wav(tone_wav))), 24000), wavs["silent"])
+    capsys.readouterr()
+    assert main(make_argv(tmp_path, wavs)) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "g.wav").exists() and not (tmp_path / "h.json").exists()
+
+
+# --- drawn text as input files ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A 5-frame tone, the 5-frame vowel cascade and a 5-frame F0 CSV."""
+    d = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen-fixture", "tone", str(d / "tone.wav"),
+                 "--params", '{"freq": 200.0, "duration": 0.02}']) == 0
+    cascade = fixtures.vowel_cascade(24000, 5, 0.005, 0.010)
+    (d / "casc.bin").write_bytes(serialize.cascade_to_bytes(cascade))
+    (d / "f0.csv").write_text(serialize.f0_to_csv(F0Track(cascade.grid, np.full(5, 150.0))))
+    return d
+
+
+# Text without decimal digits parses as no finite number. Rows of numbers
+# hold no small positive F0 and no large time scale, so every run that
+# succeeds stays small and quick.
+_CHARS = st.characters(exclude_categories=("Nd", "Cs"))
+_WORDS = st.text(_CHARS, max_size=6)
+_NUMBERS = {"f0": ["0", "150", "-150", "nan", "inf", "1e9"],
+            "schedule": ["0", "0.01", "0.5", "2", "-1", "nan", "inf"]}
+_LAYOUT = {"f0": (2, ","), "schedule": (3, " ")}     # columns, separator
+_KEYS = st.one_of(_WORDS, st.sampled_from(sorted(vars(PipelineConfig())) + ["threads"]))
+
+
+@st.composite
+def _drawn_file(draw, kind):
+    """Free text, or rows of drawn tokens or of numbers in the file's layout."""
+    mode = draw(st.sampled_from(["text", "tokens", "numbers"]))
+    if mode == "text":
+        return draw(st.text(_CHARS, max_size=80))
+    if kind == "config":
+        values = _WORDS if mode == "tokens" else st.sampled_from(["nan", "inf", "-inf"])
+        line = st.builds("{} = {}".format, _KEYS, values)
+    else:
+        columns, sep = _LAYOUT[kind]
+        tokens = st.sampled_from(_NUMBERS[kind])
+        if mode == "tokens":
+            tokens, columns = tokens | _WORDS, None
+        line = st.lists(tokens, min_size=columns or 0, max_size=columns or 4).map(sep.join)
+    rows = draw(st.lists(line, max_size=7))
+    return "\n".join((["time,f0"] if kind == "f0" else []) + rows)
+
+
+@given(st.sampled_from(["f0", "schedule", "config"]).flatmap(
+    lambda kind: st.tuples(st.just(kind), _drawn_file(kind))))
+@settings(max_examples=150, deadline=None)
+def test_drawn_input_files_exit_0_1_or_2(fuzz_dir, drawn):
+    """Drawn text as the F0 CSV, the schedule file or the config file: every
+    run ends in exit 0, 1 or 2, with no exception escaping main."""
+    kind, text = drawn
+    d = fuzz_dir
+    path = d / f"drawn.{kind}"
+    path.write_text(text, encoding="utf-8")
+    out = str(d / "out.wav")
+    runs = {
+        "f0": [["analyze", str(d / "tone.wav"), str(d / "h.bin"), "--f0-file", str(path)],
+               ["synth", str(d / "casc.bin"), out, "--f0", str(path)]],
+        "schedule": [["modify", str(d / "casc.bin"), out, "--f0", str(d / "f0.csv"),
+                      "--schedule", str(path)]],
+        "config": [["analyze", str(d / "tone.wav"), str(d / "h.bin"), "--config", str(path)]],
+    }
+    for argv in runs[kind]:
+        assert main(argv) in (0, 1, 2), argv

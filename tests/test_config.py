@@ -37,12 +37,12 @@ def test_load_config_file(tmp_path):
         "frame_shift = 0.01\n"
         "order_p = 16\norder_q = 16\norder_r = 2\n"
         "window_kind = hamming  # inline comment\n"
-        "threads = 4\n")
+        "seed = 4\n")
     cfg = load_config(path)
     assert cfg.frame_shift == 0.01
     assert cfg.orders == (16, 16, 2)
     assert cfg.window_kind == "hamming"
-    assert cfg.threads == 4
+    assert cfg.seed == 4
     # untouched keys keep defaults
     assert cfg.sample_rate == 24000
 
@@ -51,6 +51,23 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("frame_hop = 0.01\n")
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_config_rejects_threads(tmp_path):
+    """threads was removed; an old config file that sets it is rejected like
+    any unknown key."""
+    path = tmp_path / "cfg.txt"
+    path.write_text("frame_shift = 0.01\nthreads = 4\n")
+    with pytest.raises(ConfigError, match=r"cfg.txt:2: unknown key 'threads'"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("line", ["frame_shift = abc", "order_p = 1.5", "seed = "])
+def test_load_config_rejects_bad_value(tmp_path, line):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"# header\n{line}\n")
+    with pytest.raises(ConfigError, match=r"cfg.txt:2: bad value"):
         load_config(path)
 
 

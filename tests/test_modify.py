@@ -5,8 +5,9 @@ import importlib
 import numpy as np
 import pytest
 
+from conftest import frame_at
 from quasivoc import arma, fixtures, synth
-from quasivoc.arma import cascade_response, sample_harmonics
+from quasivoc.arma import ArmaCascade, cascade_response, sample_harmonics
 from quasivoc.modify import (ModificationError, ScaleSchedule, load_schedule,
                              modified_tracks, modify, scaled_times)
 from quasivoc.qhm import F0Track, harmonic_grid
@@ -14,6 +15,12 @@ from quasivoc.signals import make_grid
 from quasivoc.synth import excitation_phase, synthesize_arma
 
 FS = 24000
+
+
+def _identity_cascade(grid):
+    """Gain 1 and one empty section on every frame: a flat, zero-phase envelope."""
+    L = len(grid)
+    return ArmaCascade(grid, np.ones(L), np.zeros((L, 1, 0)), np.zeros((L, 1, 0)), FS)
 
 
 def _identity_schedule(track):
@@ -59,6 +66,10 @@ def test_load_schedule(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ModificationError):
         load_schedule(empty, grid, np.ones(len(grid), bool))
+    for text in ("nan 1.0 1.0\n", "0.01 2.0 1.0\n0.0 1.0 1.0\n", "0.0 1.0 1.0\n0.0 2.0 1.0\n"):
+        bad.write_text(text)     # a time that is not finite, decreasing, repeated
+        with pytest.raises(ModificationError):
+            load_schedule(bad, grid, np.ones(len(grid), bool))
 
 
 # --- scaled times ----------------------------------------------------------
@@ -90,7 +101,7 @@ def test_modified_amplitudes_identity_matches_synthesis(vowel_data):
     assert np.all(amps_v.max(axis=1) > 0)  # every voiced frame keeps a component
     np.testing.assert_array_equal(amps_uv, 0.0)  # all frames voiced
     for l in (0, 50, 100):
-        env = sample_harmonics(cascade.frames[l], freqs[l], FS)
+        env = sample_harmonics(frame_at(cascade, l), freqs[l], FS)
         np.testing.assert_allclose(amps_v[l, :counts[l]],
                                    env.magnitudes[:counts[l]], rtol=1e-12)
 
@@ -112,11 +123,9 @@ def test_modified_amplitudes_unvoiced_masking(vowel_data):
 
 def test_modified_amplitudes_flat_envelope_power():
     """Doubling pitch halves K; the gain normalization keeps the power sum."""
-    from quasivoc.arma import ArmaCascade, CascadeFrame
     grid = make_grid(0.01, 0.005, 0.010)
     L = len(grid)
-    frames = [CascadeFrame(1.0, []) for _ in range(L)]
-    cascade = ArmaCascade(grid, frames, (0, 0, 1), FS)
+    cascade = _identity_cascade(grid)
     track = F0Track(grid, np.full(L, 200.0))
     sched = ScaleSchedule.constant(L, 1.0, 2.0, track.voiced)
     freqs, counts = harmonic_grid(track, FS)
@@ -130,10 +139,7 @@ def test_modified_amplitudes_flat_envelope_power():
 
 
 def test_modified_amplitudes_all_aliased_muted():
-    from quasivoc.arma import ArmaCascade, CascadeFrame
-    grid = make_grid(0.005, 0.005, 0.010)
-    frames = [CascadeFrame(1.0, []) for _ in range(2)]
-    cascade = ArmaCascade(grid, frames, (0, 0, 1), FS)
+    cascade = _identity_cascade(make_grid(0.005, 0.005, 0.010))
     sched = ScaleSchedule.constant(2, 1.0, 130.0, np.ones(2, bool))
     freqs = np.full((2, 3), 100.0)  # rho * f = 13 kHz, beyond Nyquist
     amps, phases = modified_tracks(cascade, sched, freqs, np.full(2, 3, dtype=np.int64))
@@ -144,11 +150,8 @@ def test_modified_amplitudes_all_aliased_muted():
 
 def test_modified_phases_identity(vowel_data):
     _, _, cascade, track = vowel_data
-    from quasivoc.arma import ArmaCascade, CascadeFrame
     grid = cascade.grid
-    L = len(grid)
-    ident = ArmaCascade(grid, [CascadeFrame(1.0, []) for _ in range(L)],
-                        (0, 0, 1), FS)
+    ident = _identity_cascade(grid)
     sched = _identity_schedule(track)
     freqs, counts = harmonic_grid(track, FS)
     _, phases = modified_tracks(ident, sched, freqs, counts)
@@ -157,11 +160,9 @@ def test_modified_phases_identity(vowel_data):
 
 
 def test_modified_phases_beta_doubles_increments():
-    from quasivoc.arma import ArmaCascade, CascadeFrame
     grid = make_grid(0.02, 0.005, 0.010)
     L = len(grid)
-    ident = ArmaCascade(grid, [CascadeFrame(1.0, []) for _ in range(L)],
-                        (0, 0, 1), FS)
+    ident = _identity_cascade(grid)
     sched = ScaleSchedule.constant(L, 2.0, 1.0, np.ones(L, bool))
     f = np.full((L, 1), 100.0)
     _, phases = modified_tracks(ident, sched, f, np.ones(L, dtype=np.int64))
@@ -187,7 +188,7 @@ def test_modified_phases_composition_oracle(vowel_data):
             phi[l] = phi[l - 1] + np.pi * (f[l - 1] + f[l]) * betas[l] * dt[l - 1]
         for l in (0, 77, L - 1):
             safe = np.minimum(f[l], FS / 2 - 50.0)
-            d = sample_harmonics(cascade.frames[l], safe, FS).phase_delays
+            d = sample_harmonics(frame_at(cascade, l), safe, FS).phase_delays
             err = np.angle(np.exp(1j * (out[l] - phi[l] - d)))
             np.testing.assert_allclose(err, 0.0, atol=1e-8)
 
@@ -225,11 +226,14 @@ def test_modify_rho_doubles_pitch(vowel_data):
 def test_modify_leaves_cascade_untouched(vowel_data):
     _, _, cascade, track = vowel_data
     w = np.linspace(0.01, 3.0, 50)
-    before = cascade_response(cascade.frames[0], w).copy()
+    before = cascade_response(frame_at(cascade, 0), w).copy()
+    arrays = [x.copy() for x in (cascade.gain, cascade.ar, cascade.ma)]
     modify(cascade, track,
            ScaleSchedule.constant(cascade.n_frames, 1.7, 1.4, track.voiced))
-    after = cascade_response(cascade.frames[0], w)
+    after = cascade_response(frame_at(cascade, 0), w)
     np.testing.assert_array_equal(before, after)
+    for old, new in zip(arrays, (cascade.gain, cascade.ar, cascade.ma)):
+        assert old.tobytes() == new.tobytes()
 
 
 def test_modify_grid_mismatch(vowel_data):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quasivoc.arma import ArmaCascade, ArmaSection, CascadeFrame
+from quasivoc.arma import ArmaCascade
 from quasivoc.qhm import F0Track, HarmonicSet
 from quasivoc.serialize import (SerializationError, cascade_from_bytes,
                                 cascade_from_json, cascade_to_bytes,
@@ -31,13 +31,9 @@ def _sample_hset():
 def _sample_cascade():
     rng = np.random.default_rng(1)
     grid = make_grid(0.01, 0.005, 0.010)
-    frames = [CascadeFrame(float(np.exp(rng.uniform(-1, 1))),
-                           [ArmaSection(rng.uniform(-0.4, 0.4, 4),
-                                        rng.uniform(-0.4, 0.4, 4))
-                            for _ in range(2)])
-              for _ in range(len(grid))]
-    return ArmaCascade(grid, frames, (8, 8, 2), FS,
-                       np.zeros(len(grid), dtype=np.int64))
+    L = len(grid)
+    return ArmaCascade(grid, np.exp(rng.uniform(-1, 1, L)), rng.uniform(-0.4, 0.4, (L, 2, 4)),
+                       rng.uniform(-0.4, 0.4, (L, 2, 4)), FS, np.zeros(L, dtype=np.int64))
 
 
 def _assert_hsets_equal(a: HarmonicSet, b: HarmonicSet):
@@ -54,11 +50,8 @@ def _assert_cascades_equal(a: ArmaCascade, b: ArmaCascade):
     assert a.orders == b.orders and a.sample_rate == b.sample_rate
     np.testing.assert_array_equal(a.flags, b.flags)
     np.testing.assert_array_equal(a.grid.centers, b.grid.centers)
-    for fa, fb in zip(a.frames, b.frames):
-        assert fa.gain == fb.gain
-        for sa, sb in zip(fa.sections, fb.sections):
-            np.testing.assert_array_equal(sa.ar, sb.ar)
-            np.testing.assert_array_equal(sa.ma, sb.ma)
+    for name in ("gain", "ar", "ma"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_harmonics_json_round_trip():
@@ -131,9 +124,21 @@ def test_container_validation():
     doc["orders"] = [8, 8, 3]                # r must divide P and Q
     with pytest.raises(SerializationError):
         cascade_from_json(json.dumps(doc))
+    for orders in ([4, 4, 1], [0, 0, 0]):    # sections of the wrong shape; no section
+        doc["orders"] = orders
+        with pytest.raises(SerializationError):
+            cascade_from_json(json.dumps(doc))
+    doc = json.loads(cascade_to_json(_sample_cascade()))
+    doc["frames"][1]["gain"] = 0.0           # gains must be positive
+    with pytest.raises(SerializationError):
+        cascade_from_json(json.dumps(doc))
+    doc["frames"][1]["gain"] = "loud"        # and numbers
+    with pytest.raises(SerializationError):
+        cascade_from_json(json.dumps(doc))
     for data, key, value, read in (
             (blob, "n_frames", 6, harmonics_from_bytes),   # arrays hold 5 frames
-            (cascade_to_bytes(_sample_cascade()), "orders", [0, 0, 0], cascade_from_bytes)):
+            (cascade_to_bytes(_sample_cascade()), "orders", [0, 0, 0], cascade_from_bytes),
+            (cascade_to_bytes(_sample_cascade()), "orders", [8, 8, 3], cascade_from_bytes)):
         hdr_len = int.from_bytes(data[8:12], "little")
         header = json.loads(data[12:12 + hdr_len])
         header[key] = value

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quasivoc import arma, fixtures
+from conftest import cascade_of, frame_at
 from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, sample_cascade,
                            sample_harmonics)
 from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm, harmonic_grid
@@ -71,15 +72,10 @@ def test_compensated_phase_range_error():
 
 # --- delayed phase ---------------------------------------------------------
 
-def _cascade_of(frames, dt=0.01):
-    grid = _grid(len(frames), dt)
-    return ArmaCascade(grid, frames, (4, 4, 1), FS)
-
-
 def test_delayed_phase_identity_cascade():
     frames = [CascadeFrame(1.0, [ArmaSection(np.zeros(4), np.zeros(4))])
               for _ in range(3)]
-    cascade = _cascade_of(frames)
+    cascade = cascade_of(frames, 0.01)
     f = np.full((3, 2), 200.0)
     exc = excitation_phase(f, cascade.grid)
     _, delays = sample_cascade(cascade, f)
@@ -89,7 +85,7 @@ def test_delayed_phase_identity_cascade():
 def test_delayed_phase_constant_offset():
     sec = ArmaSection(np.array([-0.6, 0.1, 0.0, 0.0]), np.zeros(4))
     frames = [CascadeFrame(1.0, [sec]) for _ in range(4)]
-    cascade = _cascade_of(frames)
+    cascade = cascade_of(frames, 0.01)
     f = np.full((4, 1), 700.0)
     exc = excitation_phase(f, cascade.grid)
     d = sample_harmonics(frames[0], 700.0, FS).phase_delays[0]
@@ -99,13 +95,13 @@ def test_delayed_phase_constant_offset():
 
 def test_delayed_phase_composition_oracle(vowel_data):
     _, _, cascade, _ = vowel_data
-    sub = ArmaCascade(_grid(3, cascade.grid.frame_shift), cascade.frames[:3],
-                      cascade.orders, FS)
+    sub = ArmaCascade(_grid(3, cascade.grid.frame_shift), cascade.gain[:3], cascade.ar[:3],
+                      cascade.ma[:3], FS)
     f = np.tile([150.0, 300.0, 450.0], (3, 1))
     exc = excitation_phase(f, sub.grid)
     out = delayed_phase(exc, sample_cascade(sub, f)[1])
     for l in range(3):
-        d = sample_harmonics(cascade.frames[l], f[l], FS).phase_delays
+        d = sample_harmonics(frame_at(cascade, l), f[l], FS).phase_delays
         # equality holds mod 2*pi (the delay track is unwrapped frame-wise)
         err = np.angle(np.exp(1j * (out[l] - exc[l] - d)))
         np.testing.assert_allclose(err, 0.0, atol=1e-10)
@@ -269,11 +265,16 @@ def test_synthesize_qhm_equals_raw_render():
     np.testing.assert_allclose(out.samples, expect.samples, atol=1e-12)
 
 
+def _flat(grid, gain):
+    """A flat envelope of the given gain on every frame of the grid."""
+    L = len(grid)
+    return ArmaCascade(grid, np.full(L, gain), np.zeros((L, 1, 0)), np.zeros((L, 1, 0)), FS)
+
+
 def test_synthesize_arma_flat_envelope_peaks():
     L = 101
     grid = make_grid(0.5, 0.005, 0.010)
-    frames = [CascadeFrame(1.0, []) for _ in range(len(grid))]
-    cascade = ArmaCascade(grid, frames, (0, 0, 1), FS)
+    cascade = _flat(grid, 1.0)
     track = F0Track(grid, np.full(len(grid), 200.0))
     out = synthesize_arma(cascade, track, max_components=3)
     spec = np.abs(np.fft.rfft(out.samples))
@@ -284,8 +285,7 @@ def test_synthesize_arma_flat_envelope_peaks():
 
 def test_synthesize_arma_unvoiced_power_sum():
     grid = make_grid(0.5, 0.005, 0.010)
-    frames = [CascadeFrame(0.01, []) for _ in range(len(grid))]
-    cascade = ArmaCascade(grid, frames, (0, 0, 1), FS)
+    cascade = _flat(grid, 0.01)
     track = F0Track(grid, np.zeros(len(grid)))  # all unvoiced
     out = synthesize_arma(cascade, track)
     freqs, counts = harmonic_grid(track, FS)
@@ -298,13 +298,12 @@ def test_synthesize_arma_unvoiced_power_sum():
 
 def test_synthesize_arma_grid_mismatch():
     grid = make_grid(0.02, 0.005, 0.010)
-    frames = [CascadeFrame(1.0, []) for _ in range(len(grid))]
-    cascade = ArmaCascade(grid, frames, (0, 0, 1), FS)
+    cascade = _flat(grid, 1.0)
     other = make_grid(0.05, 0.005, 0.010)
     track = F0Track(other, np.full(len(other), 200.0))
     with pytest.raises(SignalError):
         synthesize_arma(cascade, track)
-    empty = ArmaCascade(grid, [], (0, 0, 1), FS)
+    empty = ArmaCascade(grid, np.zeros(0), np.zeros((0, 1, 0)), np.zeros((0, 1, 0)), FS)
     assert len(synthesize_arma(empty, F0Track(grid, np.zeros(0)))) == 0
 
 
