@@ -138,10 +138,16 @@ def _load_f0_csv(path: Path, cfg: PipelineConfig) -> F0Track:
     if not path.exists():
         raise CliError(f"f0 file not found: {path}")
     try:
-        return serialize.f0_from_csv(path.read_text(), cfg.frame_shift,
-                                     cfg.half_window, cfg.window_kind)
+        track = serialize.f0_from_csv(path.read_text(), cfg.frame_shift,
+                                      cfg.half_window, cfg.window_kind)
     except (ValueError, AnalysisError) as exc:
         raise CliError(f"malformed f0 file: {exc}")
+    # K grows as 1/F0, so a tiny voiced F0 would ask for an unbounded grid
+    low = track.values[(track.values > 0) & (track.values < cfg.f0_min)]
+    if low.size:
+        raise CliError(f"f0 file {path}: voiced value {low.min():g} Hz is below the"
+                       f" minimum F0 of {cfg.f0_min:g} Hz (set with --f0-range)")
+    return track
 
 
 def cmd_fit_envelope(args) -> int:
@@ -188,10 +194,7 @@ def cmd_modify(args) -> int:
     track = F0Track(cascade.grid, track.values)
     vuv = track.voiced
     if args.schedule:
-        try:
-            schedule = load_schedule(args.schedule, cascade.grid, vuv)
-        except Exception as exc:
-            raise CliError(f"invalid schedule file: {exc}")
+        schedule = load_schedule(args.schedule, cascade.grid, vuv)
     else:
         schedule = ScaleSchedule.constant(cascade.n_frames, args.beta, args.rho, vuv)
     out = modify(cascade, track, schedule, guard=cfg.k_guard,

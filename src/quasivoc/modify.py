@@ -126,16 +126,18 @@ def load_schedule(path, grid: FrameGrid, vuv: np.ndarray) -> ScaleSchedule:
     """Read breakpoint lines 'time_seconds beta rho' into a ScaleSchedule."""
     times, betas, rhos = [], [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ModificationError(f"bad schedule line: {line!r}")
-            times.append(float(parts[0]))
-            betas.append(float(parts[1]))
-            rhos.append(float(parts[2]))
+            try:
+                t, beta, rho = (float(part) for part in line.split())
+            except ValueError:
+                raise ModificationError(
+                    f"{path}:{lineno}: expected 'time beta rho', got {line!r}") from None
+            times.append(t)
+            betas.append(beta)
+            rhos.append(rho)
     if not times:
         raise ModificationError("empty schedule file")
     return ScaleSchedule.from_breakpoints(times, betas, rhos, grid, vuv)

@@ -119,12 +119,13 @@ def _basis(t: np.ndarray, phase: np.ndarray, amp: np.ndarray | None = None) -> n
 class _LsSolver:
     """Cached normal-equation solver for a fixed (basis, window) design.
 
-    Frames sharing the same component frequencies reuse one Cholesky
-    factorization, which dominates analysis speed for steady pitch. The
-    Gram matrix G is Jacobi-scaled by d = sqrt(diag G) and factored once;
-    LAPACK dpocon estimates its reciprocal 1-norm condition number rcond
-    from the factor. If 1/rcond > COND_THRESHOLD or the factor does not
-    exist, the design is ill-conditioned and gets a RIDGE_SCALE*trace(G) ridge.
+    Frames sharing the same component frequencies and window slice reuse
+    one Cholesky factorization, which dominates analysis speed for steady
+    pitch. The Gram matrix G is Jacobi-scaled by d = sqrt(diag G) and
+    factored once; LAPACK dpocon estimates its reciprocal 1-norm condition
+    number rcond from the factor. If 1/rcond > COND_THRESHOLD or the factor
+    does not exist, the design is ill-conditioned and gets a
+    RIDGE_SCALE*trace(G) ridge.
     """
 
     def __init__(self, basis: np.ndarray, window: np.ndarray):
@@ -143,13 +144,15 @@ class _LsSolver:
             self.factor = cho_factor((G + RIDGE_SCALE * np.trace(G) * np.eye(G.shape[0])) / dd)
         self.window = window
 
-    def solve(self, frame: np.ndarray) -> np.ndarray:
-        return cho_solve(self.factor, self.Ew.T @ (self.window * frame) / self.d) / self.d
+    def solve(self, frame: np.ndarray, f_hat: np.ndarray, frame_index: int) -> QhmFrameParams:
+        """Complex amplitudes and slopes of the components seeded at f_hat."""
+        theta = cho_solve(self.factor, self.Ew.T @ (self.window * frame) / self.d) / self.d
+        return QhmFrameParams(theta[0::4] + 1j * theta[1::4], theta[2::4] + 1j * theta[3::4],
+                              f_hat, frame_index, self.ill_conditioned)
 
 
 def qhm_ls_fit(frame_samples: np.ndarray, f_hats: np.ndarray, window: np.ndarray,
-               sample_rate: int, frame_index: int = 0,
-               solver: _LsSolver | None = None) -> QhmFrameParams:
+               sample_rate: int, frame_index: int = 0) -> QhmFrameParams:
     """Windowed least-squares fit of complex amplitude and slope per component.
 
     frame_samples must be centered on the frame (odd length, local time
@@ -166,13 +169,8 @@ def qhm_ls_fit(frame_samples: np.ndarray, f_hats: np.ndarray, window: np.ndarray
         raise AnalysisError(f"frame {frame_index}: component frequency at or above Nyquist")
     half = (x.size - 1) / 2.0
     t = (np.arange(x.size) - half) / sample_rate
-    if solver is None:
-        solver = _LsSolver(_basis(t, 2 * np.pi * np.outer(t, f)),
-                           np.asarray(window, dtype=np.float64))
-    theta = solver.solve(x)
-    a = theta[0::4] + 1j * theta[1::4]
-    b = theta[2::4] + 1j * theta[3::4]
-    return QhmFrameParams(a, b, f, frame_index, solver.ill_conditioned)
+    solver = _LsSolver(_basis(t, 2 * np.pi * np.outer(t, f)), np.asarray(window, dtype=np.float64))
+    return solver.solve(x, f, frame_index)
 
 
 def frequency_correction(params: QhmFrameParams) -> np.ndarray:
@@ -201,7 +199,8 @@ def framewise_amp_phase(params: QhmFrameParams) -> tuple[np.ndarray, np.ndarray]
 
 def integrate_phase(inst_freq: np.ndarray, sample_rate: int,
                     phase0: float = 0.0) -> np.ndarray:
-    """Cumulative-trapezoid phase from an instantaneous frequency track."""
+    """Cumulative-trapezoid phase from instantaneous frequency tracks along
+    the last axis."""
     f = np.asarray(inst_freq, dtype=np.float64)
     if not np.all(np.isfinite(f)):
         raise AnalysisError("instantaneous frequency must be finite")
@@ -307,6 +306,17 @@ def _clamp_correction(eta: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.clip(eta, -bound, bound)
 
 
+def _corrected(params: QhmFrameParams, sample_rate: int):
+    """Corrected frequencies, amplitudes and phases of one solved frame.
+
+    The correction is clamped to half the component spacing and the
+    corrected frequencies are clipped to [0, Nyquist).
+    """
+    eta = _clamp_correction(frequency_correction(params), params.f_hat)
+    amp, phase = framewise_amp_phase(params)
+    return np.clip(params.f_hat + eta, 0.0, sample_rate / 2 - 1e-6), amp, phase
+
+
 F0_QUANTUM = 0.01
 
 
@@ -378,9 +388,14 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
                 max_components: int | None = None) -> HarmonicSet:
     """One QHM pass over all frames: LS fit plus frequency correction.
 
-    The component count K is fixed across frames (the maximum the K rule
-    yields on any frame); frames whose own rule yields fewer components
-    carry the extras at zero amplitude.
+    Every frame is fitted on the samples its window covers inside the
+    signal, with the matching slice of the window and the frame-centered
+    time axis; zero-padding would bias amplitudes low. A frame fits
+    min(counts[l], n_valid // 4) components, so that the LS system has at
+    least as many samples as unknowns; the others keep their seeds at zero
+    amplitude. The component count K is fixed across frames (the maximum
+    the K rule yields on any frame). Flag bit 1 marks an ill-conditioned
+    fit, bit 2 a window truncated by the signal's edge.
     """
     fs = buffer.sample_rate
     window = grid_window(grid, fs)
@@ -388,58 +403,33 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
     half = (n_win - 1) // 2
     t = (np.arange(n_win) - half) / fs
     seed_freqs, counts = harmonic_grid(f0_track, fs, guard, unvoiced_f0, max_components)
+    above = np.flatnonzero(np.any(seed_freqs >= fs / 2, axis=1))
+    if above.size:
+        raise AnalysisError(f"frame {above[0]}: component frequency at or above Nyquist")
     L, K = seed_freqs.shape
-    freqs = np.zeros((L, K))
+    freqs = seed_freqs.copy()
     amps = np.zeros((L, K))
     phases = np.zeros((L, K))
     flags = np.zeros(L, dtype=np.int64)
     x = buffer.samples
-    solvers: dict[bytes, _LsSolver] = {}
+    n = len(x)
+    solvers: dict[tuple, _LsSolver] = {}
     for l, tc in enumerate(grid.centers):
-        k_l = counts[l]
-        fseed = seed_freqs[l, :k_l]
         c = int(round(tc * fs))
-        lo, hi = c - half, c + half + 1
-        if lo >= 0 and hi <= len(x):
-            key = fseed.tobytes()
-            if key not in solvers:
-                solvers[key] = _LsSolver(_basis(t, 2 * np.pi * np.outer(t, fseed)), window)
-            params = qhm_ls_fit(x[lo:hi], fseed, window, fs, l,
-                                solver=solvers[key])
-        else:
-            # boundary frame: fit on the valid segment only (zero-padding
-            # would bias amplitudes low), dropping components the shorter
-            # segment cannot support
-            src_lo, src_hi = max(0, lo), min(len(x), hi)
-            n_valid = src_hi - src_lo
-            if n_valid < 8:
-                raise AnalysisError(f"frame {l}: no usable samples")
-            k_l = min(k_l, n_valid // 4)
-            fseed = fseed[:k_l]
-            sl = slice(src_lo - lo, src_hi - lo)
-            basis = _basis(t[sl], 2 * np.pi * np.outer(t[sl], fseed))
-            params = qhm_ls_fit(x[src_lo:src_hi], fseed, window[sl], fs, l,
-                                solver=_LsSolver(basis, window[sl]))
-            flags[l] |= 2
-        eta = _clamp_correction(frequency_correction(params), fseed)
-        amp, phase = framewise_amp_phase(params)
-        freqs[l, :k_l] = np.clip(fseed + eta, 0.0, fs / 2 - 1e-6)
-        freqs[l, k_l:] = seed_freqs[l, k_l:]
-        amps[l, :k_l] = amp
-        phases[l, :k_l] = phase
-        flags[l] |= int(params.ill_conditioned)
+        lo, hi = max(0, c - half), min(n, c + half + 1)
+        if hi - lo < 8:
+            raise AnalysisError(f"frame {l}: no usable samples")
+        k_l = min(counts[l], (hi - lo) // 4)
+        fseed = seed_freqs[l, :k_l]
+        sl = slice(lo - c + half, hi - c + half)
+        key = (fseed.tobytes(), sl.start, sl.stop)
+        if key not in solvers:
+            solvers[key] = _LsSolver(_basis(t[sl], 2 * np.pi * np.outer(t[sl], fseed)), window[sl])
+        params = solvers[key].solve(x[lo:hi], fseed, l)
+        freqs[l, :k_l], amps[l, :k_l], phases[l, :k_l] = _corrected(params, fs)
+        flags[l] = int(params.ill_conditioned) | 2 * (hi - lo < n_win)
     comp = compensations_from_phases(grid, freqs, phases)
     return HarmonicSet(grid, freqs, amps, phases, comp, fs, flags)
-
-
-def _extract_frame(x: np.ndarray, center: int, n_win: int) -> np.ndarray:
-    half = (n_win - 1) // 2
-    lo, hi = center - half, center + half + 1
-    frame = np.zeros(n_win)
-    src_lo, src_hi = max(0, lo), min(len(x), hi)
-    if src_hi > src_lo:
-        frame[src_lo - lo:src_hi - lo] = x[src_lo:src_hi]
-    return frame
 
 
 def _instantaneous_tracks(hset: HarmonicSet, n_samples: int):
@@ -452,7 +442,7 @@ def _instantaneous_tracks(hset: HarmonicSet, n_samples: int):
     for k in range(hset.n_components):
         inst_f[k] = linear_interp(tc, hset.frequencies[:, k], tt)
         inst_a[k] = linear_interp(tc, hset.amplitudes[:, k], tt)
-    return tt, inst_f, inst_a
+    return inst_f, inst_a
 
 
 def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqhm",
@@ -515,52 +505,38 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, mode: str,
                  window: np.ndarray, t_local: np.ndarray,
                  centers_idx: list[int]) -> HarmonicSet:
     fs = buffer.sample_rate
-    grid = current.grid
-    n_win = window.size
-    half = (n_win - 1) // 2
+    half = (window.size - 1) // 2
     n_samples = len(buffer)
-    tt, inst_f, inst_a = _instantaneous_tracks(current, n_samples)
-    K = current.n_components
+    inst_f, inst_a = _instantaneous_tracks(current, n_samples)
     # global unwrapped phase track per component from frequency integration
-    inst_phi = np.empty_like(inst_f)
-    for k in range(K):
-        inst_phi[k] = integrate_phase(inst_f[k], fs)
-    L = len(grid)
+    inst_phi = integrate_phase(inst_f, fs)
     freqs = current.frequencies.copy()
     amps = current.amplitudes.copy()
     phases = current.phases.copy()
     flags = current.flags.copy()
     x = buffer.samples
     for l, c in enumerate(centers_idx):
-        if c - half < 0 or c + half >= n_samples:
-            # zero-padded edge windows make the adaptive basis degenerate
+        lo, hi = c - half, c + half + 1
+        if lo < 0 or hi > n_samples:
+            # edge windows run off the signal and make the adaptive basis degenerate
             continue
-        idx = np.arange(c - half, c + half + 1)
         # nonstationary phase basis Phi_k(t) = phi_k(t_l + t) - phi_k(t_l)
-        phi_c = inst_phi[:, np.clip(c, 0, n_samples - 1)]
-        basis_phase = inst_phi[:, idx].T - phi_c[None, :]
+        basis_phase = inst_phi[:, lo:hi].T - inst_phi[None, :, c]
         amp_ratio = None
         if mode == "eaqhm":
-            a_c = inst_a[:, np.clip(c, 0, n_samples - 1)]
+            a_c = inst_a[:, c]
             significant = a_c > max(AMPLITUDE_FLOOR, 1e-4 * float(a_c.max(initial=0.0)))
-            amp_ratio = np.ones((idx.size, K))
+            amp_ratio = np.ones((hi - lo, current.n_components))
             if np.any(significant):
-                ratio = inst_a[significant][:, idx].T / a_c[significant][None, :]
+                ratio = inst_a[significant, lo:hi].T / a_c[significant][None, :]
                 amp_ratio[:, significant] = np.clip(ratio, 0.1, 10.0)
-        frame = _extract_frame(x, c, n_win)
         try:
-            solver = _LsSolver(_basis(t_local, basis_phase, amp_ratio), window)
-            theta = solver.solve(frame)
-        except np.linalg.LinAlgError:
+            params = _LsSolver(_basis(t_local, basis_phase, amp_ratio), window).solve(
+                x[lo:hi], freqs[l], l)
+        except LinAlgError:
             flags[l] |= 2
             continue
-        a = theta[0::4] + 1j * theta[1::4]
-        b = theta[2::4] + 1j * theta[3::4]
-        params = QhmFrameParams(a, b, freqs[l], l, solver.ill_conditioned)
-        eta = frequency_correction(params)
-        eta = _clamp_correction(eta, freqs[l])
-        freqs[l] = np.clip(freqs[l] + eta, 0.0, fs / 2 - 1e-6)
-        amps[l], phases[l] = framewise_amp_phase(params)
-        flags[l] |= int(solver.ill_conditioned)
-    comp = compensations_from_phases(grid, freqs, phases)
-    return HarmonicSet(grid, freqs, amps, phases, comp, fs, flags)
+        freqs[l], amps[l], phases[l] = _corrected(params, fs)
+        flags[l] |= int(params.ill_conditioned)
+    comp = compensations_from_phases(current.grid, freqs, phases)
+    return HarmonicSet(current.grid, freqs, amps, phases, comp, fs, flags)

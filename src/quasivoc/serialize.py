@@ -67,12 +67,28 @@ def _document(text: str, kind: str) -> dict:
     return doc
 
 
+def _frame_flags(grid: FrameGrid, flags, *arrays: np.ndarray) -> np.ndarray:
+    """The flags as int64, once the grid, the flags and the arrays agree on
+    the frame count."""
+    flags = np.array(flags, dtype=np.int64)
+    if flags.ndim != 1 or any(len(a) != len(grid) for a in (flags, *arrays)):
+        raise SerializationError("grid centers, flags and arrays disagree on the frame count")
+    return flags
+
+
+def _harmonics(grid: FrameGrid, arrays: list, sample_rate, flags) -> HarmonicSet:
+    """A HarmonicSet whose four arrays share one (frames, K) shape."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if len({a.shape for a in arrays}) > 1 or arrays[0].ndim != 2:
+        raise SerializationError("harmonic arrays disagree on the frame or component count")
+    return HarmonicSet(grid, *arrays, int(sample_rate), _frame_flags(grid, flags, *arrays))
+
+
 def harmonics_from_json(text: str) -> HarmonicSet:
     doc = _document(text, "harmonics")
-    return HarmonicSet(_grid_from_meta(doc["grid"]),
-                       np.array(doc["frequencies"]), np.array(doc["amplitudes"]),
-                       np.array(doc["phases"]), np.array(doc["compensations"]),
-                       int(doc["sample_rate"]), np.array(doc["flags"], dtype=np.int64))
+    return _harmonics(_grid_from_meta(doc["grid"]),
+                      [doc[key] for key in ("frequencies", "amplitudes", "phases", "compensations")],
+                      doc["sample_rate"], doc["flags"])
 
 
 def _pack_container(magic: bytes, header: dict, arrays: list[np.ndarray]) -> bytes:
@@ -134,10 +150,8 @@ def harmonics_to_bytes(hset: HarmonicSet) -> bytes:
 def harmonics_from_bytes(data: bytes) -> HarmonicSet:
     header, arrays = _unpack_container(data, HARMONICS_MAGIC, 4)
     shape = (header["n_frames"], header["n_components"])
-    freqs, amps, phases, comp = (_shaped(a, shape) for a in arrays)
-    return HarmonicSet(_grid_from_meta(header["grid"]), freqs, amps, phases, comp,
-                       int(header["sample_rate"]),
-                       np.array(header["flags"], dtype=np.int64))
+    return _harmonics(_grid_from_meta(header["grid"]), [_shaped(a, shape) for a in arrays],
+                      header["sample_rate"], header["flags"])
 
 
 # --- ArmaCascade -----------------------------------------------------------
@@ -168,8 +182,9 @@ def _section_shapes(orders) -> tuple:
 
 
 def _cascade(grid, gain, ar, ma, sample_rate, flags) -> ArmaCascade:
+    flags = _frame_flags(grid, flags, gain)
     try:
-        return ArmaCascade(grid, gain, ar, ma, int(sample_rate), np.array(flags, dtype=np.int64))
+        return ArmaCascade(grid, gain, ar, ma, int(sample_rate), flags)
     except EnvelopeError as exc:
         raise SerializationError(f"invalid cascade: {exc}") from None
 

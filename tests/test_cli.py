@@ -1,4 +1,5 @@
 """End-to-end command-line workflows and exit-code contracts."""
+import dataclasses
 import json
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasivoc import fixtures, serialize
+from quasivoc.arma import ArmaCascade
 from quasivoc.cli import main
 from quasivoc.config import PipelineConfig
 from quasivoc.qhm import F0Track
-from quasivoc.signals import SignalBuffer, read_wav, write_wav
+from quasivoc.signals import SignalBuffer, make_grid, read_wav, write_wav
 
 
 @pytest.fixture()
@@ -203,6 +205,33 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
         typed = tmp_path / f"typed_{len(runs)}.json"
         typed.write_text(json.dumps(doc))
         runs.append(["synth", str(typed), str(out), "--f0", str(f0)])
+    # products whose grid, flags and arrays disagree on the frame or component count
+    harmonics = serialize.harmonics_from_bytes(hset.read_bytes())
+    forged = [(dataclasses.replace(harmonics, amplitudes=harmonics.amplitudes[:-1]), ".json"),
+              (dataclasses.replace(harmonics, phases=harmonics.phases[:, :-1]), ".json")]
+    for product in (harmonics, cascade):
+        grid = product.grid
+        for change in ({"grid": dataclasses.replace(grid, centers=grid.centers[:-1])},
+                       {"flags": product.flags[:-1]}, {"flags": np.append(product.flags, 0)}):
+            forged += [(dataclasses.replace(product, **change), suffix)
+                       for suffix in (".json", ".bin")]
+    for i, (product, suffix) in enumerate(forged):
+        kind = "cascade" if isinstance(product, ArmaCascade) else "harmonics"
+        bad = tmp_path / f"forged{i}{suffix}"
+        if suffix == ".json":
+            bad.write_text(getattr(serialize, f"{kind}_to_json")(product))
+        else:
+            bad.write_bytes(getattr(serialize, f"{kind}_to_bytes")(product))
+        if kind == "harmonics":
+            runs += [["synth", str(bad), str(out), "--from-harmonics"],
+                     ["fit-envelope", str(bad), str(tmp_path / "c.json")]]
+        else:
+            runs += [["synth", str(bad), str(out), "--f0", str(f0)],
+                     ["modify", str(bad), str(out), "--f0", str(f0)]]
+    # a schedule value that does not parse
+    sched = tmp_path / "sched.txt"
+    sched.write_text("0.0 1.0 1.0\n0.01 abc 1.0\n")
+    runs.append(["modify", str(casc), str(out), "--f0", str(f0), "--schedule", str(sched)])
     slow, fast = tmp_path / "8k.wav", tmp_path / "48k.wav"
     for path, rate in ((slow, 8000), (fast, 48000)):
         assert main(["gen-fixture", "vowel", str(path), "--params",
@@ -213,6 +242,36 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
     assert not out.exists()
+
+
+def test_analyze_below_the_window_pitch_writes_and_flags(tmp_path, capsys):
+    """At 90 Hz the default window holds fewer samples than 4K unknowns; each
+    frame fits the components its samples support, and analyze writes the
+    product and exits 1."""
+    wav, harm = tmp_path / "v90.wav", tmp_path / "h.bin"
+    assert main(["gen-fixture", "vowel", str(wav),
+                 "--params", '{"f0": 90.0, "duration": 0.3}']) == 0
+    assert main(["analyze", str(wav), str(harm)]) == 1
+    assert "ill-conditioned frames" in capsys.readouterr().out
+    hset = serialize.harmonics_from_bytes(harm.read_bytes())
+    # 481 samples hold 120 of the 132 components below Nyquist - guard
+    assert hset.n_frames == 61 and hset.n_components == 132
+    assert hset.amplitudes[:, :120].any() and not hset.amplitudes[:, 120:].any()
+
+
+def test_f0_csv_below_f0_min_exits_2(tmp_path, capsys):
+    """A voiced F0 below f0_min would ask for a component grid that grows as
+    1/F0; the CSV is rejected before any analysis."""
+    wav, harm = tmp_path / "tone.wav", tmp_path / "h.bin"
+    assert main(["gen-fixture", "tone", str(wav),
+                 "--params", '{"freq": 200.0, "duration": 0.02}']) == 0
+    csv = tmp_path / "f0.csv"
+    csv.write_text(serialize.f0_to_csv(F0Track(make_grid(0.02, 0.005, 0.010),
+                                               [0.0, 0.5, 0.5, 0.5, 0.0])))
+    capsys.readouterr()
+    assert main(["analyze", str(wav), str(harm), "--f0-file", str(csv)]) == 2
+    assert "--f0-range" in capsys.readouterr().err
+    assert not harm.exists()
 
 
 def test_synth_exit_code_2_on_ragged_cascade(tmp_path, capsys):
@@ -287,11 +346,11 @@ def fuzz_dir(tmp_path_factory):
 
 
 # Text without decimal digits parses as no finite number. Rows of numbers
-# hold no small positive F0 and no large time scale, so every run that
-# succeeds stays small and quick.
+# hold no large time scale, and a small positive F0 is rejected before any
+# analysis, so every run that succeeds stays small and quick.
 _CHARS = st.characters(exclude_categories=("Nd", "Cs"))
 _WORDS = st.text(_CHARS, max_size=6)
-_NUMBERS = {"f0": ["0", "150", "-150", "nan", "inf", "1e9"],
+_NUMBERS = {"f0": ["0", "0.5", "150", "-150", "nan", "inf", "1e9"],
             "schedule": ["0", "0.01", "0.5", "2", "-1", "nan", "inf"]}
 _LAYOUT = {"f0": (2, ","), "schedule": (3, " ")}     # columns, separator
 _KEYS = st.one_of(_WORDS, st.sampled_from(sorted(vars(PipelineConfig())) + ["threads"]))

@@ -1,6 +1,7 @@
 """Time-stretch and pitch-shift: schedules, scaled grids, bank splitting,
 and the full modification pipeline."""
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,9 @@ def test_load_schedule(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ModificationError):
         load_schedule(empty, grid, np.ones(len(grid), bool))
+    bad.write_text("# comment\n0.0 1.0 1.0\n0.01 fast 1.0\n")
+    with pytest.raises(ModificationError, match=re.escape(f"{bad}:3: ")):
+        load_schedule(bad, grid, np.ones(len(grid), bool))
     for text in ("nan 1.0 1.0\n", "0.01 2.0 1.0\n0.0 1.0 1.0\n", "0.0 1.0 1.0\n0.0 2.0 1.0\n"):
         bad.write_text(text)     # a time that is not finite, decreasing, repeated
         with pytest.raises(ModificationError):

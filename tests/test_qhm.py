@@ -10,7 +10,7 @@ from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, QhmFrameParams,
                           harmonic_frequencies, harmonic_grid, integrate_phase,
                           qhm_ls_fit, refine_adaptive, refine_f0)
 from quasivoc.qhm import COND_THRESHOLD, _basis, _LsSolver
-from quasivoc.signals import SignalBuffer, make_grid, make_window
+from quasivoc.signals import SignalBuffer, grid_window, make_grid, make_window
 
 FS = 24000
 
@@ -293,6 +293,29 @@ def test_analyze_qhm_recovers_multisine(multisine_data):
                                atol=1e-3)
     # boundary frames carry the truncated-window flag
     assert hset.flags[0] & 2 and hset.flags[-1] & 2
+
+
+def test_analyze_qhm_edge_frames_match_oracle(multisine_data):
+    """Edge frames solve the LS problem on the samples inside the signal,
+    with the window slice and time axis of the centered frame."""
+    buf, sidecar = multisine_data
+    grid = make_grid(buf.duration - 1.0 / FS, 0.005, 0.010)
+    hset = analyze_qhm(buf, grid, F0Track(grid, np.full(len(grid), sidecar["f0"])),
+                       max_components=10)
+    window = grid_window(grid, FS)
+    half = (window.size - 1) // 2
+    x = buf.samples
+    for l in (0, 1, len(grid) - 2, len(grid) - 1):
+        c = int(round(grid.centers[l] * FS))
+        lo, hi = max(0, c - half), min(x.size, c + half + 1)
+        freqs = sidecar["f0"] * np.arange(1, 11)
+        a, b = _oracle_ls(x[lo:hi], (np.arange(lo, hi) - c) / FS, freqs,
+                          window[lo - c + half:hi - c + half])
+        eta = (a.real * b.imag - a.imag * b.real) / (2 * np.pi * np.abs(a) ** 2)
+        np.testing.assert_allclose(hset.amplitudes[l] * np.exp(1j * hset.phases[l]), a,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hset.frequencies[l], freqs + eta, rtol=0, atol=1e-9)
+        assert hset.flags[l] & 2
 
 
 def test_refine_f0_recovers_offset():
