@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
@@ -102,18 +103,61 @@ def _basis(t: np.ndarray, phase: np.ndarray, amp: np.ndarray | None = None) -> n
 
     phase is (n, K), each component's phase track over the window (the
     stationary model uses 2*pi*outer(t, f)); amp optionally scales each
-    column. Columns per component: [2cos, -2sin, 2t cos, -2t sin] so that
-    the unknown vector is [Re a, Im a, Re b, Im b] stacked per component.
+    column. Columns come in blocks of K: [2cos | -2sin | 2t cos | -2t sin],
+    so that the unknown vector is [Re a | Im a | Re b | Im b].
     """
     c, s = np.cos(phase), np.sin(phase)
     if amp is not None:
         c, s = c * amp, s * amp
-    cols = np.empty((t.size, 4 * phase.shape[1]))
-    cols[:, 0::4] = 2 * c
-    cols[:, 1::4] = -2 * s
-    cols[:, 2::4] = 2 * t[:, None] * c
-    cols[:, 3::4] = -2 * t[:, None] * s
-    return cols
+    return np.hstack((2 * c, -2 * s, 2 * t[:, None] * c, -2 * t[:, None] * s))
+
+
+def _harmonic_normal(base: float, k: int, t: np.ndarray,
+                     window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normal matrix and RHS table of the seeds base*(1..k), in closed form.
+
+    Equals (G, T) of the _basis design Ew = _basis(t, 2*pi*outer(t, f)) *
+    window with f = base*(1..k): G = Ew.T @ Ew and T = Ew[:, :2k], the
+    [2cos | -2sin] half that the slope half repeats times t. With
+    theta_i = 2*pi*i*base*t and the window sums
+    S_m(d) = sum w^2 t^m exp(i*2*pi*d*base*t), m = 0, 1, 2, d = -2k..2k,
+    Toeplitz plus Hankel gives S_m(j-i) + S_m(i+j) = sum w^2 t^m 2cos(theta_i)
+    exp(i*theta_j), whose real and imaginary parts are the cos-cos and
+    cos-sin entries of moment m; S_m(j-i) - S_m(i+j) gives the sin-sin ones.
+    So G costs O(k*n + k^2) flops and no n x 4k basis. The powers
+    exp(i*2*pi*d*base*t) come from repeated squaring: one exp per sample.
+    """
+    n_pow = 2 * k + 1
+    powers = np.empty((t.size, n_pow), dtype=np.complex128)
+    powers[:, 0] = 1.0
+    z = np.exp(2j * np.pi * base * t)
+    done = 1
+    while done < n_pow:     # columns [0, m) times z^done are columns [done, done + m)
+        m = min(done, n_pow - done)
+        np.multiply(powers[:, :m], z[:, None], out=powers[:, done:done + m])
+        done += m
+        z = z * z
+    w2 = window * window
+    # a real product on the interleaved (re, im) columns: unlike the complex
+    # product, it rounds the same with one and with two OpenBLAS threads
+    sums = (np.stack((w2, w2 * t, w2 * t * t)) @ powers.view(np.float64)).view(np.complex128)
+    signed = np.concatenate((sums[:, k - 1:0:-1].conj(), sums[:, :k]), axis=1)
+    toeplitz = sliding_window_view(signed, k, axis=1)[:, ::-1]
+    hankel = sliding_window_view(sums[:, 2:], k, axis=1)
+    plus, minus = toeplitz + hankel, toeplitz - hankel
+    cc, cs, ss = 2 * plus.real, -2 * plus.imag, 2 * minus.real
+    gram = np.empty((4 * k, 4 * k))
+    blocks = gram.reshape(2, 2, k, 2, 2, k)     # [amp/slope, cos/sin, i, amp/slope, cos/sin, j]
+    for p in (0, 1):
+        for q in (0, 1):
+            blocks[p, 0, :, q, 0] = cc[p + q]
+            blocks[p, 0, :, q, 1] = cs[p + q]
+            blocks[p, 1, :, q, 0] = cs[p + q].T
+            blocks[p, 1, :, q, 1] = ss[p + q]
+    table = np.empty((t.size, 2 * k))
+    np.multiply(powers[:, 1:k + 1].real, 2 * window[:, None], out=table[:, :k])
+    np.multiply(powers[:, 1:k + 1].imag, -2 * window[:, None], out=table[:, k:])
+    return gram, table
 
 
 class _LsSolver:
@@ -126,14 +170,17 @@ class _LsSolver:
     number rcond from the factor. If 1/rcond > COND_THRESHOLD or the factor
     does not exist, the design is ill-conditioned and gets a
     RIDGE_SCALE*trace(G) ridge.
+
+    The RHS is [w*x, w*t*x] @ table: table (n, 2K) holds the windowed
+    [2cos | -2sin] columns, and the slope columns are those times t. Build
+    one with `harmonic` (seeds base*(1..K), closed-form Gram) or
+    `from_phase` (any phase tracks, Gram of the _basis design).
     """
 
-    def __init__(self, basis: np.ndarray, window: np.ndarray):
-        self.Ew = basis * window[:, None]
-        G = self.Ew.T @ self.Ew
-        self.d = np.sqrt(np.maximum(np.diag(G), 1e-300))
+    def __init__(self, gram: np.ndarray, table: np.ndarray, t: np.ndarray, window: np.ndarray):
+        self.d = np.sqrt(np.maximum(np.diag(gram), 1e-300))
         dd = np.outer(self.d, self.d)
-        scaled = G / dd
+        scaled = gram / dd
         try:
             self.factor = cho_factor(scaled)
             self.rcond = float(dpocon(self.factor[0], np.linalg.norm(scaled, 1))[0])
@@ -141,13 +188,27 @@ class _LsSolver:
             self.rcond = 0.0
         self.ill_conditioned = self.rcond * COND_THRESHOLD < 1.0
         if self.ill_conditioned:
-            self.factor = cho_factor((G + RIDGE_SCALE * np.trace(G) * np.eye(G.shape[0])) / dd)
-        self.window = window
+            self.factor = cho_factor((gram + RIDGE_SCALE * np.trace(gram) * np.eye(gram.shape[0])) / dd)
+        self.table = table
+        self.weights = np.stack((window, t * window))
+
+    @classmethod
+    def harmonic(cls, base: float, k: int, t: np.ndarray, window: np.ndarray) -> "_LsSolver":
+        """Solver for the stationary design of the seeds base*(1..k)."""
+        return cls(*_harmonic_normal(base, k, t, window), t, window)
+
+    @classmethod
+    def from_phase(cls, t: np.ndarray, phase: np.ndarray, window: np.ndarray,
+                   amp: np.ndarray | None = None) -> "_LsSolver":
+        """Solver for the _basis design of the given phase tracks."""
+        ew = _basis(t, phase, amp) * window[:, None]
+        return cls(ew.T @ ew, ew[:, :2 * phase.shape[1]], t, window)
 
     def solve(self, frame: np.ndarray, f_hat: np.ndarray, frame_index: int) -> QhmFrameParams:
         """Complex amplitudes and slopes of the components seeded at f_hat."""
-        theta = cho_solve(self.factor, self.Ew.T @ (self.window * frame) / self.d) / self.d
-        return QhmFrameParams(theta[0::4] + 1j * theta[1::4], theta[2::4] + 1j * theta[3::4],
+        rhs = (self.weights * frame) @ self.table
+        theta = (cho_solve(self.factor, rhs.ravel() / self.d) / self.d).reshape(4, -1)
+        return QhmFrameParams(theta[0] + 1j * theta[1], theta[2] + 1j * theta[3],
                               f_hat, frame_index, self.ill_conditioned)
 
 
@@ -169,7 +230,7 @@ def qhm_ls_fit(frame_samples: np.ndarray, f_hats: np.ndarray, window: np.ndarray
         raise AnalysisError(f"frame {frame_index}: component frequency at or above Nyquist")
     half = (x.size - 1) / 2.0
     t = (np.arange(x.size) - half) / sample_rate
-    solver = _LsSolver(_basis(t, 2 * np.pi * np.outer(t, f)), np.asarray(window, dtype=np.float64))
+    solver = _LsSolver.from_phase(t, 2 * np.pi * np.outer(t, f), np.asarray(window, dtype=np.float64))
     return solver.solve(x, f, frame_index)
 
 
@@ -424,7 +485,7 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
         sl = slice(lo - c + half, hi - c + half)
         key = (fseed.tobytes(), sl.start, sl.stop)
         if key not in solvers:
-            solvers[key] = _LsSolver(_basis(t[sl], 2 * np.pi * np.outer(t[sl], fseed)), window[sl])
+            solvers[key] = _LsSolver.harmonic(fseed[0], k_l, t[sl], window[sl])
         params = solvers[key].solve(x[lo:hi], fseed, l)
         freqs[l, :k_l], amps[l, :k_l], phases[l, :k_l] = _corrected(params, fs)
         flags[l] = int(params.ill_conditioned) | 2 * (hi - lo < n_win)
@@ -453,7 +514,9 @@ def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqh
     Each iteration interpolates the corrected frequencies to audio rate,
     integrates them into a per-component phase track, rebuilds the LS
     basis around that track (mode 'eaqhm' also applies the framewise
-    amplitude ratio), re-solves every frame, and re-corrects frequencies.
+    amplitude ratio), re-solves on every frame whose window lies inside the
+    signal the components that carry amplitude (parked ones stay at zero),
+    and re-corrects their frequencies.
     Iterations that do not reduce the resynthesis error against the
     original speech are rejected and refinement stops; accepted error is
     therefore monotone nonincreasing.
@@ -520,23 +583,28 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, mode: str,
         if lo < 0 or hi > n_samples:
             # edge windows run off the signal and make the adaptive basis degenerate
             continue
+        # only components with amplitude are solved: the ones harmonic_grid
+        # parks at a duplicate frequency would make the basis rank-deficient,
+        # so they keep their frequency, zero amplitude and phase
+        live = np.flatnonzero(current.amplitudes[l])
+        if live.size == 0:
+            continue
         # nonstationary phase basis Phi_k(t) = phi_k(t_l + t) - phi_k(t_l)
-        basis_phase = inst_phi[:, lo:hi].T - inst_phi[None, :, c]
+        basis_phase = inst_phi[live, lo:hi].T - inst_phi[None, live, c]
         amp_ratio = None
         if mode == "eaqhm":
-            a_c = inst_a[:, c]
-            significant = a_c > max(AMPLITUDE_FLOOR, 1e-4 * float(a_c.max(initial=0.0)))
-            amp_ratio = np.ones((hi - lo, current.n_components))
-            if np.any(significant):
-                ratio = inst_a[significant, lo:hi].T / a_c[significant][None, :]
-                amp_ratio[:, significant] = np.clip(ratio, 0.1, 10.0)
+            a_c = inst_a[live, c]
+            significant = a_c > max(AMPLITUDE_FLOOR, 1e-4 * float(a_c.max()))
+            amp_ratio = np.ones((hi - lo, live.size))
+            ratio = inst_a[live[significant], lo:hi].T / a_c[significant][None, :]
+            amp_ratio[:, significant] = np.clip(ratio, 0.1, 10.0)
         try:
-            params = _LsSolver(_basis(t_local, basis_phase, amp_ratio), window).solve(
-                x[lo:hi], freqs[l], l)
+            params = _LsSolver.from_phase(t_local, basis_phase, window, amp_ratio).solve(
+                x[lo:hi], freqs[l, live], l)
         except LinAlgError:
             flags[l] |= 2
             continue
-        freqs[l], amps[l], phases[l] = _corrected(params, fs)
+        freqs[l, live], amps[l, live], phases[l, live] = _corrected(params, fs)
         flags[l] |= int(params.ill_conditioned)
     comp = compensations_from_phases(current.grid, freqs, phases)
     return HarmonicSet(current.grid, freqs, amps, phases, comp, fs, flags)

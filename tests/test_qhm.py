@@ -9,8 +9,9 @@ from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, QhmFrameParams,
                           framewise_amp_phase, frequency_correction,
                           harmonic_frequencies, harmonic_grid, integrate_phase,
                           qhm_ls_fit, refine_adaptive, refine_f0)
-from quasivoc.qhm import COND_THRESHOLD, _basis, _LsSolver
+from quasivoc.qhm import COND_THRESHOLD, _basis, _harmonic_normal, _LsSolver
 from quasivoc.signals import SignalBuffer, grid_window, make_grid, make_window
+from quasivoc.synth import synthesize_arma
 
 FS = 24000
 
@@ -150,9 +151,60 @@ def test_condition_estimate_tracks_two_norm(freqs):
     d = np.sqrt(np.diag(G))
     oracle = np.linalg.cond(G / np.outer(d, d))
     assert oracle < COND_THRESHOLD
-    estimate = 1.0 / _LsSolver(_basis(t, 2 * np.pi * np.outer(t, freqs)), w).rcond
+    estimate = 1.0 / _LsSolver.from_phase(t, 2 * np.pi * np.outer(t, freqs), w).rcond
     n = 4 * freqs.size
     assert oracle / n <= estimate <= n * oracle
+
+
+# Slices of the default 481-sample window: a full interior frame, frame 1 of
+# a clip (its window starts 120 samples before the signal) and the last
+# frame of a clip that ends at its center.
+WINDOW_SLICES = {"interior": slice(0, 481), "left-edge": slice(120, 481),
+                 "right-edge": slice(0, 241)}
+
+
+def _harmonic_case(n_components, edge):
+    """Seeds and window slice of one frame, with analyze_qhm's count rule."""
+    base = 100.0 if n_components == 119 else 150.0   # 119 is the unvoiced grid
+    w = make_window("hann", 481)[WINDOW_SLICES[edge]]
+    t = ((np.arange(481) - 240) / FS)[WINDOW_SLICES[edge]]
+    k = min(n_components, t.size // 4)
+    return base, base * np.arange(1, k + 1), t, w
+
+
+@pytest.mark.parametrize("edge", sorted(WINDOW_SLICES))
+@pytest.mark.parametrize("n_components", [1, 79, 119])
+def test_harmonic_normal_matches_basis(n_components, edge):
+    """The closed-form Gram matrix and RHS table are those of the _basis design."""
+    base, f, t, w = _harmonic_case(n_components, edge)
+    ew = _basis(t, 2 * np.pi * np.outer(t, f)) * w[:, None]
+    gram, table = _harmonic_normal(base, f.size, t, w)
+    ref = ew.T @ ew
+    d = np.sqrt(np.diag(ref))
+    np.testing.assert_allclose(gram / np.outer(d, d), ref / np.outer(d, d), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table, ew[:, :2 * f.size], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("edge", sorted(WINDOW_SLICES))
+@pytest.mark.parametrize("n_components", [1, 79, 119])
+def test_harmonic_solver_matches_basis_solver(n_components, edge):
+    """Both constructors solve a noise frame to the same amplitudes and slopes.
+
+    The bound is 1e-9 of the largest value, widened to 1e-14 / rcond where
+    that is larger: on the full window at 119 components (1/rcond about
+    2.5e7) the rounding difference of the two Gram matrices moves a and b
+    by up to about 1e-8 of their largest value.
+    """
+    base, f, t, w = _harmonic_case(n_components, edge)
+    x = np.random.default_rng(n_components).standard_normal(t.size)
+    ref_solver = _LsSolver.from_phase(t, 2 * np.pi * np.outer(t, f), w)
+    solver = _LsSolver.harmonic(base, f.size, t, w)
+    assert solver.ill_conditioned == ref_solver.ill_conditioned
+    ref, got = ref_solver.solve(x, f, 3), solver.solve(x, f, 3)
+    assert got.frame_index == 3 and np.array_equal(got.f_hat, f)
+    rel = 1e-9 if solver.ill_conditioned else max(1e-9, 1e-14 / ref_solver.rcond)
+    for value, expect in ((got.a, ref.a), (got.b, ref.b)):
+        np.testing.assert_allclose(value, expect, rtol=0, atol=rel * np.abs(expect).max())
 
 
 # --- frequency correction --------------------------------------------------
@@ -357,6 +409,35 @@ def test_refine_adaptive_stationary_degenerate(multisine_data):
     refined = refine_adaptive(buf, hset, "aqhm", max_iters=2)
     np.testing.assert_allclose(refined.amplitudes, hset.amplitudes, atol=1e-8)
     np.testing.assert_allclose(refined.frequencies, hset.frequencies, atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def vibrato_analysis():
+    """QHM analysis of a 0.2 s vowel with 150 +- 20 Hz vibrato at 5.5 Hz."""
+    n = 41
+    unit = fixtures.vowel_cascade(FS, n, 0.005, 0.010, 1.0)
+    track = F0Track(unit.grid, 150.0 + 20.0 * np.sin(2 * np.pi * 5.5 * unit.grid.centers))
+    raw = synthesize_arma(unit, track).samples
+    buf = SignalBuffer(0.5 * raw / np.abs(raw).max(), FS)
+    grid = make_grid(buf.duration, 0.005, 0.010)
+    return buf, analyze_qhm(buf, grid, detect_f0(buf, grid))
+
+
+@pytest.mark.parametrize("mode", ["aqhm", "eaqhm"])
+def test_refine_leaves_parked_components_silent(vibrato_analysis, mode):
+    """Refinement solves only components with amplitude, so the components
+    harmonic_grid parks at a duplicate frequency stay at zero amplitude and
+    do not make every refined frame ill-conditioned."""
+    buf, hset = vibrato_analysis
+    parked = hset.amplitudes == 0
+    assert parked.any()
+    refined = refine_adaptive(buf, hset, mode, max_iters=1)
+    assert np.all(refined.amplitudes[parked] == 0)
+    np.testing.assert_array_equal(refined.frequencies[parked], hset.frequencies[parked])
+    half = (grid_window(hset.grid, FS).size - 1) // 2
+    centers = np.round(hset.grid.centers * FS).astype(int)
+    inside = (centers >= half) & (centers + half < len(buf))
+    assert np.count_nonzero(refined.flags[inside] & 1) < np.count_nonzero(inside) / 2
 
 
 def test_refine_adaptive_chirp_error_decreases():
