@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
+from .qhm import AMPLITUDE_FLOOR, harmonic_grid
 from .signals import FrameGrid, QuasivocError, _wrap
 
 STABILITY_RADIUS = 0.995
@@ -28,6 +29,8 @@ _FIT_BUDGET = 1 << 21
 _STOP_WINDOW = 10
 _STOP_TOL = 5e-5
 _COST_FLOOR = 1e-8
+# joint-fit cycles, each followed by re-reflection of unstable poles
+_MAX_CYCLES = 4
 
 
 class EnvelopeError(QuasivocError):
@@ -367,22 +370,22 @@ def _levenberg_marquardt(fit: _Fit, theta, rows, mag_only: bool, max_steps: int)
     return theta
 
 
-def _reflect(polys, radius: float = STABILITY_RADIUS):
+def _reflect(polys):
     """Move each root c with |c| >= 1 of the polynomials 1 + sum_n polys[..., n]
-    z^-(n+1) to min(1/|c|, radius) c/|c|, dividing the magnitude response by
-    |c|. Returns the polynomials (unchanged where no root moved) and the log
-    corrections (...) to add to a denominator's log-gain, or subtract for a
-    numerator's."""
+    z^-(n+1) to min(1/|c|, STABILITY_RADIUS) c/|c|, dividing the magnitude
+    response by |c|. Returns the polynomials (unchanged where no root moved)
+    and the log corrections (...) to add to a denominator's log-gain, or
+    subtract for a numerator's."""
     roots = _roots(polys)
     mags = np.maximum(np.abs(roots), 1e-300)
     out = mags >= 1.0
-    roots = roots * np.where(out, np.minimum(1.0 / mags, radius) / mags, 1.0)
+    roots = roots * np.where(out, np.minimum(1.0 / mags, STABILITY_RADIUS) / mags, 1.0)
     corr = -np.sum(np.log(np.where(out, mags, 1.0)), axis=-1)
     return _rebuilt(polys, roots, out.any(axis=-1)), corr
 
 
 def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: float,
-               max_steps: int, amp_floor: float = 1e-7, max_cycles: int = 4):
+               max_steps: int):
     """fit_frame on every row of (L, K) targets: gains (L,), AR (L, r, P/r),
     MA (L, r, Q/r), losses (L,) and flags (L,)."""
     p, q, r = orders
@@ -392,16 +395,16 @@ def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: floa
     if np.any(amps < 0):
         raise EnvelopeError("target amplitudes must be nonnegative")
     # all-silent targets get the floor gain and flat sections (flag 1), unfitted
-    silent = np.all(amps <= amp_floor, axis=1)
+    silent = np.all(amps <= AMPLITUDE_FLOOR, axis=1)
     live = np.flatnonzero(~silent)
     a, w = amps[live], 2 * np.pi * np.asarray(freqs, dtype=np.float64)[live] / sample_rate
     # a component at or below the amplitude floor has no defined phase (it
     # is indistinguishable from silence), so it weighs on the magnitude only
-    fit = _Fit(r, p // r, q // r, amp_floor, _table(w, max(p, q) // r),
-               np.log(a + amp_floor), np.asarray(phases, dtype=np.float64)[live],
-               np.sqrt(phase_weight) * (a > amp_floor))
+    fit = _Fit(r, p // r, q // r, AMPLITUDE_FLOOR, _table(w, max(p, q) // r),
+               np.log(a + AMPLITUDE_FLOOR), np.asarray(phases, dtype=np.float64)[live],
+               np.sqrt(phase_weight) * (a > AMPLITUDE_FLOOR))
     start = np.zeros((live.size, 1 + p + q))
-    start[:, 0] = np.log(np.maximum(np.mean(a, axis=1), amp_floor))
+    start[:, 0] = np.log(np.maximum(np.mean(a, axis=1), AMPLITUDE_FLOOR))
     # stage one: magnitude-only fit, then fold all roots inside the circle
     # (minimum-phase start)
     left = np.arange(live.size)
@@ -415,7 +418,7 @@ def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: floa
     # frame leaves once a cycle ends stable, keeps its best (theta, loss) and
     # gets flag 2 if its last cycle still needed reflecting.
     best, loss, flags = theta.copy(), fit.loss(theta, left), np.zeros(live.size, dtype=np.int64)
-    for _ in range(max_cycles):
+    for _ in range(_MAX_CYCLES):
         th = _levenberg_marquardt(fit, theta[left], left, False, max_steps)
         log_g, ar, _ = fit.split(th)
         ar[...], corr = _reflect(ar)
@@ -433,14 +436,13 @@ def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: floa
     out = silent.astype(np.int64)
     params[live], losses[live], out[live] = best, loss, flags
     log_g, ar, ma = fit.split(params)
-    gains = np.where(silent, amp_floor, np.exp(log_g))
+    gains = np.where(silent, AMPLITUDE_FLOOR, np.exp(log_g))
     return gains, project_stable(ar, radius=1.0 - 1e-4), ma, losses, out
 
 
 def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
               orders=(128, 128, 8), phase_weight: float = 0.1,
-              max_steps: int = 300, amp_floor: float = 1e-7,
-              max_cycles: int = 4) -> tuple[CascadeFrame, float, int]:
+              max_steps: int = 300) -> tuple[CascadeFrame, float, int]:
     """Fit a stable cascade to harmonic amplitude/phase targets.
 
     Minimizes sum_k (log(A_k+eps) - log(|H_k|+eps))^2
@@ -459,14 +461,12 @@ def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
     case of the batched fit in fit_cascade.
     """
     targets = (np.reshape(x, (1, -1)) for x in (freqs_hz, amplitudes, residual_phases))
-    gain, ar, ma, loss, flag = _fit_block(*targets, sample_rate, orders, phase_weight,
-                                          max_steps, amp_floor, max_cycles)
+    gain, ar, ma, loss, flag = _fit_block(*targets, sample_rate, orders, phase_weight, max_steps)
     return _frame(gain[0], ar[0], ma[0]), float(loss[0]), int(flag[0])
 
 
 def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float = 0.1,
-                max_steps: int = 500, n_workers: int = 1, guard: float = 50.0,
-                unvoiced_f0: float = 100.0) -> ArmaCascade:
+                max_steps: int = 500, n_workers: int = 1) -> ArmaCascade:
     """Fit one cascade frame per analyzed frame of a HarmonicSet.
 
     Phase targets are the residual between the measured framewise phase
@@ -479,12 +479,10 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float =
     no frame's result depends on its block. n_workers is ignored; it is kept
     only for existing keyword callers.
     """
-    from .qhm import harmonic_grid
     from .synth import excitation_phase
     fs, freqs = hset.sample_rate, hset.frequencies
     if f0_track is not None:
-        freqs, _ = harmonic_grid(f0_track, fs, guard, unvoiced_f0,
-                                 max_components=hset.n_components)
+        freqs, _ = harmonic_grid(f0_track, fs, max_components=hset.n_components)
         if freqs.shape != hset.frequencies.shape:
             raise EnvelopeError("f0 track harmonic grid does not match the set")
     residual = _wrap(hset.phases - excitation_phase(freqs, hset.grid))

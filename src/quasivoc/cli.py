@@ -38,7 +38,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="half analysis-window length in seconds")
     p.add_argument("--window-kind", choices=["hann", "hamming", "gauss"])
     p.add_argument("--orders", help="P,Q,r as comma-separated integers")
-    p.add_argument("--k-guard", type=float, dest="k_guard")
     p.add_argument("--max-components", type=int, dest="max_components")
     p.add_argument("--f0-range", help="min,max in Hz")
     p.add_argument("--format", choices=["float32", "pcm16"], dest="output_format")
@@ -46,8 +45,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _build_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    for name in ("seed", "frame_shift", "half_window", "window_kind", "k_guard",
-                 "output_format", "max_components"):
+    for name in ("seed", "frame_shift", "half_window", "window_kind", "output_format",
+                 "max_components"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
@@ -89,33 +88,41 @@ def _f0_for(buffer, grid, cfg: PipelineConfig, f0_file=None) -> F0Track:
 def _analyze(buffer, cfg: PipelineConfig, f0_file=None):
     grid = _make_grid_for(buffer, cfg)
     track = _f0_for(buffer, grid, cfg, f0_file)
-    hset = analyze_qhm(buffer, grid, track, cfg.k_guard, cfg.unvoiced_f0,
-                       cfg.component_cap)
+    hset = analyze_qhm(buffer, grid, track, cfg.component_cap)
     if cfg.refine_mode != "none":
         hset = refine_adaptive(buffer, hset, cfg.refine_mode, cfg.refine_iters)
     return hset, track
 
 
-def _write_product(path: Path, json_text: str, binary: bytes):
-    if path.suffix == ".bin":
-        path.write_bytes(binary)
+def _codec(path: Path, kind: str, direction: str):
+    """serialize's encoder (direction "to") or decoder ("from") of the
+    harmonics or cascade product for the path's suffix, and whether it
+    works on bytes (.bin) or on JSON text (any other suffix)."""
+    binary = path.suffix == ".bin"
+    return getattr(serialize, f"{kind}_{direction}_{'bytes' if binary else 'json'}"), binary
+
+
+def _write_product(path: Path, product, kind: str):
+    encode, binary = _codec(path, kind, "to")
+    if binary:
+        path.write_bytes(encode(product))
     else:
-        path.write_text(json_text)
+        path.write_text(encode(product))
 
 
 def cmd_analyze(args) -> int:
     cfg = _build_config(args)
     buffer = _read_input(args.input)
     hset, track = _analyze(buffer, cfg, args.f0_file)
-    _write_product(args.output, serialize.harmonics_to_json(hset),
-                   serialize.harmonics_to_bytes(hset))
+    _write_product(args.output, hset, "harmonics")
     if args.f0_out:
         Path(args.f0_out).write_text(serialize.f0_to_csv(track))
-    # bit 1 marks ill-conditioned fits; bit 2 (boundary-truncated window)
-    # is informational and does not demote the exit code
-    n_flagged = int(np.count_nonzero(hset.flags & 1))
+    # bit 1 (ill-conditioned) sets exit 1 only where the window lies inside the
+    # signal: a window cut by the signal's edge (bit 2) holds about as many
+    # samples as the frame has unknowns and is flagged on every voiced clip
+    flagged = np.flatnonzero((hset.flags & 3) == 1).tolist()
+    n_flagged = len(flagged)
     if n_flagged:
-        flagged = np.flatnonzero(hset.flags & 1).tolist()
         print(f"ill-conditioned frames ({n_flagged}): {flagged[:20]}"
               + ("..." if n_flagged > 20 else ""))
     print(f"analyzed {hset.n_frames} frames, K={hset.n_components} -> {args.output}")
@@ -126,10 +133,9 @@ def _load_product(path: Path, kind: str):
     """The harmonics or cascade product in a .bin or .json file."""
     if not path.exists():
         raise CliError(f"{kind} file not found: {path}")
+    decode, binary = _codec(path, kind, "from")
     try:
-        if path.suffix == ".bin":
-            return getattr(serialize, f"{kind}_from_bytes")(path.read_bytes())
-        return getattr(serialize, f"{kind}_from_json")(path.read_text())
+        return decode(path.read_bytes() if binary else path.read_text())
     except (serialize.SerializationError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed {kind} file: {exc}")
 
@@ -155,10 +161,8 @@ def cmd_fit_envelope(args) -> int:
     hset = _load_product(args.harmonics, "harmonics")
     track = _load_f0_csv(args.f0, cfg) if args.f0 else None
     cascade = fit_cascade(hset, track, orders=cfg.orders, phase_weight=cfg.phase_weight,
-                          max_steps=cfg.fit_max_steps, guard=cfg.k_guard,
-                          unvoiced_f0=cfg.unvoiced_f0)
-    _write_product(args.output, serialize.cascade_to_json(cascade),
-                   serialize.cascade_to_bytes(cascade))
+                          max_steps=cfg.fit_max_steps)
+    _write_product(args.output, cascade, "cascade")
     divergent = np.flatnonzero(cascade.flags & 2).tolist()
     if divergent:
         print(f"divergent frames: {divergent}")
@@ -177,9 +181,7 @@ def cmd_synth(args) -> int:
         if len(track.values) != cascade.n_frames:
             raise CliError("f0 track and cascade frame counts differ")
         track = F0Track(cascade.grid, track.values)
-        out = synthesize_arma(cascade, track, guard=cfg.k_guard,
-                              unvoiced_f0=cfg.unvoiced_f0,
-                              max_components=cfg.component_cap)
+        out = synthesize_arma(cascade, track, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
     print(f"wrote {len(out)} samples ({out.duration:.3f} s) -> {args.output}")
     return EXIT_OK
@@ -197,8 +199,7 @@ def cmd_modify(args) -> int:
         schedule = load_schedule(args.schedule, cascade.grid, vuv)
     else:
         schedule = ScaleSchedule.constant(cascade.n_frames, args.beta, args.rho, vuv)
-    out = modify(cascade, track, schedule, guard=cfg.k_guard,
-                 unvoiced_f0=cfg.unvoiced_f0, max_components=cfg.component_cap)
+    out = modify(cascade, track, schedule, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
     result_track = detect_f0(out, _make_grid_for(out, cfg),
                              (cfg.f0_min, cfg.f0_max), cfg.voicing_threshold)

@@ -18,8 +18,6 @@ class PipelineConfig:
     half_window: float = 0.010
     window_kind: str = "hann"
     gauss_sigma: float = 0.0
-    k_guard: float = 50.0
-    unvoiced_f0: float = 100.0
     max_components: int = 0          # 0 means no cap
     order_p: int = 128
     order_q: int = 128

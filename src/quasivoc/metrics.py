@@ -27,19 +27,13 @@ class MetricReport:
     f0_rmse: float | None = None
     mcd: float | None = None
     snr: float | None = None
-    rtf_analysis: float | None = None
-    rtf_synthesis: float | None = None
-    rtf_overall: float | None = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
     def to_table(self) -> str:
         rows = [("V/UV rate [%]", self.vuv_rate), ("f0 RMSE [log-Hz]", self.f0_rmse),
-                ("MCD [dB]", self.mcd), ("SNR [dB]", self.snr),
-                ("RTF analysis", self.rtf_analysis),
-                ("RTF synthesis", self.rtf_synthesis),
-                ("RTF overall", self.rtf_overall)]
+                ("MCD [dB]", self.mcd), ("SNR [dB]", self.snr)]
         width = max(len(name) for name, _ in rows)
         lines = []
         for name, value in rows:
@@ -96,10 +90,8 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
-def mel_cepstrum(buffer: SignalBuffer, grid: FrameGrid,
-                 n_coeffs: int = N_CEPSTRA,
-                 n_filters: int = N_MEL_FILTERS) -> np.ndarray:
-    """Per-frame mel-cepstral coefficients d = 1..n_coeffs.
+def mel_cepstrum(buffer: SignalBuffer, grid: FrameGrid) -> np.ndarray:
+    """Per-frame mel-cepstral coefficients d = 1..N_CEPSTRA from N_MEL_FILTERS filters.
 
     Windowed DFT magnitude -> triangular mel energies -> log (floored)
     -> DCT-II; the 0th (energy) coefficient is dropped.
@@ -111,9 +103,9 @@ def mel_cepstrum(buffer: SignalBuffer, grid: FrameGrid,
     n_fft = 1
     while n_fft < n_win:
         n_fft *= 2
-    fb = mel_filterbank(n_filters, n_fft, fs)
+    fb = mel_filterbank(N_MEL_FILTERS, n_fft, fs)
     x = buffer.samples
-    out = np.zeros((len(grid), n_coeffs))
+    out = np.zeros((len(grid), N_CEPSTRA))
     for l, tc in enumerate(grid.centers):
         c = int(round(tc * fs))
         lo, hi = c - half, c + half + 1
@@ -124,7 +116,7 @@ def mel_cepstrum(buffer: SignalBuffer, grid: FrameGrid,
         mag = np.abs(rfft(frame * window, n=n_fft))
         energies = np.maximum(fb @ mag, LOG_FLOOR)
         ceps = dct(np.log(energies), type=2, norm="ortho")
-        out[l] = ceps[1:n_coeffs + 1]
+        out[l] = ceps[1:N_CEPSTRA + 1]
     return out
 
 
@@ -151,15 +143,14 @@ def snr(gen: SignalBuffer, ref: SignalBuffer) -> float:
     return min(10.0 * np.log10(ref_energy / err), SNR_CAP_DB)
 
 
-def rtf(work, audio_duration: float, runs: int = 5, warmup: int = 1) -> float:
+def rtf(work, audio_duration: float, runs: int = 5) -> float:
     """Median wall-clock/audio-duration ratio of a pipeline stage.
 
     work is a zero-argument callable; one warmup call precedes timing.
     """
     if audio_duration <= 0:
         raise MetricError("audio duration must be positive")
-    for _ in range(warmup):
-        work()
+    work()
     times = []
     for _ in range(max(runs, 1)):
         t0 = time.perf_counter()

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arma import ArmaCascade, sample_cascade
-from .qhm import F0Track, harmonic_grid
+from .qhm import NYQUIST_GUARD, F0Track, harmonic_grid
 from .signals import FrameGrid, QuasivocError, SignalBuffer, SignalError, linear_interp
-from .synth import NYQUIST_GUARD, delayed_phase, excitation_phase, render
+from .synth import delayed_phase, excitation_phase, render
 
 
 class ModificationError(QuasivocError):
@@ -66,13 +66,13 @@ def scaled_times(grid: FrameGrid, betas: np.ndarray) -> np.ndarray:
 
 
 def modified_tracks(cascade: ArmaCascade, schedule: ScaleSchedule, freqs: np.ndarray,
-                    counts: np.ndarray, guard: float = NYQUIST_GUARD):
+                    counts: np.ndarray):
     """Amplitudes and phases of the voiced and unvoiced banks, one envelope pass.
 
     Both are (frames, 2K): the voiced bank at rho*f in the first K columns,
     the unvoiced bank at f in the last K. The envelope is sampled once at
-    both, clamped below Nyquist - guard; components at or above that limit
-    are muted. Voiced amplitudes are masked by VUV and carry the gain
+    both, clamped below Nyquist - NYQUIST_GUARD; components at or above that
+    limit are muted. Voiced amplitudes are masked by VUV and carry the gain
     normalization G' = G * sqrt(K_orig / K_mod) so total power survives
     harmonic-count changes under pitch scaling; unvoiced amplitudes are
     masked by 1-VUV. Phases are the excitation phase on the stretched axis
@@ -80,7 +80,7 @@ def modified_tracks(cascade: ArmaCascade, schedule: ScaleSchedule, freqs: np.nda
     """
     f = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
     both = np.hstack([f * schedule.rhos[:, None], f])
-    nyq_lim = cascade.sample_rate / 2 - guard
+    nyq_lim = cascade.sample_rate / 2 - NYQUIST_GUARD
     mags, delays = sample_cascade(cascade, np.minimum(both, nyq_lim))
     counts = np.asarray(counts)
     K = f.shape[1]
@@ -96,7 +96,6 @@ def modified_tracks(cascade: ArmaCascade, schedule: ScaleSchedule, freqs: np.nda
 
 
 def modify(cascade: ArmaCascade, f0_track: F0Track, schedule: ScaleSchedule,
-           guard: float = NYQUIST_GUARD, unvoiced_f0: float = 100.0,
            max_components: int | None = None) -> SignalBuffer:
     """Full time/pitch modification pipeline.
 
@@ -111,11 +110,11 @@ def modify(cascade: ArmaCascade, f0_track: F0Track, schedule: ScaleSchedule,
         raise SignalError("cascade, track, and schedule must share the frame grid")
     if cascade.n_frames == 0:
         return SignalBuffer(np.zeros(0), fs)
-    freqs, counts = harmonic_grid(f0_track, fs, guard, unvoiced_f0, max_components)
+    freqs, counts = harmonic_grid(f0_track, fs, max_components)
     t_hat = scaled_times(cascade.grid, schedule.betas)
     mod_grid = FrameGrid(t_hat, cascade.grid.frame_shift, cascade.grid.half_window,
                          cascade.grid.window_kind, cascade.grid.gauss_sigma)
-    amps, phases = modified_tracks(cascade, schedule, freqs, counts, guard)
+    amps, phases = modified_tracks(cascade, schedule, freqs, counts)
     K = freqs.shape[1]
     voiced = render(amps[:, :K], phases[:, :K], mod_grid, fs)
     unvoiced = render(amps[:, K:], phases[:, K:], mod_grid, fs)

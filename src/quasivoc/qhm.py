@@ -23,6 +23,14 @@ from .signals import FrameGrid, QuasivocError, SignalBuffer, _wrap, grid_window,
 AMPLITUDE_FLOOR = 1e-7
 COND_THRESHOLD = 1e10
 RIDGE_SCALE = 1e-8
+F0_QUANTUM = 0.01
+# Component seeds stay this far below Nyquist, and unvoiced frames use seeds
+# at this spacing (Pantazis et al., IEEE TASLP 2011)
+NYQUIST_GUARD = 50.0
+UNVOICED_F0 = 100.0
+# adaptive refinement stops once an accepted iteration lowers the error by
+# less than this fraction
+REFINE_REL_TOL = 1e-4
 
 
 class AnalysisError(QuasivocError):
@@ -258,14 +266,13 @@ def framewise_amp_phase(params: QhmFrameParams) -> tuple[np.ndarray, np.ndarray]
     return amp, phase
 
 
-def integrate_phase(inst_freq: np.ndarray, sample_rate: int,
-                    phase0: float = 0.0) -> np.ndarray:
+def integrate_phase(inst_freq: np.ndarray, sample_rate: int) -> np.ndarray:
     """Cumulative-trapezoid phase from instantaneous frequency tracks along
     the last axis."""
     f = np.asarray(inst_freq, dtype=np.float64)
     if not np.all(np.isfinite(f)):
         raise AnalysisError("instantaneous frequency must be finite")
-    return phase0 + cumulative_trapezoid(2 * np.pi * f, dx=1.0 / sample_rate, initial=0.0)
+    return cumulative_trapezoid(2 * np.pi * f, dx=1.0 / sample_rate, initial=0.0)
 
 
 def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
@@ -325,8 +332,7 @@ def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
     return F0Track(grid, values)
 
 
-def refine_f0(hset: HarmonicSet, track: F0Track,
-              amp_floor: float = 1e-7) -> F0Track:
+def refine_f0(hset: HarmonicSet, track: F0Track) -> F0Track:
     """Sharpen an f0 track using the corrected harmonic frequencies.
 
     On voiced frames the refined value is the amplitude-squared-weighted
@@ -344,7 +350,7 @@ def refine_f0(hset: HarmonicSet, track: F0Track,
             continue
         amp = hset.amplitudes[l]
         f = hset.frequencies[l]
-        use = (amp > amp_floor) & (f > 0)
+        use = (amp > AMPLITUDE_FLOOR) & (f > 0)
         if not use.any():
             values[l] = track.values[l]
             continue
@@ -378,52 +384,32 @@ def _corrected(params: QhmFrameParams, sample_rate: int):
     return np.clip(params.f_hat + eta, 0.0, sample_rate / 2 - 1e-6), amp, phase
 
 
-F0_QUANTUM = 0.01
+def harmonic_grid(f0_track: F0Track, sample_rate: int,
+                  max_components: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame component frequency seeds k*f0 below Nyquist - NYQUIST_GUARD.
 
-
-def harmonic_frequencies(f0: float, sample_rate: int, guard: float = 50.0,
-                         unvoiced_f0: float = 100.0,
-                         max_components: int | None = None) -> np.ndarray:
-    """Component frequency seeds k*f0 below Nyquist - guard.
-
-    Unvoiced frames (f0 == 0) use a dense synthetic grid at unvoiced_f0
+    Unvoiced frames (f0 == 0) use a dense synthetic grid at UNVOICED_F0
     spacing so noise-like segments are still covered by quasi-harmonics.
     Seeds are quantized to F0_QUANTUM so frames with near-identical pitch
     share one frequency set (and hence one cached LS factorization); the
     per-frame frequency correction absorbs far larger seed errors than
     the quantum.
+
+    Returns (freqs, counts): freqs is (frames, K) with K the maximum
+    component count of any frame; counts[l] is the number of in-band
+    components on frame l, at least 1. Components beyond counts[l] are
+    parked at the frame's last in-band seed and meant to carry zero
+    amplitude.
     """
-    base = f0 if f0 > 0 else unvoiced_f0
-    base = max(round(base / F0_QUANTUM) * F0_QUANTUM, F0_QUANTUM)
-    nyq = sample_rate / 2.0
-    k = int(np.floor((nyq - guard) / base))
+    f0 = f0_track.values
+    base = np.where(f0 > 0, f0, UNVOICED_F0)
+    base = np.maximum(np.round(base / F0_QUANTUM) * F0_QUANTUM, F0_QUANTUM)
+    counts = np.floor((sample_rate / 2.0 - NYQUIST_GUARD) / base).astype(np.int64)
     if max_components is not None:
-        k = min(k, max_components)
-    k = max(k, 1)
-    return base * np.arange(1, k + 1)
-
-
-def harmonic_grid(f0_track: F0Track, sample_rate: int, guard: float = 50.0,
-                  unvoiced_f0: float = 100.0,
-                  max_components: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame component frequency grid with a fixed component count.
-
-    Returns (freqs, counts): freqs is (frames, K) with K the maximum the
-    K rule yields on any frame; counts[l] is the number of in-band
-    components on frame l. Components beyond counts[l] are parked at the
-    frame's last valid frequency and meant to carry zero amplitude.
-    """
-    per_frame = [harmonic_frequencies(f0, sample_rate, guard, unvoiced_f0, max_components)
-                 for f0 in f0_track.values]
-    K = max(f.size for f in per_frame)
-    L = len(per_frame)
-    freqs = np.zeros((L, K))
-    counts = np.zeros(L, dtype=np.int64)
-    for l, f in enumerate(per_frame):
-        freqs[l, :f.size] = f
-        freqs[l, f.size:] = f[-1]
-        counts[l] = f.size
-    return freqs, counts
+        counts = np.minimum(counts, max_components)
+    counts = np.maximum(counts, 1)
+    K = int(counts.max())
+    return base[:, None] * np.minimum(np.arange(1, K + 1), counts[:, None]), counts
 
 
 def compensations_from_phases(grid: FrameGrid, freqs: np.ndarray,
@@ -445,7 +431,6 @@ def compensations_from_phases(grid: FrameGrid, freqs: np.ndarray,
 
 
 def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
-                guard: float = 50.0, unvoiced_f0: float = 100.0,
                 max_components: int | None = None) -> HarmonicSet:
     """One QHM pass over all frames: LS fit plus frequency correction.
 
@@ -463,7 +448,7 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
     n_win = window.size
     half = (n_win - 1) // 2
     t = (np.arange(n_win) - half) / fs
-    seed_freqs, counts = harmonic_grid(f0_track, fs, guard, unvoiced_f0, max_components)
+    seed_freqs, counts = harmonic_grid(f0_track, fs, max_components)
     above = np.flatnonzero(np.any(seed_freqs >= fs / 2, axis=1))
     if above.size:
         raise AnalysisError(f"frame {above[0]}: component frequency at or above Nyquist")
@@ -507,8 +492,7 @@ def _instantaneous_tracks(hset: HarmonicSet, n_samples: int):
 
 
 def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqhm",
-                    max_iters: int = 3, rel_tol: float = 1e-4,
-                    return_errors: bool = False):
+                    max_iters: int = 3, return_errors: bool = False):
     """Adaptive refinement of a QHM pass with a nonstationary phase basis.
 
     Each iteration interpolates the corrected frequencies to audio rate,
@@ -554,7 +538,7 @@ def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqh
         cand_err = total_error(candidate)
         if cand_err >= best_err:
             break
-        improved = (best_err - cand_err) >= rel_tol * best_err
+        improved = (best_err - cand_err) >= REFINE_REL_TOL * best_err
         best, best_err = candidate, cand_err
         history.append(cand_err)
         if not improved:

@@ -9,10 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .arma import ArmaCascade, sample_cascade
-from .qhm import F0Track, HarmonicSet, harmonic_grid
+from .qhm import NYQUIST_GUARD, F0Track, HarmonicSet, harmonic_grid
 from .signals import FrameGrid, SignalBuffer, SignalError, cubic_interp, linear_interp
-
-NYQUIST_GUARD = 50.0
 
 
 def excitation_phase(frame_freqs: np.ndarray, grid: FrameGrid,
@@ -59,10 +57,10 @@ def delayed_phase(excitation: np.ndarray, delays: np.ndarray) -> np.ndarray:
 
 
 def mute_aliasing(amplitudes: np.ndarray, frame_freqs: np.ndarray,
-                  sample_rate: int, guard: float = NYQUIST_GUARD) -> np.ndarray:
-    """Zero the amplitude of components that cross Nyquist - guard."""
+                  sample_rate: int) -> np.ndarray:
+    """Zero the amplitude of components that cross Nyquist - NYQUIST_GUARD."""
     amps = np.array(amplitudes, dtype=np.float64, copy=True)
-    amps[np.asarray(frame_freqs) > sample_rate / 2 - guard] = 0.0
+    amps[np.asarray(frame_freqs) > sample_rate / 2 - NYQUIST_GUARD] = 0.0
     return amps
 
 
@@ -119,8 +117,6 @@ def synthesize_qhm(hset: HarmonicSet) -> SignalBuffer:
 
 
 def synthesize_arma(cascade: ArmaCascade, f0_track: F0Track,
-                    guard: float = NYQUIST_GUARD,
-                    unvoiced_f0: float = 100.0,
                     max_components: int | None = None) -> SignalBuffer:
     """Resynthesis from an envelope cascade and an f0 track.
 
@@ -133,9 +129,9 @@ def synthesize_arma(cascade: ArmaCascade, f0_track: F0Track,
         return SignalBuffer(np.zeros(0), fs)
     if cascade.n_frames != len(f0_track.values):
         raise SignalError("cascade and f0 track must share the frame grid")
-    freqs, counts = harmonic_grid(f0_track, fs, guard, unvoiced_f0, max_components)
+    freqs, counts = harmonic_grid(f0_track, fs, max_components)
     amps, delays = sample_cascade(cascade, freqs)
     amps[np.arange(freqs.shape[1]) >= counts[:, None]] = 0.0
     phases = delayed_phase(excitation_phase(freqs, cascade.grid), delays)
-    amps = mute_aliasing(amps, freqs, fs, guard)
+    amps = mute_aliasing(amps, freqs, fs)
     return render(amps, phases, cascade.grid, fs)

@@ -259,6 +259,42 @@ def test_analyze_below_the_window_pitch_writes_and_flags(tmp_path, capsys):
     assert hset.amplitudes[:, :120].any() and not hset.amplitudes[:, 120:].any()
 
 
+def test_analyze_edge_frames_do_not_set_the_exit_code(tmp_path, capsys):
+    """The first and last frame's windows are cut by the signal's edge (bit 2)
+    and flagged ill-conditioned (bit 1); analyze keeps both bits in the
+    product but lists and counts only frames with bit 1 alone."""
+    wav, harm = tmp_path / "v150.wav", tmp_path / "h.bin"
+    write_wav(fixtures.vowel(150.0, 0.3, 24000)[0], wav)
+    capsys.readouterr()
+    assert main(["analyze", str(wav), str(harm)]) == 0
+    assert "ill-conditioned" not in capsys.readouterr().out
+    flags = serialize.harmonics_from_bytes(harm.read_bytes()).flags
+    assert np.flatnonzero(flags & 1).tolist() == [0, 60]
+    assert np.all(flags[[0, 60]] & 2)
+
+
+def test_products_encode_only_the_written_format(tmp_path, tone_wav, monkeypatch):
+    """A .bin product is written without building its JSON text."""
+    def no_json(*_):
+        raise AssertionError("JSON encoder called for a .bin product")
+
+    monkeypatch.setattr(serialize, "harmonics_to_json", no_json)
+    monkeypatch.setattr(serialize, "cascade_to_json", no_json)
+    harm, f0, casc = tmp_path / "h.bin", tmp_path / "f0.csv", tmp_path / "c.bin"
+    assert main(["analyze", str(tone_wav), str(harm), "--f0-out", str(f0),
+                 "--max-components", "3"]) in (0, 1)
+    assert main(["fit-envelope", str(harm), str(casc), "--orders", "4,4,1",
+                 "--f0", str(f0)]) in (0, 1)
+    assert serialize.harmonics_from_bytes(harm.read_bytes()).n_components == 3
+    assert serialize.cascade_from_bytes(casc.read_bytes()).orders == (4, 4, 1)
+
+
+def test_removed_k_guard_option_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "in.wav", "out.bin", "--k-guard", "50"])
+    assert exc.value.code == 2
+
+
 def test_f0_csv_below_f0_min_exits_2(tmp_path, capsys):
     """A voiced F0 below f0_min would ask for a component grid that grows as
     1/F0; the CSV is rejected before any analysis."""
@@ -309,18 +345,22 @@ def _bad_value_config(tmp_path, wav, line):
     lambda d, wavs: _bad_value_config(d, wavs["tone"], b"frame_shift = abc"),
     lambda d, wavs: _bad_value_config(d, wavs["tone"], b"order_p = 1.5"),
     lambda d, wavs: _bad_value_config(d, wavs["tone"], b"seed = \xff\xfe"),
+    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"k_guard = 50"),
+    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"unvoiced_f0 = 100"),
     lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params", "{bad"],
     lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params", "[1,2]"],
     lambda d, wavs: ["analyze", wavs["short"], str(d / "h.json")],
     lambda d, wavs: ["bench", wavs["short"], "--runs", "1"],
     lambda d, wavs: ["eval", wavs["tone"], wavs["silent"]],
-], ids=["config-text-value", "config-float-order", "config-not-utf8", "params-not-json",
-        "params-not-object", "analyze-5-samples", "bench-5-samples", "eval-zero-reference"])
+], ids=["config-text-value", "config-float-order", "config-not-utf8", "config-k-guard",
+        "config-unvoiced-f0", "params-not-json", "params-not-object", "analyze-5-samples",
+        "bench-5-samples", "eval-zero-reference"])
 def test_exit_code_2_on_unparseable_values_and_unusable_audio(tmp_path, tone_wav, capsys,
                                                               make_argv):
-    """Config values that do not parse, a config file that is not text,
-    --params that is not a JSON object, a WAV too short to analyze and an
-    all-zero reference all exit 2 with a message, not a traceback."""
+    """Config values that do not parse, a config file that is not text, the
+    removed keys k_guard and unvoiced_f0, --params that is not a JSON object,
+    a WAV too short to analyze and an all-zero reference all exit 2 with a
+    message, not a traceback."""
     wavs = {"tone": str(tone_wav), "short": str(tmp_path / "short.wav"),
             "silent": str(tmp_path / "silent.wav")}
     write_wav(SignalBuffer(np.full(5, 0.1), 24000), wavs["short"])
@@ -353,7 +393,8 @@ _WORDS = st.text(_CHARS, max_size=6)
 _NUMBERS = {"f0": ["0", "0.5", "150", "-150", "nan", "inf", "1e9"],
             "schedule": ["0", "0.01", "0.5", "2", "-1", "nan", "inf"]}
 _LAYOUT = {"f0": (2, ","), "schedule": (3, " ")}     # columns, separator
-_KEYS = st.one_of(_WORDS, st.sampled_from(sorted(vars(PipelineConfig())) + ["threads"]))
+_KEYS = st.one_of(_WORDS, st.sampled_from(sorted(vars(PipelineConfig()))
+                                          + ["threads", "k_guard", "unvoiced_f0"]))
 
 
 @st.composite

@@ -7,9 +7,9 @@ from quasivoc import fixtures
 from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, QhmFrameParams,
                           analyze_qhm, compensations_from_phases, detect_f0,
                           framewise_amp_phase, frequency_correction,
-                          harmonic_frequencies, harmonic_grid, integrate_phase,
-                          qhm_ls_fit, refine_adaptive, refine_f0)
-from quasivoc.qhm import COND_THRESHOLD, _basis, _harmonic_normal, _LsSolver
+                          harmonic_grid, integrate_phase, qhm_ls_fit,
+                          refine_adaptive, refine_f0)
+from quasivoc.qhm import COND_THRESHOLD, F0_QUANTUM, _basis, _harmonic_normal, _LsSolver
 from quasivoc.signals import SignalBuffer, grid_window, make_grid, make_window
 from quasivoc.synth import synthesize_arma
 
@@ -23,6 +23,12 @@ def _centered_frame(freqs, amps, phases, n=481, fs=FS):
     for f, a, p in zip(freqs, amps, phases):
         x += a * np.cos(2 * np.pi * f * t + p)
     return x, t
+
+
+def _seeds(f0, sample_rate=FS, max_components=None):
+    """harmonic_grid's seeds on a one-frame track."""
+    track = F0Track(make_grid(0.0, 0.005, 0.010), [f0])
+    return harmonic_grid(track, sample_rate, max_components)[0][0]
 
 
 def _oracle_ls(x, t, freqs, window):
@@ -128,14 +134,14 @@ def test_ls_fit_coincident_frequencies_flagged():
 
 
 def test_ls_fit_harmonic_set_not_flagged():
-    f = harmonic_frequencies(150.0, FS)
+    f = _seeds(150.0)
     w = make_window("hann", 481)
     x, _ = _centered_frame(f[:5], [0.5, 0.3, 0.2, 0.1, 0.05], [0.0, 0.4, -0.7, 1.2, 2.0])
     assert f.size == 79
     assert not qhm_ls_fit(x, f, w, FS).ill_conditioned
 
 
-@pytest.mark.parametrize("freqs", [harmonic_frequencies(150.0, FS),
+@pytest.mark.parametrize("freqs", [_seeds(150.0),
                                    np.array([100.0, 104.0]),
                                    np.array([200.0, 210.0, 400.0])])
 def test_condition_estimate_tracks_two_norm(freqs):
@@ -254,7 +260,6 @@ def test_integrate_phase_constant():
     n = int(0.01 * FS) + 1
     phi = integrate_phase(np.full(n, 100.0), FS)
     np.testing.assert_allclose(phi[-1] - phi[0], 2 * np.pi, rtol=1e-10)
-    np.testing.assert_allclose(integrate_phase(np.zeros(n), FS, phase0=0.4), 0.4)
 
 
 def test_integrate_phase_chirp_oracle():
@@ -305,14 +310,47 @@ def test_detect_f0_errors():
 
 # --- harmonic grids --------------------------------------------------------
 
-def test_harmonic_frequencies_k_rule():
-    f = harmonic_frequencies(200.0, FS, guard=50.0)
+def _oracle_seeds(f0, sample_rate, max_components=None):
+    """The seed rule one frame at a time: k*f0 below Nyquist - 50 Hz, with
+    f0 quantized to F0_QUANTUM and 100 Hz spacing on unvoiced frames."""
+    base = f0 if f0 > 0 else 100.0
+    base = max(round(base / F0_QUANTUM) * F0_QUANTUM, F0_QUANTUM)
+    k = int(np.floor((sample_rate / 2.0 - 50.0) / base))
+    if max_components is not None:
+        k = min(k, max_components)
+    k = max(k, 1)
+    return base * np.arange(1, k + 1)
+
+
+def test_harmonic_grid_k_rule():
+    f = _seeds(200.0)
     assert f.size == 59  # floor((12000 - 50) / 200)
     np.testing.assert_allclose(f, 200.0 * np.arange(1, 60))
     # unvoiced frames fall back to the dense synthetic grid
-    fu = harmonic_frequencies(0.0, FS, unvoiced_f0=100.0)
+    fu = _seeds(0.0)
     np.testing.assert_allclose(fu[:3], [100.0, 200.0, 300.0])
-    assert harmonic_frequencies(200.0, FS, max_components=8).size == 8
+    assert _seeds(200.0, max_components=8).size == 8
+
+
+@pytest.mark.parametrize("cap", [None, 8])
+@pytest.mark.parametrize("fs", [24000, 16000, 8000])
+def test_harmonic_grid_matches_per_frame_rule(fs, cap):
+    """The array pass gives the bytes of the per-frame rule, each frame's extra
+    components parked at its last seed, on a voiced/unvoiced track whose F0
+    values straddle quantization steps and component-count steps."""
+    rng = np.random.default_rng(5)
+    near = 150.0 + F0_QUANTUM * np.linspace(-1.0, 1.0, 9)
+    steps = (fs / 2 - 50.0) / np.arange(10, 60)
+    f0 = np.concatenate([near, steps, steps - F0_QUANTUM / 2, steps + F0_QUANTUM / 2,
+                         np.zeros(5), rng.uniform(50.0, 500.0, 20)])
+    f0[rng.permutation(f0.size)[:10]] = 0.0
+    track = F0Track(make_grid((f0.size - 1) * 0.005, 0.005, 0.010), f0)
+    freqs, counts = harmonic_grid(track, fs, cap)
+    rows = [_oracle_seeds(v, fs, cap) for v in f0]
+    K = max(r.size for r in rows)
+    expect = np.array([np.concatenate((r, np.full(K - r.size, r[-1]))) for r in rows])
+    assert freqs.shape == expect.shape and freqs.tobytes() == expect.tobytes()
+    assert counts.dtype == np.int64 and counts.tolist() == [r.size for r in rows]
 
 
 def test_harmonic_grid_parks_missing_components():
