@@ -5,10 +5,8 @@ from .signals import (FrameGrid, QuasivocError, SignalBuffer, cubic_interp, line
 from .qhm import (F0Track, HarmonicSet, QhmFrameParams, analyze_qhm, detect_f0,
                   framewise_amp_phase, frequency_correction, harmonic_grid,
                   integrate_phase, qhm_ls_fit, refine_adaptive, refine_f0)
-from .arma import (ArmaCascade, ArmaSection, CascadeFrame, EnvelopeSample,
-                   cascade_response, correction_capacity, filter_time_domain,
-                   fit_cascade, fit_frame, sample_cascade, sample_harmonics,
-                   section_response)
+from .arma import (ArmaCascade, correction_capacity, fit_cascade, fit_targets,
+                   sample_cascade)
 from .synth import (compensated_phase, delayed_phase, excitation_phase, render,
                     synthesize_arma, synthesize_qhm)
 from .modify import ScaleSchedule, modified_tracks, modify, scaled_times

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .qhm import AMPLITUDE_FLOOR, harmonic_grid
 from .signals import FrameGrid, QuasivocError, _wrap
@@ -39,7 +38,11 @@ class EnvelopeError(QuasivocError):
 
 @dataclass
 class ArmaSection:
-    """One mini-ARMA section: AR and MA coefficients (leading 1 implied)."""
+    """One mini-ARMA section: AR and MA coefficients (leading 1 implied).
+
+    Kept only because the benchmark reads ArmaCascade.frames; a benchmark
+    change removes it.
+    """
 
     ar: np.ndarray
     ma: np.ndarray
@@ -53,7 +56,11 @@ class ArmaSection:
 
 @dataclass
 class CascadeFrame:
-    """Gain plus sections for one frame: the argument of the one-frame oracles."""
+    """Gain plus sections for one frame: the argument of sample_harmonics.
+
+    Kept only because the benchmark reads ArmaCascade.frames and calls
+    sample_harmonics; a benchmark change removes it.
+    """
 
     gain: float
     sections: list
@@ -100,13 +107,10 @@ class ArmaCascade:
     @property
     def frames(self) -> list:
         """One CascadeFrame per frame over rows of the arrays, built on each
-        access, for callers outside the package; the package reads the arrays."""
-        return [_frame(*row) for row in zip(self.gain, self.ar, self.ma)]
-
-
-def _frame(gain, ar, ma) -> CascadeFrame:
-    """One frame's gain, AR (r, p) and MA (r, q) as a CascadeFrame."""
-    return CascadeFrame(float(gain), [ArmaSection(a, b) for a, b in zip(ar, ma)])
+        access. The package reads the arrays; this view is kept only because
+        the benchmark reads it, and a benchmark change removes it."""
+        return [CascadeFrame(float(g), [ArmaSection(a, b) for a, b in zip(ar, ma)])
+                for g, ar, ma in zip(self.gain, self.ar, self.ma)]
 
 
 def _poly(coef, table) -> np.ndarray:
@@ -134,29 +138,10 @@ def _table(w, n: int) -> np.ndarray:
     return np.exp(-1j * w[:, None] * np.arange(1, n + 1)[:, None])
 
 
-def section_response(section: ArmaSection, omega) -> np.ndarray:
-    """Frequency response of one section at omega (rad/sample).
-
-    H(w) = (1 + sum b_q e^{-iwq}) / (1 + sum a_p e^{-iwp}).
-    """
-    w = np.asarray(omega, dtype=np.float64).reshape(1, -1)
-    table = _table(w, max(section.ar.size, section.ma.size))
-    out = _response(section.ar[None, None], section.ma[None, None], table)[0, 0]
-    return out.reshape(np.shape(omega)) if np.ndim(omega) else out[0]
-
-
-def cascade_response(frame: CascadeFrame, omega) -> np.ndarray:
-    """Gain times the product of section responses."""
-    w = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    h = np.full(w.shape, frame.gain, dtype=np.complex128)
-    for sec in frame.sections:
-        h *= section_response(sec, w)
-    return h if np.ndim(omega) else h[0]
-
-
 @dataclass
 class EnvelopeSample:
-    """Envelope magnitude and summed per-section phase delay per component."""
+    """Envelope magnitude and summed per-section phase delay per component:
+    sample_harmonics' result, removed with it by a benchmark change."""
 
     magnitudes: np.ndarray
     phase_delays: np.ndarray
@@ -204,6 +189,10 @@ def sample_harmonics(frame: CascadeFrame, freqs_hz, sample_rate: int) -> Envelop
     wrapped angle in [-pi, pi] summed without re-wrapping, so the total
     spans [-r*pi, r*pi]. Shorter sections are zero-padded, which changes no
     value: a zero coefficient adds +-0.0 to a sum that starts at 1.
+
+    The one-frame form of sample_cascade, kept as the per-frame oracle of
+    its tests and because the benchmark calls it; a benchmark change
+    removes it.
     """
     f = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
     secs = frame.sections
@@ -214,21 +203,6 @@ def sample_harmonics(frame: CascadeFrame, freqs_hz, sample_rate: int) -> Envelop
     mag, delay = _sample(np.array([frame.gain], dtype=np.float64), ar, ma,
                          f.reshape(1, -1), sample_rate)
     return EnvelopeSample(mag.reshape(f.shape), delay.reshape(f.shape))
-
-
-def filter_time_domain(frame: CascadeFrame, x) -> np.ndarray:
-    """Run the input through each section's difference equation, then the gain.
-
-    Sections are applied in index order with zero initial state.
-    """
-    y = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(y)):
-        raise EnvelopeError("input must be finite")
-    for sec in frame.sections:
-        b = np.concatenate(([1.0], sec.ma))
-        a = np.concatenate(([1.0], sec.ar))
-        y = lfilter(b, a, y)
-    return frame.gain * y
 
 
 def _roots(polys) -> np.ndarray:
@@ -280,11 +254,12 @@ def correction_capacity(cascade: ArmaCascade, freq_hz: float):
 class _Fit:
     """A block of frames fitted together. A frame's parameters are [log gain |
     AR (r, p) | MA (r, q)], p and q per section. Targets, frames first: the
-    exp table (L, max(p, q), K), log(A + floor), the phase and its weight.
+    exp table (L, max(p, q), K), log(A + AMPLITUDE_FLOOR), the phase and its
+    weight.
     """
 
-    def __init__(self, r, p, q, floor, *targets):
-        self.r, self.p, self.q, self.floor, self.targets = r, p, q, floor, targets
+    def __init__(self, r, p, q, *targets):
+        self.r, self.p, self.q, self.targets = r, p, q, targets
 
     def split(self, theta):
         """Views of the log gains (L,), AR (L, r, p) and MA (L, r, q) in theta."""
@@ -301,7 +276,7 @@ class _Fit:
         num, den = _poly(ma, table), _poly(ar, table)
         mag = np.exp(log_g[:, None] + np.sum(np.log(np.maximum(np.abs(num), 1e-30))
                                              - np.log(np.maximum(np.abs(den), 1e-30)), axis=1))
-        res = log_amp - np.log(mag + self.floor)
+        res = log_amp - np.log(mag + AMPLITUDE_FLOOR)
         if not mag_only:
             angle = np.sum(np.angle(num) - np.angle(den), axis=1)
             res = np.concatenate([res, weight * _wrap(phase - angle)], axis=1)
@@ -311,7 +286,7 @@ class _Fit:
         # rows. dlogH/da = -e^{-iwn}/den and dlogH/db = e^{-iwn}/num;
         # log|H| takes the real part, angle H the imaginary part
         jt = np.zeros((n, theta.shape[1], res.shape[1]))
-        cm = mag / (mag + self.floor)
+        cm = mag / (mag + AMPLITUDE_FLOOR)
         jt[:, 0, :K] = -cm
         for poly, order, off in ((-den, self.p, 1), (num, self.q, 1 + self.r * self.p)):
             t = table[:, None, :order] * (1.0 / poly)[:, :, None]
@@ -384,10 +359,27 @@ def _reflect(polys):
     return _rebuilt(polys, roots, out.any(axis=-1)), corr
 
 
-def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: float,
-               max_steps: int):
-    """fit_frame on every row of (L, K) targets: gains (L,), AR (L, r, P/r),
-    MA (L, r, Q/r), losses (L,) and flags (L,)."""
+def fit_targets(freqs, amps, phases, sample_rate: int, orders, phase_weight: float,
+                max_steps: int):
+    """Fit a stable cascade to each row of (L, K) harmonic amplitude/phase targets.
+
+    Minimizes sum_k (log(A_k+eps) - log(|H_k|+eps))^2
+    + phase_weight * wrap(phi_k - angle(H_k))^2 by Levenberg-Marquardt
+    with the analytic Jacobian, in two stages. Stage one fits the
+    magnitude alone, then reflects every pole and zero outside the unit
+    circle to its magnitude-equivalent inside (with gain compensation),
+    yielding a stable minimum-phase warm start whose phase is already
+    close for vocal-tract-like envelopes. Stage two fits magnitude and
+    phase jointly from that start, re-reflecting unstable poles and
+    re-optimizing if needed. Each fit stops after max_steps trial steps,
+    or sooner once its cost falls by at most 5e-5 of itself over 10 steps
+    or reaches 1e-8 per residual. Every row is fitted at once, and no
+    row's result depends on another's.
+
+    Returns gains (L,), AR (L, r, P/r), MA (L, r, Q/r), final losses (L,)
+    and flags (L,): flag 1 marks degenerate all-zero targets and flag 2 a
+    fit that still needed stabilizing after the last cycle.
+    """
     p, q, r = orders
     if r <= 0 or p % r or q % r:
         raise EnvelopeError("r must divide both P and Q")
@@ -400,7 +392,7 @@ def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: floa
     a, w = amps[live], 2 * np.pi * np.asarray(freqs, dtype=np.float64)[live] / sample_rate
     # a component at or below the amplitude floor has no defined phase (it
     # is indistinguishable from silence), so it weighs on the magnitude only
-    fit = _Fit(r, p // r, q // r, AMPLITUDE_FLOOR, _table(w, max(p, q) // r),
+    fit = _Fit(r, p // r, q // r, _table(w, max(p, q) // r),
                np.log(a + AMPLITUDE_FLOOR), np.asarray(phases, dtype=np.float64)[live],
                np.sqrt(phase_weight) * (a > AMPLITUDE_FLOOR))
     start = np.zeros((live.size, 1 + p + q))
@@ -440,31 +432,6 @@ def _fit_block(freqs, amps, phases, sample_rate: int, orders, phase_weight: floa
     return gains, project_stable(ar, radius=1.0 - 1e-4), ma, losses, out
 
 
-def fit_frame(freqs_hz, amplitudes, residual_phases, sample_rate: int,
-              orders=(128, 128, 8), phase_weight: float = 0.1,
-              max_steps: int = 300) -> tuple[CascadeFrame, float, int]:
-    """Fit a stable cascade to harmonic amplitude/phase targets.
-
-    Minimizes sum_k (log(A_k+eps) - log(|H_k|+eps))^2
-    + phase_weight * wrap(phi_k - angle(H_k))^2 by Levenberg-Marquardt
-    with the analytic Jacobian, in two stages. Stage one fits the
-    magnitude alone, then reflects every pole and zero outside the unit
-    circle to its magnitude-equivalent inside (with gain compensation),
-    yielding a stable minimum-phase warm start whose phase is already
-    close for vocal-tract-like envelopes. Stage two fits magnitude and
-    phase jointly from that start, re-reflecting unstable poles and
-    re-optimizing if needed. Each fit stops after max_steps trial steps,
-    or sooner once its cost falls by at most 5e-5 of itself over 10 steps
-    or reaches 1e-8 per residual. Returns (frame, final loss, flag) where
-    flag 1 marks degenerate all-zero targets and flag 2 a fit that
-    still needed stabilizing after the last cycle. It is the one-frame
-    case of the batched fit in fit_cascade.
-    """
-    targets = (np.reshape(x, (1, -1)) for x in (freqs_hz, amplitudes, residual_phases))
-    gain, ar, ma, loss, flag = _fit_block(*targets, sample_rate, orders, phase_weight, max_steps)
-    return _frame(gain[0], ar[0], ma[0]), float(loss[0]), int(flag[0])
-
-
 def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float = 0.1,
                 max_steps: int = 500, n_workers: int = 1) -> ArmaCascade:
     """Fit one cascade frame per analyzed frame of a HarmonicSet.
@@ -477,7 +444,7 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float =
     corrected frequencies are used. Frames are fitted together, in blocks
     whose Jacobians and normal matrices hold at most _FIT_BUDGET values;
     no frame's result depends on its block. n_workers is ignored; it is kept
-    only for existing keyword callers.
+    only because the benchmark passes it, and a benchmark change removes it.
     """
     from .synth import excitation_phase
     fs, freqs = hset.sample_rate, hset.frequencies
@@ -489,8 +456,8 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float =
     n_par = 1 + orders[0] + orders[1]
     step = max(1, _FIT_BUDGET // ((2 * freqs.shape[1] + n_par) * n_par))
     # an empty set still makes one (empty) block, which fixes the shapes
-    blocks = [_fit_block(freqs[i:i + step], hset.amplitudes[i:i + step], residual[i:i + step],
-                         fs, orders, phase_weight, max_steps)
+    blocks = [fit_targets(freqs[i:i + step], hset.amplitudes[i:i + step], residual[i:i + step],
+                          fs, orders, phase_weight, max_steps)
               for i in range(0, max(1, hset.n_frames), step)]
     gain, ar, ma, _, flags = (np.concatenate(parts) for parts in zip(*blocks))
     return ArmaCascade(hset.grid, gain, ar, ma, fs, flags)

@@ -71,23 +71,19 @@ def _read_input(path: Path):
     return read_wav(path)
 
 
-def _make_grid_for(buffer, cfg: PipelineConfig):
-    return make_grid(buffer.duration, cfg.frame_shift, cfg.half_window,
+def _make_grid_for(duration: float, cfg: PipelineConfig):
+    return make_grid(duration, cfg.frame_shift, cfg.half_window,
                      cfg.window_kind, cfg.gauss_sigma)
 
 
-def _f0_for(buffer, grid, cfg: PipelineConfig, f0_file=None) -> F0Track:
-    if f0_file:
-        track = _load_f0_csv(Path(f0_file), cfg)
-        if len(track.values) != len(grid):
-            raise CliError("f0 file frame count does not match the frame grid")
-        return F0Track(grid, track.values)
+def _detect_f0(buffer, grid, cfg: PipelineConfig) -> F0Track:
     return detect_f0(buffer, grid, (cfg.f0_min, cfg.f0_max), cfg.voicing_threshold)
 
 
 def _analyze(buffer, cfg: PipelineConfig, f0_file=None):
-    grid = _make_grid_for(buffer, cfg)
-    track = _f0_for(buffer, grid, cfg, f0_file)
+    grid = _make_grid_for(buffer.duration, cfg)
+    track = (_load_f0_csv(Path(f0_file), cfg, grid) if f0_file
+             else _detect_f0(buffer, grid, cfg))
     hset = analyze_qhm(buffer, grid, track, cfg.component_cap)
     if cfg.refine_mode != "none":
         hset = refine_adaptive(buffer, hset, cfg.refine_mode, cfg.refine_iters)
@@ -140,7 +136,9 @@ def _load_product(path: Path, kind: str):
         raise CliError(f"malformed {kind} file: {exc}")
 
 
-def _load_f0_csv(path: Path, cfg: PipelineConfig) -> F0Track:
+def _load_f0_csv(path: Path, cfg: PipelineConfig, grid=None) -> F0Track:
+    """The F0 track in a CSV file. Given a grid, the file must hold one value
+    per frame of it, and the track is put on that grid."""
     if not path.exists():
         raise CliError(f"f0 file not found: {path}")
     try:
@@ -153,7 +151,12 @@ def _load_f0_csv(path: Path, cfg: PipelineConfig) -> F0Track:
     if low.size:
         raise CliError(f"f0 file {path}: voiced value {low.min():g} Hz is below the"
                        f" minimum F0 of {cfg.f0_min:g} Hz (set with --f0-range)")
-    return track
+    if grid is None:
+        return track
+    if len(track.values) != len(grid):
+        raise CliError(f"f0 file {path}: {len(track.values)} frames, but the frame grid"
+                       f" has {len(grid)}")
+    return F0Track(grid, track.values)
 
 
 def cmd_fit_envelope(args) -> int:
@@ -177,10 +180,7 @@ def cmd_synth(args) -> int:
         out = synthesize_qhm(hset)
     else:
         cascade = _load_product(args.model, "cascade")
-        track = _load_f0_csv(args.f0, cfg)
-        if len(track.values) != cascade.n_frames:
-            raise CliError("f0 track and cascade frame counts differ")
-        track = F0Track(cascade.grid, track.values)
+        track = _load_f0_csv(args.f0, cfg, cascade.grid)
         out = synthesize_arma(cascade, track, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
     print(f"wrote {len(out)} samples ({out.duration:.3f} s) -> {args.output}")
@@ -190,10 +190,7 @@ def cmd_synth(args) -> int:
 def cmd_modify(args) -> int:
     cfg = _build_config(args)
     cascade = _load_product(args.model, "cascade")
-    track = _load_f0_csv(args.f0, cfg)
-    if len(track.values) != cascade.n_frames:
-        raise CliError("f0 track and cascade frame counts differ")
-    track = F0Track(cascade.grid, track.values)
+    track = _load_f0_csv(args.f0, cfg, cascade.grid)
     vuv = track.voiced
     if args.schedule:
         schedule = load_schedule(args.schedule, cascade.grid, vuv)
@@ -201,8 +198,7 @@ def cmd_modify(args) -> int:
         schedule = ScaleSchedule.constant(cascade.n_frames, args.beta, args.rho, vuv)
     out = modify(cascade, track, schedule, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
-    result_track = detect_f0(out, _make_grid_for(out, cfg),
-                             (cfg.f0_min, cfg.f0_max), cfg.voicing_threshold)
+    result_track = _detect_f0(out, _make_grid_for(out.duration, cfg), cfg)
     voiced = result_track.values[result_track.voiced]
     mean_f0 = float(voiced.mean()) if voiced.size else 0.0
     print(f"duration {out.duration:.3f} s, mean detected f0 {mean_f0:.1f} Hz"
@@ -217,22 +213,12 @@ def cmd_eval(args) -> int:
     if gen.sample_rate != ref.sample_rate:
         raise CliError(f"sample rates differ: {gen.sample_rate} vs {ref.sample_rate} Hz")
     report = metrics.MetricReport()
-    grid_gen = _make_grid_for(gen, cfg)
-    grid_ref = _make_grid_for(ref, cfg)
-    track_gen = detect_f0(gen, grid_gen, (cfg.f0_min, cfg.f0_max), cfg.voicing_threshold)
-    track_ref = detect_f0(ref, grid_ref, (cfg.f0_min, cfg.f0_max), cfg.voicing_threshold)
-    n = min(len(track_gen.values), len(track_ref.values))
-    tg = F0Track(grid_gen, track_gen.values[:n] if n else np.zeros(0))
-    tr = F0Track(grid_ref, track_ref.values[:n] if n else np.zeros(0))
-    rhos = np.full(n, args.rho)
+    # one grid over the shorter signal for both tracks and both cepstra
+    grid = _make_grid_for(min(gen.duration, ref.duration), cfg)
+    tg, tr = _detect_f0(gen, grid, cfg), _detect_f0(ref, grid, cfg)
     report.vuv_rate = metrics.vuv_rate(tg, tr)
-    report.f0_rmse = metrics.f0_rmse(tg, tr, rhos)
-    n_frames = min(len(grid_gen), len(grid_ref))
-    grid_common = make_grid((n_frames - 1) * cfg.frame_shift, cfg.frame_shift,
-                            cfg.half_window, cfg.window_kind, cfg.gauss_sigma)
-    ceps_gen = metrics.mel_cepstrum(gen, grid_common)
-    ceps_ref = metrics.mel_cepstrum(ref, grid_common)
-    report.mcd = metrics.mcd(ceps_gen, ceps_ref)
+    report.f0_rmse = metrics.f0_rmse(tg, tr, np.full(len(grid), args.rho))
+    report.mcd = metrics.mcd(metrics.mel_cepstrum(gen, grid), metrics.mel_cepstrum(ref, grid))
     if len(gen) == len(ref):
         report.snr = metrics.snr(gen, ref)
     if args.json_out:

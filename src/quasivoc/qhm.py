@@ -399,9 +399,11 @@ def harmonic_grid(f0_track: F0Track, sample_rate: int,
     component count of any frame; counts[l] is the number of in-band
     components on frame l, at least 1. Components beyond counts[l] are
     parked at the frame's last in-band seed and meant to carry zero
-    amplitude.
+    amplitude. A track with no frames raises AnalysisError.
     """
     f0 = f0_track.values
+    if not f0.size:
+        raise AnalysisError("f0 track has no frames")
     base = np.where(f0 > 0, f0, UNVOICED_F0)
     base = np.maximum(np.round(base / F0_QUANTUM) * F0_QUANTUM, F0_QUANTUM)
     counts = np.floor((sample_rate / 2.0 - NYQUIST_GUARD) / base).astype(np.int64)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.signal import lfilter
 
 from quasivoc import fixtures
 from quasivoc.arma import ArmaCascade, ArmaSection, CascadeFrame, project_stable
@@ -40,13 +41,29 @@ def random_stable_frame(rng, n_sections=2, p_sec=8, q_sec=8, radius=0.9,
     return CascadeFrame(float(np.exp(rng.uniform(-1, 1))), secs)
 
 
+def stacked_cascade(gain, ar, ma, frame_shift=0.005, sample_rate=FS):
+    """The cascade of gains (L,), AR (L, r, p) and MA (L, r, q) on a grid of
+    consecutive frame centers."""
+    grid = FrameGrid(np.arange(len(gain)) * frame_shift, frame_shift, 0.010)
+    return ArmaCascade(grid, gain, ar, ma, sample_rate)
+
+
 def cascade_of(frames, frame_shift=0.005, sample_rate=FS):
-    """The cascade of frames whose sections all have the same shapes, on a
-    grid of consecutive frame centers."""
-    grid = FrameGrid(np.arange(len(frames)) * frame_shift, frame_shift, 0.010)
-    return ArmaCascade(grid, [fr.gain for fr in frames],
-                       [[s.ar for s in fr.sections] for fr in frames],
-                       [[s.ma for s in fr.sections] for fr in frames], sample_rate)
+    """The cascade of frames whose sections all have the same shapes."""
+    return stacked_cascade([fr.gain for fr in frames],
+                           [[s.ar for s in fr.sections] for fr in frames],
+                           [[s.ma for s in fr.sections] for fr in frames],
+                           frame_shift, sample_rate)
+
+
+def filter_time_domain(gain, ar, ma, x):
+    """The lfilter oracle of one cascade row: x through each section's
+    difference equation in index order, with zero initial state, then the
+    gain. ar is (r, p) and ma (r, q), leading 1s implied."""
+    y = np.asarray(x, dtype=np.float64)
+    for a, b in zip(ar, ma):
+        y = lfilter(np.concatenate(([1.0], b)), np.concatenate(([1.0], a)), y)
+    return gain * y
 
 
 def frame_at(cascade, l):

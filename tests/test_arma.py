@@ -1,5 +1,5 @@
-"""Cascade responses, time-domain filtering, stability handling, and the
-envelope fitter."""
+"""Cascade responses against the time-domain oracle, stability handling,
+and the envelope fitter."""
 import os
 import subprocess
 import sys
@@ -7,13 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import cascade_of, frame_at, random_stable_frame
+from conftest import (cascade_of, filter_time_domain, frame_at, random_stable_frame,
+                      stacked_cascade)
 from quasivoc import arma, fixtures
 from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, EnvelopeError,
-                           _wrap, cascade_response, correction_capacity,
-                           filter_time_domain, fit_cascade, fit_frame,
-                           project_stable, sample_cascade, sample_harmonics,
-                           section_response)
+                           _wrap, correction_capacity, fit_cascade, fit_targets,
+                           project_stable, sample_cascade, sample_harmonics)
 from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm, harmonic_grid
 from quasivoc.serialize import cascade_to_bytes
 from quasivoc.signals import make_grid
@@ -24,20 +23,29 @@ FS = 24000
 
 # --- responses -------------------------------------------------------------
 
+def _one_row(gain, ar, ma, freqs):
+    """Magnitudes and phase delays of the one-row cascade of gain, AR (r, p)
+    and MA (r, q) at freqs (Hz), from sample_cascade."""
+    cascade = stacked_cascade([gain], [ar], [ma])
+    mags, delays = sample_cascade(cascade, np.reshape(freqs, (1, -1)))
+    return mags[0], delays[0]
+
+
 def test_section_response_examples():
-    empty = ArmaSection(np.zeros(0), np.zeros(0))
-    np.testing.assert_allclose(section_response(empty, np.linspace(0, np.pi, 5)),
-                               1.0 + 0j)
-    pole = ArmaSection(np.array([-0.9]), np.zeros(0))
-    np.testing.assert_allclose(section_response(pole, 0.0), 10.0 + 0j)
-    zero = ArmaSection(np.zeros(0), np.array([-1.0]))
-    np.testing.assert_allclose(section_response(zero, 0.0), 0.0 + 0j)
+    none = np.zeros((1, 0))
+    mag, delay = _one_row(1.0, none, none, np.linspace(0.0, 0.99 * FS / 2, 5))
+    np.testing.assert_allclose(mag, 1.0)
+    np.testing.assert_allclose(delay, 0.0)
+    mag, delay = _one_row(1.0, [[-0.9]], none, 0.0)
+    np.testing.assert_allclose(mag, 10.0)
+    np.testing.assert_allclose(delay, 0.0)
+    mag, _ = _one_row(1.0, none, [[-1.0]], 0.0)
+    np.testing.assert_allclose(mag, 0.0)
 
 
 def test_section_response_singular():
-    on_circle = ArmaSection(np.array([-1.0]), np.zeros(0))
     with pytest.raises(EnvelopeError):
-        section_response(on_circle, 0.0)
+        _one_row(1.0, [[-1.0]], np.zeros((1, 0)), 0.0)
 
 
 def test_section_validation():
@@ -46,14 +54,16 @@ def test_section_validation():
 
 
 def test_cascade_response_gain_only():
-    fr = CascadeFrame(2.0, [])
-    np.testing.assert_allclose(cascade_response(fr, np.linspace(0, 3, 7)), 2.0)
+    none = np.zeros((1, 0))
+    mag, delay = _one_row(2.0, none, none, np.linspace(0, 3, 7) * FS / (2 * np.pi))
+    np.testing.assert_allclose(mag, 2.0)
+    np.testing.assert_allclose(delay, 0.0)
 
 
 def test_cascade_response_two_identical_poles():
-    sec = ArmaSection(np.array([-0.5]), np.zeros(0))
-    fr = CascadeFrame(1.0, [sec, ArmaSection(np.array([-0.5]), np.zeros(0))])
-    np.testing.assert_allclose(cascade_response(fr, 0.0), 4.0 + 0j)
+    mag, delay = _one_row(1.0, [[-0.5], [-0.5]], np.zeros((2, 0)), 0.0)
+    np.testing.assert_allclose(mag, 4.0)
+    np.testing.assert_allclose(delay, 0.0)
 
 
 def test_cascade_frame_gain_validation():
@@ -64,18 +74,17 @@ def test_cascade_frame_gain_validation():
 
 
 def test_response_matches_impulse_dft():
-    """Frequency response equals the DFT of the impulse response."""
+    """sample_cascade's magnitudes equal the DFT of the lfilter impulse
+    response. The odd length puts every rfft bin below Nyquist."""
     rng = np.random.default_rng(13)
-    n = 4096
-    w = 2 * np.pi * np.arange(n // 2 + 1) / n
-    for _ in range(10):
-        fr = random_stable_frame(rng)
-        imp = np.zeros(n)
-        imp[0] = 1.0
-        h_time = filter_time_domain(fr, imp)
-        h_freq = cascade_response(fr, w)
-        rel = np.abs(np.abs(np.fft.rfft(h_time)) - np.abs(h_freq)) \
-            / np.maximum(np.abs(h_freq), 1e-30)
+    n = 4097
+    cascade = cascade_of([random_stable_frame(rng) for _ in range(10)])
+    mags, _ = sample_cascade(cascade, np.tile(np.arange(n // 2 + 1) * FS / n, (10, 1)))
+    imp = np.zeros(n)
+    imp[0] = 1.0
+    for l in range(10):
+        h_time = filter_time_domain(cascade.gain[l], cascade.ar[l], cascade.ma[l], imp)
+        rel = np.abs(np.abs(np.fft.rfft(h_time)) - mags[l]) / np.maximum(mags[l], 1e-30)
         assert rel.max() < 1e-6
 
 
@@ -226,38 +235,33 @@ def test_sample_cascade_errors():
         sample_cascade(singular, np.zeros((2, 1)))
 
 
-# --- time-domain filtering -------------------------------------------------
+# --- the time-domain oracle ------------------------------------------------
 
 def test_filter_identity_gain():
-    fr = CascadeFrame(3.0, [])
     x = np.arange(10.0)
-    np.testing.assert_allclose(filter_time_domain(fr, x), 3.0 * x)
+    np.testing.assert_allclose(filter_time_domain(3.0, np.zeros((1, 0)), np.zeros((1, 0)), x),
+                               3.0 * x)
 
 
 def test_filter_geometric_impulse_response():
-    fr = CascadeFrame(1.0, [ArmaSection(np.array([-0.9]), np.zeros(0))])
     imp = np.zeros(20)
     imp[0] = 1.0
-    np.testing.assert_allclose(filter_time_domain(fr, imp), 0.9 ** np.arange(20),
-                               rtol=1e-12)
+    np.testing.assert_allclose(filter_time_domain(1.0, [[-0.9]], np.zeros((1, 0)), imp),
+                               0.9 ** np.arange(20), rtol=1e-12)
 
 
 def test_filter_noise_convolution_oracle():
     """Filtering equals linear convolution with the decayed impulse response."""
     rng = np.random.default_rng(23)
-    fr = random_stable_frame(rng, radius=0.85)
+    cascade = cascade_of([random_stable_frame(rng, radius=0.85)])
+    gain, ar, ma = cascade.gain[0], cascade.ar[0], cascade.ma[0]
     x = rng.standard_normal(2000)
     imp = np.zeros(4000)
     imp[0] = 1.0
-    h = filter_time_domain(fr, imp) / fr.gain
-    y = filter_time_domain(fr, x)
-    expect = fr.gain * np.convolve(x, h)[:x.size]
+    h = filter_time_domain(1.0, ar, ma, imp)
+    y = filter_time_domain(gain, ar, ma, x)
+    expect = gain * np.convolve(x, h)[:x.size]
     np.testing.assert_allclose(y, expect, atol=1e-8)
-
-
-def test_filter_nonfinite_error():
-    with pytest.raises(EnvelopeError):
-        filter_time_domain(CascadeFrame(1.0, []), np.array([1.0, np.nan]))
 
 
 # --- stability projection --------------------------------------------------
@@ -331,23 +335,42 @@ def test_correction_capacity_telescoping():
 
 # --- fitter ----------------------------------------------------------------
 
+def _fit_one(f, amps, phases, orders, max_steps=300):
+    """fit_targets on one row of targets: the fitted one-row cascade, its
+    loss and its flag."""
+    targets = (np.reshape(x, (1, -1)) for x in (f, amps, phases))
+    gain, ar, ma, loss, flag = fit_targets(*targets, FS, orders, 0.1, max_steps)
+    return stacked_cascade(gain, ar, ma), loss[0], flag[0]
+
+
+def _targets(frame, f):
+    """Magnitudes and wrapped phase delays of a CascadeFrame at f (Hz)."""
+    mags, delays = sample_cascade(cascade_of([frame]), np.reshape(f, (1, -1)))
+    return mags[0], _wrap(delays[0])
+
+
+def _assert_fitted_stable(ar):
+    """Every fitted AR polynomial of ar (..., p) has its roots within 1 - 1e-4."""
+    for poly in ar.reshape(int(np.prod(ar.shape[:-1])), ar.shape[-1]):
+        roots = np.roots(np.concatenate(([1.0], poly)))
+        assert np.all(np.abs(roots) <= 1.0 - 1e-4 + 1e-9)
+
+
 def test_fit_frame_flat_targets():
     f = np.linspace(200, 8000, 20)
-    fr, loss, flag = fit_frame(f, np.full(20, 0.37), np.zeros(20), FS,
-                               orders=(8, 8, 2))
+    fit, loss, flag = _fit_one(f, np.full(20, 0.37), np.zeros(20), (8, 8, 2))
     assert loss <= 1e-6
     assert flag == 0
-    np.testing.assert_allclose(fr.gain, 0.37, rtol=1e-3)
-    for sec in fr.sections:
-        np.testing.assert_allclose(sec.ar, 0.0, atol=1e-3)
-        np.testing.assert_allclose(sec.ma, 0.0, atol=1e-3)
+    np.testing.assert_allclose(fit.gain, 0.37, rtol=1e-3)
+    np.testing.assert_allclose(fit.ar, 0.0, atol=1e-3)
+    np.testing.assert_allclose(fit.ma, 0.0, atol=1e-3)
 
 
 def test_fit_frame_all_zero_targets():
     f = np.linspace(200, 8000, 10)
-    fr, loss, flag = fit_frame(f, np.zeros(10), np.zeros(10), FS, orders=(4, 4, 1))
+    fit, loss, flag = _fit_one(f, np.zeros(10), np.zeros(10), (4, 4, 1))
     assert flag == 1
-    assert fr.gain == pytest.approx(1e-7)
+    assert fit.gain[0] == pytest.approx(1e-7)
 
 
 def test_fit_frame_recovers_known_cascade():
@@ -356,12 +379,10 @@ def test_fit_frame_recovers_known_cascade():
                         rng.uniform(-0.5, 0.5, 8)) for _ in range(2)]
     true = CascadeFrame(0.2, secs)
     f = np.sort(rng.uniform(80, 11000, 20))
-    env = sample_harmonics(true, f, FS)
-    fit, loss, flag = fit_frame(f, env.magnitudes, _wrap(env.phase_delays), FS,
-                                orders=(16, 16, 2), max_steps=150)
-    got = sample_harmonics(fit, f, FS)
-    mag_db = 20 / np.log(10) * np.abs(np.log(env.magnitudes + 1e-7)
-                                      - np.log(got.magnitudes + 1e-7))
+    mags, phases = _targets(true, f)
+    fit, loss, flag = _fit_one(f, mags, phases, (16, 16, 2), max_steps=150)
+    got = sample_cascade(fit, f[None])[0][0]
+    mag_db = 20 / np.log(10) * np.abs(np.log(mags + 1e-7) - np.log(got + 1e-7))
     assert mag_db.max() <= 0.5
 
 
@@ -371,33 +392,28 @@ def test_fit_frame_stability_invariant():
     f = np.sort(rng.uniform(80, 11000, 25))
     amp = np.exp(rng.uniform(-6, 2, 25))
     phi = rng.uniform(-np.pi, np.pi, 25)
-    fr, _, _ = fit_frame(f, amp, phi, FS, orders=(8, 8, 2), max_steps=60)
-    for sec in fr.sections:
-        if sec.ar.size:
-            roots = np.roots(np.concatenate(([1.0], sec.ar)))
-            assert np.all(np.abs(roots) <= 1.0 - 1e-4 + 1e-9)
+    fit, _, _ = _fit_one(f, amp, phi, (8, 8, 2), max_steps=60)
+    _assert_fitted_stable(fit.ar)
 
 
 def test_fit_frame_gain_homogeneity():
     rng = np.random.default_rng(41)
     true = random_stable_frame(rng)
     f = np.sort(rng.uniform(100, 10000, 24))
-    env = sample_harmonics(true, f, FS)
-    base, _, _ = fit_frame(f, env.magnitudes, _wrap(env.phase_delays), FS,
-                           orders=(8, 8, 2), max_steps=100)
+    mags, phases = _targets(true, f)
+    base, _, _ = _fit_one(f, mags, phases, (8, 8, 2), max_steps=100)
     c = 5.0
-    scaled, _, _ = fit_frame(f, c * env.magnitudes, _wrap(env.phase_delays), FS,
-                             orders=(8, 8, 2), max_steps=100)
-    m0 = sample_harmonics(base, f, FS).magnitudes
-    m1 = sample_harmonics(scaled, f, FS).magnitudes
+    scaled, _, _ = _fit_one(f, c * mags, phases, (8, 8, 2), max_steps=100)
+    m0 = sample_cascade(base, f[None])[0]
+    m1 = sample_cascade(scaled, f[None])[0]
     np.testing.assert_allclose(m1, c * m0, rtol=0.01)
 
 
 def test_fit_frame_bad_inputs():
     with pytest.raises(EnvelopeError):
-        fit_frame([100.0], [-1.0], [0.0], FS, orders=(4, 4, 1))
+        _fit_one([100.0], [-1.0], [0.0], (4, 4, 1))
     with pytest.raises(EnvelopeError):
-        fit_frame([100.0], [1.0], [0.0], FS, orders=(4, 4, 3))
+        _fit_one([100.0], [1.0], [0.0], (4, 4, 3))
 
 
 # --- cascade-level fitting -------------------------------------------------
@@ -460,8 +476,8 @@ def test_fit_stops_before_max_steps(monkeypatch):
     monkeypatch.setattr(arma._Fit, "residuals", counting)
     for l in (3, 5, 7):
         rows_by_stage.append({True: 0, False: 0})
-        _, _, flag = fit_frame(freqs[l], hset.amplitudes[l], residual[l], FS,
-                               orders=(16, 16, 2), max_steps=500)
+        _, _, flag = _fit_one(freqs[l], hset.amplitudes[l], residual[l], (16, 16, 2),
+                              max_steps=500)
         assert flag == 0
     for stages in rows_by_stage:
         assert 0 < stages[True] < 500 and 0 < stages[False] < 500
@@ -502,6 +518,18 @@ def test_fit_cascade_blas_thread_independent():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
+def test_import_leaves_scipy_signal_unloaded():
+    """The package never filters in the time domain, so importing it does not
+    load scipy.signal; only the tests' lfilter oracle does."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", "import sys, quasivoc; "
+                          "print('scipy.signal' in sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "False"
+
+
 def test_fit_without_scipy_optimize(monkeypatch):
     """The fitter is numpy only: scipy's least_squares is never called."""
     import scipy.optimize
@@ -512,18 +540,16 @@ def test_fit_without_scipy_optimize(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "least_squares", refuse)
     rng = np.random.default_rng(43)
     f = np.sort(rng.uniform(100, 10000, 24))
-    env = sample_harmonics(random_stable_frame(rng), f, FS)
-    fr, loss, flag = fit_frame(f, env.magnitudes, _wrap(env.phase_delays), FS,
-                               orders=(8, 8, 2), max_steps=60)
+    fit, loss, flag = _fit_one(f, *_targets(random_stable_frame(rng), f), (8, 8, 2),
+                               max_steps=60)
     hset, track = _vibrato_hset(6)
     cascade = fit_cascade(hset, track, orders=(8, 8, 2), max_steps=40)
     assert np.isfinite(loss) and flag in (0, 2)
     assert cascade.n_frames == 6 and set(cascade.flags.tolist()) <= {0, 2}
-    gains = np.append(cascade.gain, fr.gain)
+    gains = np.append(cascade.gain, fit.gain)
     assert np.all(np.isfinite(gains)) and np.all(gains > 0)
-    for ar in [s.ar for s in fr.sections] + list(cascade.ar.reshape(-1, 4)):
-        roots = np.roots(np.concatenate(([1.0], ar)))
-        assert np.all(np.abs(roots) <= 1.0 - 1e-4 + 1e-9)
+    _assert_fitted_stable(fit.ar)
+    _assert_fitted_stable(cascade.ar)
 
 
 @pytest.mark.parametrize("orders", [(8, 0, 2), (0, 8, 2)])
@@ -533,21 +559,18 @@ def test_fit_with_a_zero_order(orders):
     p, q, r = orders
     rng = np.random.default_rng(47)
     f = np.sort(rng.uniform(100, 10000, 24))
-    env = sample_harmonics(random_stable_frame(rng), f, FS)
-    fr, loss, flag = fit_frame(f, env.magnitudes, _wrap(env.phase_delays), FS,
-                               orders=orders, max_steps=60)
+    fit, loss, flag = _fit_one(f, *_targets(random_stable_frame(rng), f), orders,
+                               max_steps=60)
     hset, track = _vibrato_hset(4)
     cascade = fit_cascade(hset, track, orders=orders, max_steps=40)
     assert np.isfinite(loss) and flag in (0, 2)
     assert cascade.orders == orders and set(cascade.flags.tolist()) <= {0, 2}
     assert cascade.ar.shape == (4, r, p // r) and cascade.ma.shape == (4, r, q // r)
-    gains = np.append(cascade.gain, fr.gain)
-    assert np.all(np.isfinite(gains)) and np.all(gains > 0) and len(fr.sections) == r
-    for sec in fr.sections:
-        assert sec.ar.shape == (p // r,) and sec.ma.shape == (q // r,)
-    for ar in [s.ar for s in fr.sections] + list(cascade.ar.reshape(4 * r, p // r)):
-        roots = np.roots(np.concatenate(([1.0], ar)))
-        assert np.all(np.abs(roots) <= 1.0 - 1e-4 + 1e-9)
+    assert fit.ar.shape == (1, r, p // r) and fit.ma.shape == (1, r, q // r)
+    gains = np.append(cascade.gain, fit.gain)
+    assert np.all(np.isfinite(gains)) and np.all(gains > 0)
+    _assert_fitted_stable(fit.ar)
+    _assert_fitted_stable(cascade.ar)
 
 
 def test_fit_cascade_silent_frames_are_not_fitted(monkeypatch):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasivoc import fixtures, serialize
+from quasivoc import fixtures, metrics, serialize
 from quasivoc.arma import ArmaCascade
 from quasivoc.cli import main
 from quasivoc.config import PipelineConfig
-from quasivoc.qhm import F0Track
-from quasivoc.signals import SignalBuffer, make_grid, read_wav, write_wav
+from quasivoc.qhm import F0Track, HarmonicSet
+from quasivoc.signals import FrameGrid, SignalBuffer, make_grid, read_wav, write_wav
 
 
 @pytest.fixture()
@@ -147,6 +147,24 @@ def test_eval_rho_scaled_pair(tmp_path):
                  "--json-out", str(report)]) == 0
     rep = json.loads(report.read_text())
     assert rep["f0_rmse"] < 0.02
+
+
+def test_eval_mcd_covers_every_frame_of_the_shorter_signal(tmp_path):
+    """3598 samples span 30 frames at the default 5 ms shift; a grid built
+    from (frames - 1) * shift loses the last one to rounding."""
+    a, b = tmp_path / "a.wav", tmp_path / "b.wav"
+    for path, freq in ((a, 200.0), (b, 230.0)):
+        write_wav(fixtures.tone(freq, 3598 / 24000, 24000)[0], path)
+    report = tmp_path / "rep.json"
+    assert main(["eval", str(a), str(b), "--json-out", str(report)]) == 0
+    cfg = PipelineConfig()
+    grid = make_grid(3598 / 24000, cfg.frame_shift, cfg.half_window, cfg.window_kind,
+                     cfg.gauss_sigma)
+    assert len(grid) == 30
+    gen, ref = read_wav(a), read_wav(b)
+    assert len(gen) == len(ref) == 3598
+    want = metrics.mcd(metrics.mel_cepstrum(gen, grid), metrics.mel_cepstrum(ref, grid))
+    assert json.loads(report.read_text())["mcd"] == want
 
 
 def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
@@ -310,6 +328,21 @@ def test_f0_csv_below_f0_min_exits_2(tmp_path, capsys):
     assert not harm.exists()
 
 
+def test_fit_envelope_zero_frame_f0_exits_2(tmp_path, capsys):
+    """A header-only F0 CSV over a zero-frame harmonics product is a usage
+    error, not a traceback."""
+    grid = FrameGrid(np.zeros(0), 0.005, 0.010)
+    empty = np.zeros((0, 3))
+    harm, csv = tmp_path / "empty.bin", tmp_path / "empty.csv"
+    harm.write_bytes(serialize.harmonics_to_bytes(
+        HarmonicSet(grid, empty, empty, empty, empty, 24000)))
+    csv.write_text("time,f0\n")
+    capsys.readouterr()
+    assert main(["fit-envelope", str(harm), str(tmp_path / "c.bin"), "--f0", str(csv)]) == 2
+    assert "no frames" in capsys.readouterr().err
+    assert not (tmp_path / "c.bin").exists()
+
+
 def test_synth_exit_code_2_on_ragged_cascade(tmp_path, capsys):
     cascade = fixtures.vowel_cascade(24000, 5, 0.005, 0.010)
     doc = json.loads(serialize.cascade_to_json(cascade))
@@ -375,10 +408,12 @@ def test_exit_code_2_on_unparseable_values_and_unusable_audio(tmp_path, tone_wav
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    """A 5-frame tone, the 5-frame vowel cascade and a 5-frame F0 CSV."""
+    """A 5-frame tone, its harmonics product, the 5-frame vowel cascade and a
+    5-frame F0 CSV."""
     d = tmp_path_factory.mktemp("fuzz")
     assert main(["gen-fixture", "tone", str(d / "tone.wav"),
                  "--params", '{"freq": 200.0, "duration": 0.02}']) == 0
+    assert main(["analyze", str(d / "tone.wav"), str(d / "harm.bin")]) in (0, 1)
     cascade = fixtures.vowel_cascade(24000, 5, 0.005, 0.010)
     (d / "casc.bin").write_bytes(serialize.cascade_to_bytes(cascade))
     (d / "f0.csv").write_text(serialize.f0_to_csv(F0Track(cascade.grid, np.full(5, 150.0))))
@@ -429,7 +464,9 @@ def test_drawn_input_files_exit_0_1_or_2(fuzz_dir, drawn):
     out = str(d / "out.wav")
     runs = {
         "f0": [["analyze", str(d / "tone.wav"), str(d / "h.bin"), "--f0-file", str(path)],
-               ["synth", str(d / "casc.bin"), out, "--f0", str(path)]],
+               ["synth", str(d / "casc.bin"), out, "--f0", str(path)],
+               ["fit-envelope", str(d / "harm.bin"), str(d / "c.bin"), "--f0", str(path),
+                "--orders", "4,4,1"]],
         "schedule": [["modify", str(d / "casc.bin"), out, "--f0", str(d / "f0.csv"),
                       "--schedule", str(path)]],
         "config": [["analyze", str(d / "tone.wav"), str(d / "h.bin"), "--config", str(path)]],

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import frame_at
 from quasivoc import arma, fixtures, synth
-from quasivoc.arma import ArmaCascade, cascade_response, sample_harmonics
+from quasivoc.arma import ArmaCascade, sample_cascade, sample_harmonics
 from quasivoc.modify import (ModificationError, ScaleSchedule, load_schedule,
                              modified_tracks, modify, scaled_times)
 from quasivoc.qhm import F0Track, harmonic_grid
@@ -229,13 +229,14 @@ def test_modify_rho_doubles_pitch(vowel_data):
 
 def test_modify_leaves_cascade_untouched(vowel_data):
     _, _, cascade, track = vowel_data
-    w = np.linspace(0.01, 3.0, 50)
-    before = cascade_response(frame_at(cascade, 0), w).copy()
+    freqs = np.tile(np.linspace(0.01, 3.0, 50) * FS / (2 * np.pi), (cascade.n_frames, 1))
+    before = sample_cascade(cascade, freqs)
     arrays = [x.copy() for x in (cascade.gain, cascade.ar, cascade.ma)]
     modify(cascade, track,
            ScaleSchedule.constant(cascade.n_frames, 1.7, 1.4, track.voiced))
-    after = cascade_response(frame_at(cascade, 0), w)
-    np.testing.assert_array_equal(before, after)
+    after = sample_cascade(cascade, freqs)
+    for old, new in zip(before, after):
+        assert old.tobytes() == new.tobytes()
     for old, new in zip(arrays, (cascade.gain, cascade.ar, cascade.ma)):
         assert old.tobytes() == new.tobytes()
 
@@ -250,7 +251,7 @@ def test_modify_grid_mismatch(vowel_data):
 
 
 def test_modify_samples_every_frame_at_once(monkeypatch):
-    """Neither the per-frame sampler nor the per-section response runs."""
+    """The per-frame sampler does not run."""
     cascade = fixtures.vowel_cascade(FS, 41, 0.005, 0.010, 0.05)
     f0 = np.full(41, 140.0)
     f0[10:15] = 0.0
@@ -261,7 +262,6 @@ def test_modify_samples_every_frame_at_once(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-frame envelope sampling")
 
-    monkeypatch.setattr(arma, "section_response", forbidden)
     monkeypatch.setattr(arma, "sample_harmonics", forbidden)
     assert modify(cascade, track, sched).samples.tobytes() == expect.tobytes()
 

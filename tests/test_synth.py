@@ -308,7 +308,7 @@ def test_synthesize_arma_grid_mismatch():
 
 
 def test_synthesize_arma_samples_every_frame_at_once(monkeypatch):
-    """Neither the per-frame sampler nor the per-section response runs."""
+    """The per-frame sampler does not run."""
     cascade = fixtures.vowel_cascade(FS, 41, 0.005, 0.010, 0.05)
     f0 = np.full(41, 140.0)
     f0[10:15] = 0.0
@@ -318,6 +318,5 @@ def test_synthesize_arma_samples_every_frame_at_once(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-frame envelope sampling")
 
-    monkeypatch.setattr(arma, "section_response", forbidden)
     monkeypatch.setattr(arma, "sample_harmonics", forbidden)
     assert synthesize_arma(cascade, track).samples.tobytes() == expect.tobytes()
