@@ -120,102 +120,153 @@ def _basis(t: np.ndarray, phase: np.ndarray, amp: np.ndarray | None = None) -> n
     return np.hstack((2 * c, -2 * s, 2 * t[:, None] * c, -2 * t[:, None] * s))
 
 
-def _harmonic_normal(base: float, k: int, t: np.ndarray,
-                     window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal matrix and RHS table of the seeds base*(1..k), in closed form.
+def _harmonic_normal(base: float, k: int, t: np.ndarray, window: np.ndarray):
+    """Even and odd normal-matrix blocks of the seeds base*(1..k), in closed form.
 
-    Equals (G, T) of the _basis design Ew = _basis(t, 2*pi*outer(t, f)) *
-    window with f = base*(1..k): G = Ew.T @ Ew and T = Ew[:, :2k], the
-    [2cos | -2sin] half that the slope half repeats times t. With
-    theta_i = 2*pi*i*base*t and the window sums
-    S_m(d) = sum w^2 t^m exp(i*2*pi*d*base*t), m = 0, 1, 2, d = -2k..2k,
-    Toeplitz plus Hankel gives S_m(j-i) + S_m(i+j) = sum w^2 t^m 2cos(theta_i)
-    exp(i*theta_j), whose real and imaginary parts are the cos-cos and
-    cos-sin entries of moment m; S_m(j-i) - S_m(i+j) gives the sin-sin ones.
-    So G costs O(k*n + k^2) flops and no n x 4k basis. The powers
-    exp(i*2*pi*d*base*t) come from repeated squaring: one exp per sample.
+    Needs a full window: the centred axis t (t[0] == -t[-1]) and a symmetric
+    window. Then the _basis columns split into the even {2cos, -2t sin} and
+    the odd {-2sin, 2t cos}, which are orthogonal, so G = Ew.T @ Ew of
+    Ew = _basis(t, 2*pi*outer(t, f)) * window, f = base*(1..k), is block
+    diagonal. With cc_m, cs_m and ss_m the cos-cos, cos-sin and sin-sin
+    entries of moment m (sums of w^2 t^m times the two columns), the blocks
+    are
+      even, unknowns [Re a | Im b]: [[cc_0, cs_1], [cs_1.T, ss_2]],
+      odd,  unknowns [Im a | Re b]: [[ss_0, cs_1.T], [cs_1, cc_2]].
+    With theta_i = 2*pi*i*base*t and the window sums
+    S_m(d) = sum w^2 t^m exp(i*2*pi*d*base*t), d = 0..2k, Toeplitz plus
+    Hankel gives S_m(j-i) + S_m(i+j) = sum w^2 t^m 2cos(theta_i) exp(i*theta_j),
+    whose real and imaginary parts are the cos-cos and cos-sin entries;
+    S_m(j-i) - S_m(i+j) gives the sin-sin ones. On a symmetric window S_0
+    and S_2 are real and S_1 is imaginary, so the sums run over the half
+    window t >= 0 only. The powers exp(i*2*pi*d*base*t) come from repeated
+    squaring: one exp per sample.
+
+    Returns (blocks, table, weights) for _LsSolver: blocks is
+    [(index, gram)] of the even and the odd block, index placing the
+    block's unknowns in [Re a | Im a | Re b | Im b]; table holds the
+    windowed [2cos | -2sin] columns and weights the window and t*window,
+    both over t >= 0, with the centre weight halved because a fold of the
+    frame about its centre counts the centre sample twice.
     """
+    h = t.size // 2
+    th, wh = t[h:], window[h:]
     n_pow = 2 * k + 1
-    powers = np.empty((t.size, n_pow), dtype=np.complex128)
+    powers = np.empty((h + 1, n_pow), dtype=np.complex128)
     powers[:, 0] = 1.0
-    z = np.exp(2j * np.pi * base * t)
+    z = np.exp(2j * np.pi * base * th)
     done = 1
     while done < n_pow:     # columns [0, m) times z^done are columns [done, done + m)
         m = min(done, n_pow - done)
         np.multiply(powers[:, :m], z[:, None], out=powers[:, done:done + m])
         done += m
         z = z * z
-    w2 = window * window
+    # each sample off the centre stands for itself and its mirror image
+    mult = np.full(h + 1, 2.0)
+    mult[0] = 1.0
+    w2 = mult * wh * wh
     # a real product on the interleaved (re, im) columns: unlike the complex
     # product, it rounds the same with one and with two OpenBLAS threads
-    sums = (np.stack((w2, w2 * t, w2 * t * t)) @ powers.view(np.float64)).view(np.complex128)
-    signed = np.concatenate((sums[:, k - 1:0:-1].conj(), sums[:, :k]), axis=1)
+    moments = np.stack((w2, w2 * th, w2 * th * th)) @ powers.view(np.float64)
+    # 2*S_0, -2*S_1/i and 2*S_2: even, odd and even in d
+    sums = np.stack((2 * moments[0, 0::2], -2 * moments[1, 1::2], 2 * moments[2, 0::2]))
+    signed = np.concatenate((sums[:, k - 1:0:-1] * [[1], [-1], [1]], sums[:, :k]), axis=1)
     toeplitz = sliding_window_view(signed, k, axis=1)[:, ::-1]
     hankel = sliding_window_view(sums[:, 2:], k, axis=1)
-    plus, minus = toeplitz + hankel, toeplitz - hankel
-    cc, cs, ss = 2 * plus.real, -2 * plus.imag, 2 * minus.real
-    gram = np.empty((4 * k, 4 * k))
-    blocks = gram.reshape(2, 2, k, 2, 2, k)     # [amp/slope, cos/sin, i, amp/slope, cos/sin, j]
-    for p in (0, 1):
-        for q in (0, 1):
-            blocks[p, 0, :, q, 0] = cc[p + q]
-            blocks[p, 0, :, q, 1] = cs[p + q]
-            blocks[p, 1, :, q, 0] = cs[p + q].T
-            blocks[p, 1, :, q, 1] = ss[p + q]
-    table = np.empty((t.size, 2 * k))
-    np.multiply(powers[:, 1:k + 1].real, 2 * window[:, None], out=table[:, :k])
-    np.multiply(powers[:, 1:k + 1].imag, -2 * window[:, None], out=table[:, k:])
-    return gram, table
+    grams = np.empty((2, 2, k, 2, k))      # [even/odd, row half, i, column half, j]
+    np.add(toeplitz[0], hankel[0], out=grams[0, 0, :, 0])          # cc_0
+    np.subtract(toeplitz[2], hankel[2], out=grams[0, 1, :, 1])     # ss_2
+    np.subtract(toeplitz[0], hankel[0], out=grams[1, 0, :, 0])     # ss_0
+    np.add(toeplitz[2], hankel[2], out=grams[1, 1, :, 1])          # cc_2
+    np.add(toeplitz[1], hankel[1], out=grams[0, 0, :, 1])          # cs_1
+    grams[1, 1, :, 0] = grams[0, 0, :, 1]
+    grams[0, 1, :, 0] = grams[1, 0, :, 1] = grams[0, 0, :, 1].T
+    even, odd = grams.reshape(2, 2 * k, 2 * k)
+    table = np.empty((h + 1, 2 * k))
+    np.multiply(powers[:, 1:k + 1].real, 2 * wh[:, None], out=table[:, :k])
+    np.multiply(powers[:, 1:k + 1].imag, -2 * wh[:, None], out=table[:, k:])
+    weights = np.stack((wh, th * wh)) * (mult / 2)
+    return [(np.r_[:k, 3 * k:4 * k], even), (np.arange(k, 3 * k), odd)], table, weights
 
 
 class _LsSolver:
     """Cached normal-equation solver for a fixed (basis, window) design.
 
     Frames sharing the same component frequencies and window slice reuse
-    one Cholesky factorization, which dominates analysis speed for steady
-    pitch. The Gram matrix G is Jacobi-scaled by d = sqrt(diag G) and
-    factored once; LAPACK dpocon estimates its reciprocal 1-norm condition
-    number rcond from the factor. If 1/rcond > COND_THRESHOLD or the factor
-    does not exist, the design is ill-conditioned and gets a
-    RIDGE_SCALE*trace(G) ridge.
+    one factorization, which dominates analysis speed for steady pitch. The
+    normal matrix G is block diagonal, given as a list of (index, gram):
+    index places the block's unknowns in [Re a | Im a | Re b | Im b]. Each
+    block is Jacobi-scaled in place by d = sqrt(diag) and factored once;
+    LAPACK dpocon estimates its reciprocal 1-norm condition number rcond_i.
+    The 1-norm condition number of G is max ||A_i|| * max ||A_i^-1||, with
+    ||A_i^-1|| = 1 / (rcond_i ||A_i||). If it exceeds COND_THRESHOLD or a
+    factor does not exist, the design is ill-conditioned and every block
+    gets a RIDGE_SCALE*trace(G) ridge.
 
-    The RHS is [w*x, w*t*x] @ table: table (n, 2K) holds the windowed
-    [2cos | -2sin] columns, and the slope columns are those times t. Build
-    one with `harmonic` (seeds base*(1..K), closed-form Gram) or
-    `from_phase` (any phase tracks, Gram of the _basis design).
+    The RHS of the samples x is ((weights * x) @ table).ravel(): table
+    (m, 2K) holds the windowed [2cos | -2sin] columns and weights (2, m) the
+    window and t*window, so that the two rows are the amplitude and slope
+    halves. One block reads the frame itself. Two blocks are the even and
+    odd blocks of a full window: each reads its own fold of the frame about
+    the centre sample, x(t) + x(-t) or x(t) - x(-t) over t >= 0.
+
+    Build one with `harmonic` (seeds base*(1..K), closed-form blocks on a
+    full window) or `from_phase` (any phase tracks, one block of the _basis
+    design).
     """
 
-    def __init__(self, gram: np.ndarray, table: np.ndarray, t: np.ndarray, window: np.ndarray):
-        self.d = np.sqrt(np.maximum(np.diag(gram), 1e-300))
-        dd = np.outer(self.d, self.d)
-        scaled = gram / dd
+    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]], table: np.ndarray,
+                 weights: np.ndarray):
+        scales = [np.sqrt(np.maximum(np.diag(gram), 1e-300)) for _, gram in blocks]
+        trace = sum(np.trace(gram) for _, gram in blocks)
+        for (_, gram), d in zip(blocks, scales):
+            gram /= d
+            gram /= d[:, None]
         try:
-            self.factor = cho_factor(scaled)
-            self.rcond = float(dpocon(self.factor[0], np.linalg.norm(scaled, 1))[0])
+            factors = [cho_factor(gram) for _, gram in blocks]
+            norms = [np.linalg.norm(gram, 1) for _, gram in blocks]
+            self.rcond = float(min(dpocon(factor[0], norm)[0] * norm
+                                   for factor, norm in zip(factors, norms)) / max(norms))
         except LinAlgError:
             self.rcond = 0.0
         self.ill_conditioned = self.rcond * COND_THRESHOLD < 1.0
         if self.ill_conditioned:
-            self.factor = cho_factor((gram + RIDGE_SCALE * np.trace(gram) * np.eye(gram.shape[0])) / dd)
-        self.table = table
-        self.weights = np.stack((window, t * window))
+            factors = [cho_factor(gram + np.diag(RIDGE_SCALE * trace / (d * d)))
+                       for (_, gram), d in zip(blocks, scales)]
+        self.blocks = [(index, d, factor)
+                       for (index, _), d, factor in zip(blocks, scales, factors)]
+        self.table, self.weights = table, weights
 
     @classmethod
     def harmonic(cls, base: float, k: int, t: np.ndarray, window: np.ndarray) -> "_LsSolver":
-        """Solver for the stationary design of the seeds base*(1..k)."""
-        return cls(*_harmonic_normal(base, k, t, window), t, window)
+        """Solver for the stationary design of the seeds base*(1..k).
+
+        A window cut by the signal's edge (t[0] != -t[-1]) is not symmetric
+        and gets the one-block _basis design.
+        """
+        if t[0] == -t[-1]:
+            return cls(*_harmonic_normal(base, k, t, window))
+        return cls.from_phase(t, 2 * np.pi * np.outer(t, base * np.arange(1, k + 1)), window)
 
     @classmethod
     def from_phase(cls, t: np.ndarray, phase: np.ndarray, window: np.ndarray,
                    amp: np.ndarray | None = None) -> "_LsSolver":
         """Solver for the _basis design of the given phase tracks."""
         ew = _basis(t, phase, amp) * window[:, None]
-        return cls(ew.T @ ew, ew[:, :2 * phase.shape[1]], t, window)
+        return cls([(np.arange(ew.shape[1]), ew.T @ ew)], ew[:, :2 * phase.shape[1]],
+                   np.stack((window, t * window)))
 
     def solve(self, frame: np.ndarray, f_hat: np.ndarray, frame_index: int) -> QhmFrameParams:
         """Complex amplitudes and slopes of the components seeded at f_hat."""
-        rhs = (self.weights * frame) @ self.table
-        theta = (cho_solve(self.factor, rhs.ravel() / self.d) / self.d).reshape(4, -1)
+        if len(self.blocks) == 1:
+            parts = (frame,)
+        else:
+            h = frame.size // 2
+            parts = (frame[h:] + frame[h::-1], frame[h:] - frame[h::-1])
+        theta = np.empty(2 * self.table.shape[1])
+        for (index, d, factor), part in zip(self.blocks, parts):
+            rhs = ((self.weights * part) @ self.table).ravel()[index]
+            theta[index] = cho_solve(factor, rhs / d) / d
+        theta = theta.reshape(4, -1)
         return QhmFrameParams(theta[0] + 1j * theta[1], theta[2] + 1j * theta[3],
                               f_hat, frame_index, self.ill_conditioned)
 
@@ -588,7 +639,8 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, mode: str,
             params = _LsSolver.from_phase(t_local, basis_phase, window, amp_ratio).solve(
                 x[lo:hi], freqs[l, live], l)
         except LinAlgError:
-            flags[l] |= 2
+            # not even the ridge made the system factorable: an ill-conditioned fit
+            flags[l] |= 1
             continue
         freqs[l, live], amps[l, live], phases[l, live] = _corrected(params, fs)
         flags[l] |= int(params.ill_conditioned)

@@ -149,17 +149,20 @@ def make_window(kind: str, length: int, gauss_sigma: float = 0.0) -> np.ndarray:
     """
     if length < 3:
         raise SignalError("window length must be >= 3")
-    n = np.arange(length, dtype=np.float64)
+    # the left half and the centre; the right half is their mirror image,
+    # so w == w[::-1] holds exactly
+    n = np.arange((length + 1) // 2, dtype=np.float64)
     if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2 * np.pi * n / (length - 1))
-    if kind == "hamming":
-        return 0.54 - 0.46 * np.cos(2 * np.pi * n / (length - 1))
-    if kind == "gauss":
+        w = 0.5 - 0.5 * np.cos(2 * np.pi * n / (length - 1))
+    elif kind == "hamming":
+        w = 0.54 - 0.46 * np.cos(2 * np.pi * n / (length - 1))
+    elif kind == "gauss":
         if gauss_sigma <= 0:
             raise SignalError("gauss window requires sigma > 0")
-        c = (length - 1) / 2.0
-        return np.exp(-0.5 * ((n - c) / gauss_sigma) ** 2)
-    raise SignalError(f"unknown window kind: {kind}")
+        w = np.exp(-0.5 * ((n - (length - 1) / 2.0) / gauss_sigma) ** 2)
+    else:
+        raise SignalError(f"unknown window kind: {kind}")
+    return np.concatenate((w, w[:length // 2][::-1]))
 
 
 def grid_window(grid: FrameGrid, sample_rate: int) -> np.ndarray:

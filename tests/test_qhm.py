@@ -2,8 +2,9 @@
 and the pitch detector."""
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor
 
-from quasivoc import fixtures
+from quasivoc import fixtures, qhm
 from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, QhmFrameParams,
                           analyze_qhm, compensations_from_phases, detect_f0,
                           framewise_amp_phase, frequency_correction,
@@ -157,9 +158,14 @@ def test_condition_estimate_tracks_two_norm(freqs):
     d = np.sqrt(np.diag(G))
     oracle = np.linalg.cond(G / np.outer(d, d))
     assert oracle < COND_THRESHOLD
-    estimate = 1.0 / _LsSolver.from_phase(t, 2 * np.pi * np.outer(t, freqs), w).rcond
+    solvers = [_LsSolver.from_phase(t, 2 * np.pi * np.outer(t, freqs), w)]
+    if np.array_equal(freqs, freqs[0] * np.arange(1, freqs.size + 1)):
+        # the even and odd blocks of the full window
+        solvers.append(_LsSolver.harmonic(freqs[0], freqs.size, t, w))
+        assert len(solvers[-1].blocks) == 2
     n = 4 * freqs.size
-    assert oracle / n <= estimate <= n * oracle
+    for solver in solvers:
+        assert oracle / n <= 1.0 / solver.rcond <= n * oracle
 
 
 # Slices of the default 481-sample window: a full interior frame, frame 1 of
@@ -181,14 +187,35 @@ def _harmonic_case(n_components, edge):
 @pytest.mark.parametrize("edge", sorted(WINDOW_SLICES))
 @pytest.mark.parametrize("n_components", [1, 79, 119])
 def test_harmonic_normal_matches_basis(n_components, edge):
-    """The closed-form Gram matrix and RHS table are those of the _basis design."""
+    """On the full window the _basis Gram matrix is block diagonal, and the
+    closed-form even and odd blocks are its blocks; a window cut by the
+    edge gets the one-block _basis design."""
     base, f, t, w = _harmonic_case(n_components, edge)
+    k = f.size
     ew = _basis(t, 2 * np.pi * np.outer(t, f)) * w[:, None]
-    gram, table = _harmonic_normal(base, f.size, t, w)
     ref = ew.T @ ew
-    d = np.sqrt(np.diag(ref))
-    np.testing.assert_allclose(gram / np.outer(d, d), ref / np.outer(d, d), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(table, ew[:, :2 * f.size], rtol=0, atol=1e-12)
+    weights = np.stack((w, t * w))
+    if edge != "interior":
+        solver = _LsSolver.harmonic(base, k, t, w)
+        [(index, d, _)] = solver.blocks
+        np.testing.assert_array_equal(index, np.arange(4 * k))
+        np.testing.assert_array_equal(d, np.sqrt(np.diag(ref)))
+        np.testing.assert_array_equal(solver.table, ew[:, :2 * k])
+        np.testing.assert_array_equal(solver.weights, weights)
+        return
+    even, odd = np.r_[:k, 3 * k:4 * k], np.arange(k, 3 * k)
+    assert np.abs(ref[np.ix_(even, odd)]).max() <= 1e-15 * np.abs(ref).max()
+    blocks, table, half_weights = _harmonic_normal(base, k, t, w)
+    assert [index.tolist() for index, _ in blocks] == [even.tolist(), odd.tolist()]
+    for index, gram in blocks:
+        expect = ref[np.ix_(index, index)]
+        d = np.sqrt(np.diag(expect))
+        np.testing.assert_allclose(gram / np.outer(d, d), expect / np.outer(d, d),
+                                   rtol=0, atol=1e-12)
+    h = t.size // 2
+    np.testing.assert_allclose(table, ew[h:, :2 * k], rtol=0, atol=1e-12)
+    # a fold of the frame about its centre counts the centre sample twice
+    np.testing.assert_array_equal(half_weights, weights[:, h:] * np.r_[0.5, np.ones(h)])
 
 
 @pytest.mark.parametrize("edge", sorted(WINDOW_SLICES))
@@ -476,6 +503,33 @@ def test_refine_leaves_parked_components_silent(vibrato_analysis, mode):
     centers = np.round(hset.grid.centers * FS).astype(int)
     inside = (centers >= half) & (centers + half < len(buf))
     assert np.count_nonzero(refined.flags[inside] & 1) < np.count_nonzero(inside) / 2
+
+
+def test_refine_flags_a_failed_solve_ill_conditioned(vibrato_analysis, monkeypatch):
+    """A refined frame whose factorization fails keeps its values and gets
+    bit 1; bit 2 stays reserved for windows cut by the signal's edge."""
+    buf, hset = vibrato_analysis
+    window = grid_window(hset.grid, FS)
+    half = (window.size - 1) // 2
+    centers = [int(round(tc * FS)) for tc in hset.grid.centers]
+    first = next(l for l, c in enumerate(centers)
+                 if c >= half and c + half < len(buf) and hset.amplitudes[l].any())
+    calls = []
+
+    def failing_first_frame(a, *args, **kwargs):
+        # the first frame's factorization and its ridge retry
+        calls.append(None)
+        if len(calls) <= 2:
+            raise LinAlgError("not positive definite")
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(qhm, "cho_factor", failing_first_frame)
+    refined = qhm._refine_once(buf, hset, "aqhm", window, (np.arange(window.size) - half) / FS,
+                               centers)
+    assert len(calls) > 2
+    assert refined.flags[first] & 1 and not refined.flags[first] & 2
+    np.testing.assert_array_equal(refined.amplitudes[first], hset.amplitudes[first])
+    np.testing.assert_array_equal(refined.flags & 2, hset.flags & 2)
 
 
 def test_refine_adaptive_chirp_error_decreases():

@@ -35,6 +35,13 @@ def test_window_symmetry_and_peak():
         assert w[50] == w.max()
 
 
+@pytest.mark.parametrize("length", [3, 101, 241, 481, 721])
+def test_window_is_exactly_symmetric(length):
+    for kind, sigma in (("hann", 0.0), ("hamming", 0.0), ("gauss", 20.0)):
+        w = make_window(kind, length, sigma)
+        assert w.size == length and np.array_equal(w, w[::-1])
+
+
 def test_window_errors():
     with pytest.raises(SignalError):
         make_window("hann", 2)
