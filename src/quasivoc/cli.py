@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,22 +31,30 @@ class CliError(QuasivocError):
     """Raised for bad command-line usage; like every QuasivocError, it exits 2."""
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=Path, help="plain-text key = value config file")
-    p.add_argument("--seed", type=int, help="seed for all randomness")
-    p.add_argument("--frame-shift", type=float, dest="frame_shift")
-    p.add_argument("--window", type=float, dest="half_window",
-                   help="half analysis-window length in seconds")
-    p.add_argument("--window-kind", choices=["hann", "hamming", "gauss"])
-    p.add_argument("--orders", help="P,Q,r as comma-separated integers")
-    p.add_argument("--max-components", type=int, dest="max_components")
-    p.add_argument("--f0-range", help="min,max in Hz")
-    p.add_argument("--format", choices=["float32", "pcm16"], dest="output_format")
+# argparse specs of the options several subcommands share; each subparser
+# takes --config and names the others its command reads
+_SHARED = {
+    "--config": dict(type=Path, help="plain-text key = value config file"),
+    "--frame-shift": dict(type=float, dest="frame_shift"),
+    "--window": dict(type=float, dest="half_window",
+                     help="half analysis-window length in seconds"),
+    "--window-kind": dict(choices=["hann", "hamming", "gauss"]),
+    "--orders": dict(help="P,Q,r as comma-separated integers"),
+    "--max-components": dict(type=int, dest="max_components"),
+    "--f0-range": dict(help="min,max in Hz"),
+    "--format": dict(choices=["float32", "pcm16"], dest="output_format"),
+}
+_FRAMING = ("--frame-shift", "--window", "--window-kind")
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str):
+    for flag in ("--config",) + flags:
+        p.add_argument(flag, **_SHARED[flag])
 
 
 def _build_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    for name in ("seed", "frame_shift", "half_window", "window_kind", "output_format",
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    for name in ("frame_shift", "half_window", "window_kind", "output_format",
                  "max_components"):
         value = getattr(args, name, None)
         if value is not None:
@@ -136,33 +145,26 @@ def _load_product(path: Path, kind: str):
         raise CliError(f"malformed {kind} file: {exc}")
 
 
-def _load_f0_csv(path: Path, cfg: PipelineConfig, grid=None) -> F0Track:
-    """The F0 track in a CSV file. Given a grid, the file must hold one value
-    per frame of it, and the track is put on that grid."""
+def _load_f0_csv(path: Path, cfg: PipelineConfig, grid) -> F0Track:
+    """The F0 track in a CSV file, one value per frame of grid."""
     if not path.exists():
         raise CliError(f"f0 file not found: {path}")
     try:
-        track = serialize.f0_from_csv(path.read_text(), cfg.frame_shift,
-                                      cfg.half_window, cfg.window_kind)
+        track = serialize.f0_from_csv(path.read_text(), grid)
     except (ValueError, AnalysisError) as exc:
-        raise CliError(f"malformed f0 file: {exc}")
+        raise CliError(f"malformed f0 file {path}: {exc}")
     # K grows as 1/F0, so a tiny voiced F0 would ask for an unbounded grid
     low = track.values[(track.values > 0) & (track.values < cfg.f0_min)]
     if low.size:
         raise CliError(f"f0 file {path}: voiced value {low.min():g} Hz is below the"
                        f" minimum F0 of {cfg.f0_min:g} Hz (set with --f0-range)")
-    if grid is None:
-        return track
-    if len(track.values) != len(grid):
-        raise CliError(f"f0 file {path}: {len(track.values)} frames, but the frame grid"
-                       f" has {len(grid)}")
-    return F0Track(grid, track.values)
+    return track
 
 
 def cmd_fit_envelope(args) -> int:
     cfg = _build_config(args)
     hset = _load_product(args.harmonics, "harmonics")
-    track = _load_f0_csv(args.f0, cfg) if args.f0 else None
+    track = _load_f0_csv(args.f0, cfg, hset.grid) if args.f0 else None
     cascade = fit_cascade(hset, track, orders=cfg.orders, phase_weight=cfg.phase_weight,
                           max_steps=cfg.fit_max_steps)
     _write_product(args.output, cascade, "cascade")
@@ -179,6 +181,9 @@ def cmd_synth(args) -> int:
         hset = _load_product(args.model, "harmonics")
         out = synthesize_qhm(hset)
     else:
+        if args.f0 is None:
+            raise CliError("cascade synthesis needs --f0 (or --from-harmonics for a"
+                           " harmonics file)")
         cascade = _load_product(args.model, "cascade")
         track = _load_f0_csv(args.f0, cfg, cascade.grid)
         out = synthesize_arma(cascade, track, max_components=cfg.component_cap)
@@ -230,19 +235,11 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _build_config(args)
     buffer = _read_input(args.input)
-    duration = buffer.duration
-    state = {}
-
-    def analysis():
-        state["hset"], state["track"] = _analyze(buffer, cfg)
-
-    analysis()
-
-    def synthesis():
-        state["out"] = synthesize_qhm(state["hset"])
-
-    rtf_analysis = metrics.rtf(analysis, duration, runs=args.runs)
-    rtf_synthesis = metrics.rtf(synthesis, duration, runs=args.runs)
+    hset, _ = _analyze(buffer, cfg)
+    rtf_analysis = metrics.rtf(partial(_analyze, buffer, cfg), buffer.duration,
+                               runs=args.runs)
+    rtf_synthesis = metrics.rtf(partial(synthesize_qhm, hset), buffer.duration,
+                                runs=args.runs)
     rows = [("analysis", rtf_analysis), ("synthesis", rtf_synthesis),
             ("overall", rtf_analysis + rtf_synthesis)]
     print(f"{'stage':<12}RTF")
@@ -259,10 +256,8 @@ def cmd_gen_fixture(args) -> int:
         raise CliError(f"--params is not valid JSON: {exc}")
     if not isinstance(params, dict):
         raise CliError("--params must be a JSON object")
-    params.setdefault("sample_rate", cfg.sample_rate)
+    params.setdefault("sample_rate", 24000)
     params.setdefault("duration", 1.0)
-    if args.kind == "noise":
-        params.setdefault("seed", cfg.seed)
     try:
         buffer, sidecar = fixtures.generate(args.kind, **params)
     except (TypeError, SignalError) as exc:
@@ -285,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", type=Path, help=".json or .bin harmonics file")
     p.add_argument("--f0-file", type=Path, help="external f0 CSV")
     p.add_argument("--f0-out", type=Path, help="write the detected f0 track CSV")
-    _add_common(p)
+    _add_shared(p, *_FRAMING, "--max-components", "--f0-range")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("fit-envelope", help="fit ARMA cascades to harmonics")
     p.add_argument("harmonics", type=Path)
     p.add_argument("output", type=Path, help=".json or .bin cascade file")
     p.add_argument("--f0", type=Path, help="f0 CSV fixing the excitation grid")
-    _add_common(p)
+    _add_shared(p, "--orders", "--f0-range")
     p.set_defaults(func=cmd_fit_envelope)
 
     p = sub.add_parser("synth", help="synthesize speech from a cascade or harmonics")
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", type=Path)
     p.add_argument("--f0", type=Path, help="f0 CSV (required for cascade synthesis)")
     p.add_argument("--from-harmonics", action="store_true")
-    _add_common(p)
+    _add_shared(p, "--max-components", "--f0-range", "--format")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("modify", help="time-stretch / pitch-shift")
@@ -310,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--schedule", type=Path, help="breakpoint file: time beta rho")
-    _add_common(p)
+    _add_shared(p, "--frame-shift", "--max-components", "--f0-range", "--format")
     p.set_defaults(func=cmd_modify)
 
     p = sub.add_parser("eval", help="objective metrics between two WAVs")
@@ -318,20 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reference", type=Path)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--json-out", type=Path)
-    _add_common(p)
+    _add_shared(p, *_FRAMING, "--f0-range")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="real-time-factor table")
     p.add_argument("input", type=Path)
     p.add_argument("--runs", type=int, default=5)
-    _add_common(p)
+    _add_shared(p, *_FRAMING, "--max-components", "--f0-range")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-fixture", help="deterministic test signals")
     p.add_argument("kind", choices=["tone", "multisine", "chirp", "am", "vowel", "noise"])
     p.add_argument("output", type=Path)
     p.add_argument("--params", help="JSON object of generator parameters")
-    _add_common(p)
+    _add_shared(p, "--format")
     p.set_defaults(func=cmd_gen_fixture)
     return parser
 

@@ -13,7 +13,6 @@ class ConfigError(QuasivocError):
 
 @dataclass
 class PipelineConfig:
-    sample_rate: int = 24000
     frame_shift: float = 0.005
     half_window: float = 0.010
     window_kind: str = "hann"
@@ -30,19 +29,22 @@ class PipelineConfig:
     refine_mode: str = "none"        # none | aqhm | eaqhm
     refine_iters: int = 3
     output_format: str = "float32"   # float32 | pcm16
-    seed: int = 0
 
     def validate(self):
         if not all(math.isfinite(v) for v in vars(self).values() if isinstance(v, float)):
             raise ConfigError("numeric values must be finite")
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be positive")
         if self.frame_shift <= 0 or self.half_window <= 0:
             raise ConfigError("frame_shift and half_window must be positive")
         if self.order_r <= 0 or self.order_p % self.order_r or self.order_q % self.order_r:
             raise ConfigError("order_r must divide order_p and order_q")
-        if not (0 < self.f0_min < self.f0_max < self.sample_rate / 2):
-            raise ConfigError("f0 range must satisfy 0 < min < max < Nyquist")
+        if not 0 < self.f0_min < self.f0_max:
+            raise ConfigError("f0 range must satisfy 0 < min < max")
+        if self.max_components < 0:
+            raise ConfigError("max_components must be at least 0 (0 means no cap)")
+        if self.fit_max_steps < 1 or self.refine_iters < 1:
+            raise ConfigError("fit_max_steps and refine_iters must be at least 1")
+        if self.phase_weight < 0:
+            raise ConfigError("phase_weight must be nonnegative")
         if self.window_kind not in ("hann", "hamming", "gauss"):
             raise ConfigError(f"unknown window kind: {self.window_kind}")
         if self.refine_mode not in ("none", "aqhm", "eaqhm"):

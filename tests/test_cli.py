@@ -1,4 +1,5 @@
 """End-to-end command-line workflows and exit-code contracts."""
+import argparse
 import dataclasses
 import json
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasivoc import fixtures, metrics, serialize
 from quasivoc.arma import ArmaCascade
-from quasivoc.cli import main
+from quasivoc.cli import build_parser, main
 from quasivoc.config import PipelineConfig
 from quasivoc.qhm import F0Track, HarmonicSet
 from quasivoc.signals import FrameGrid, SignalBuffer, make_grid, read_wav, write_wav
@@ -33,11 +34,17 @@ def test_gen_fixture_writes_sidecar(tone_wav):
 
 
 def test_gen_fixture_noise_deterministic(tmp_path):
-    a, b = tmp_path / "a.wav", tmp_path / "b.wav"
-    for path in (a, b):
-        assert main(["gen-fixture", "noise", str(path), "--seed", "9",
-                     "--params", '{"duration": 0.2}']) == 0
+    """The seed is a generator parameter: seed 9 gives the same bytes on
+    every run and other bytes than the default seed 0."""
+    a, b, c = tmp_path / "a.wav", tmp_path / "b.wav", tmp_path / "c.wav"
+    for path, params in ((a, '{"seed": 9, "duration": 0.2}'),
+                         (b, '{"seed": 9, "duration": 0.2}'),
+                         (c, '{"duration": 0.2}')):
+        assert main(["gen-fixture", "noise", str(path), "--params", params]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes() != c.read_bytes()
+    assert json.loads((tmp_path / "a.wav.json").read_text())["seed"] == 9
+    assert json.loads((tmp_path / "c.wav.json").read_text())["seed"] == 0
 
 
 def test_full_pipeline_round_trip(tmp_path, tone_wav):
@@ -176,8 +183,6 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
     wav = tmp_path / "t.wav"
     main(["gen-fixture", "tone", str(wav), "--params", '{"duration": 0.1, "freq": 100.0}'])
     assert main(["analyze", str(wav), str(tmp_path / "h.json"),
-                 "--orders", "nonsense"]) == 2
-    assert main(["analyze", str(wav), str(tmp_path / "h.json"),
                  "--f0-range", "bad"]) == 2
     # malformed F0 CSVs, non-positive scales, cut containers, mixed rates
     cascade = fixtures.vowel_cascade(24000, 5, 0.005, 0.010)
@@ -198,6 +203,7 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
     hset = tmp_path / "h.bin"
     main(["analyze", str(wav), str(hset)])
     assert hset.exists()
+    runs.append(["fit-envelope", str(hset), str(tmp_path / "c.json"), "--orders", "nonsense"])
     for src, keep in ((casc, -13), (casc, 10), (hset, -13)):
         short = tmp_path / f"cut{keep}_{src.name}"
         short.write_bytes(src.read_bytes()[:keep])
@@ -307,6 +313,55 @@ def test_products_encode_only_the_written_format(tmp_path, tone_wav, monkeypatch
     assert serialize.cascade_from_bytes(casc.read_bytes()).orders == (4, 4, 1)
 
 
+# the options each subcommand takes: --config, the shared options its command
+# reads, and its own
+_OPTIONS = {
+    "analyze": "--config --frame-shift --window --window-kind --max-components --f0-range"
+               " --f0-file --f0-out",
+    "fit-envelope": "--config --orders --f0-range --f0",
+    "synth": "--config --max-components --f0-range --format --f0 --from-harmonics",
+    "modify": "--config --frame-shift --max-components --f0-range --format --f0 --rho"
+              " --beta --schedule",
+    "eval": "--config --frame-shift --window --window-kind --f0-range --rho --json-out",
+    "bench": "--config --frame-shift --window --window-kind --max-components --f0-range"
+             " --runs",
+    "gen-fixture": "--config --format --params",
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert options == {name: set(flags.split()) for name, flags in _OPTIONS.items()}
+    assert sum(map(len, options.values())) == 44
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "in.wav", "out.bin", "--orders", "16,16,2"],
+    ["fit-envelope", "h.bin", "c.bin", "--window", "0.02"],
+    ["synth", "c.bin", "o.wav", "--seed", "3"],
+    ["synth", "c.bin", "o.wav", "--f0", "f0.csv", "--orders", "1,2"],
+    ["modify", "c.bin", "o.wav", "--f0", "f0.csv", "--window-kind", "hamming"],
+    ["gen-fixture", "noise", "o.wav", "--f0-range", "60,400"],
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_synth_cascade_without_f0_exits_2(tmp_path, capsys):
+    casc = tmp_path / "casc.bin"
+    casc.write_bytes(serialize.cascade_to_bytes(fixtures.vowel_cascade(24000, 5, 0.005,
+                                                                       0.010)))
+    capsys.readouterr()
+    assert main(["synth", str(casc), str(tmp_path / "out.wav")]) == 2
+    assert "--f0" in capsys.readouterr().err
+    assert not (tmp_path / "out.wav").exists()
+
+
 def test_removed_k_guard_option_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "in.wav", "out.bin", "--k-guard", "50"])
@@ -377,23 +432,28 @@ def _bad_value_config(tmp_path, wav, line):
 @pytest.mark.parametrize("make_argv", [
     lambda d, wavs: _bad_value_config(d, wavs["tone"], b"frame_shift = abc"),
     lambda d, wavs: _bad_value_config(d, wavs["tone"], b"order_p = 1.5"),
-    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"seed = \xff\xfe"),
+    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"window_kind = \xff\xfe"),
     lambda d, wavs: _bad_value_config(d, wavs["tone"], b"k_guard = 50"),
     lambda d, wavs: _bad_value_config(d, wavs["tone"], b"unvoiced_f0 = 100"),
+    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"seed = 9"),
+    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"sample_rate = 16000"),
+    lambda d, wavs: _bad_value_config(d, wavs["tone"], b"max_components = -5"),
     lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params", "{bad"],
     lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params", "[1,2]"],
     lambda d, wavs: ["analyze", wavs["short"], str(d / "h.json")],
     lambda d, wavs: ["bench", wavs["short"], "--runs", "1"],
     lambda d, wavs: ["eval", wavs["tone"], wavs["silent"]],
 ], ids=["config-text-value", "config-float-order", "config-not-utf8", "config-k-guard",
-        "config-unvoiced-f0", "params-not-json", "params-not-object", "analyze-5-samples",
+        "config-unvoiced-f0", "config-seed", "config-sample-rate",
+        "config-negative-cap", "params-not-json", "params-not-object", "analyze-5-samples",
         "bench-5-samples", "eval-zero-reference"])
 def test_exit_code_2_on_unparseable_values_and_unusable_audio(tmp_path, tone_wav, capsys,
                                                               make_argv):
-    """Config values that do not parse, a config file that is not text, the
-    removed keys k_guard and unvoiced_f0, --params that is not a JSON object,
-    a WAV too short to analyze and an all-zero reference all exit 2 with a
-    message, not a traceback."""
+    """Config values that do not parse or are out of range, a config file
+    that is not text, the removed keys k_guard, unvoiced_f0, seed and
+    sample_rate, --params that is not a JSON object, a WAV too short to
+    analyze and an all-zero reference all exit 2 with a message, not a
+    traceback."""
     wavs = {"tone": str(tone_wav), "short": str(tmp_path / "short.wav"),
             "silent": str(tmp_path / "silent.wav")}
     write_wav(SignalBuffer(np.full(5, 0.1), 24000), wavs["short"])

@@ -6,7 +6,6 @@ from quasivoc.config import ConfigError, PipelineConfig, load_config
 
 def test_defaults_validate():
     cfg = PipelineConfig().validate()
-    assert cfg.sample_rate == 24000
     assert cfg.frame_shift == 0.005
     assert cfg.orders == (128, 128, 8)
     assert cfg.component_cap is None
@@ -17,13 +16,17 @@ def test_component_cap():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"sample_rate": 0},
+    {"max_components": -5},
     {"frame_shift": -0.001},
     {"order_p": 10, "order_r": 3},
     {"f0_min": 600.0, "f0_max": 500.0},
     {"window_kind": "kaiser"},
     {"refine_mode": "magic"},
     {"output_format": "flac"},
+    {"fit_max_steps": 0},
+    {"phase_weight": -1.0},
+    {"refine_iters": 0},
+    {"f0_min": 0.0},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
@@ -36,15 +39,13 @@ def test_load_config_file(tmp_path):
         "# analysis setup\n"
         "frame_shift = 0.01\n"
         "order_p = 16\norder_q = 16\norder_r = 2\n"
-        "window_kind = hamming  # inline comment\n"
-        "seed = 4\n")
+        "window_kind = hamming  # inline comment\n")
     cfg = load_config(path)
     assert cfg.frame_shift == 0.01
     assert cfg.orders == (16, 16, 2)
     assert cfg.window_kind == "hamming"
-    assert cfg.seed == 4
     # untouched keys keep defaults
-    assert cfg.sample_rate == 24000
+    assert cfg.half_window == 0.010
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -63,7 +64,8 @@ def test_load_config_rejects_threads(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("line", ["frame_shift = abc", "order_p = 1.5", "seed = "])
+@pytest.mark.parametrize("line", ["frame_shift = abc", "order_p = 1.5",
+                                  "max_components = "])
 def test_load_config_rejects_bad_value(tmp_path, line):
     path = tmp_path / "cfg.txt"
     path.write_text(f"# header\n{line}\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quasivoc.arma import ArmaCascade
-from quasivoc.qhm import F0Track, HarmonicSet
+from quasivoc.qhm import AnalysisError, F0Track, HarmonicSet
 from quasivoc.serialize import (SerializationError, cascade_from_bytes,
                                 cascade_from_json, cascade_to_bytes,
                                 cascade_to_json, f0_from_csv, f0_to_csv,
@@ -166,6 +166,21 @@ def test_truncated_containers_raise(h_keep, c_keep):
 def test_f0_csv_round_trip():
     grid = make_grid(0.02, 0.005, 0.010)
     track = F0Track(grid, np.array([0.0, 123.456, 99.9999999, 0.0, 87.1]))
-    back = f0_from_csv(f0_to_csv(track), 0.005, 0.010)
+    back = f0_from_csv(f0_to_csv(track), grid)
     np.testing.assert_array_equal(back.values, track.values)
-    np.testing.assert_array_equal(back.grid.centers, grid.centers)
+    assert back.grid is grid
+
+
+@pytest.mark.parametrize("rows, match", [
+    ("0.0,150\n0.005,150\n", "2 frames, but the frame grid has 3"),
+    ("0.0,150\n0.01,150\n0.005,150\n", "strictly increasing"),
+    ("0.0,150\n0.005\n0.01,150\n", None),
+    ("0.0,150\n0.005,abc\n0.01,150\n", None),
+    ("0.0,150\n0.005,-150\n0.01,150\n", "finite and nonnegative"),
+    ("0.0,150\n0.005,nan\n0.01,150\n", "finite and nonnegative"),
+])
+def test_f0_csv_rejects(rows, match):
+    """A bad row, times out of order, a negative or non-finite F0 and a row
+    count other than the grid's frame count all raise."""
+    with pytest.raises((ValueError, AnalysisError), match=match):
+        f0_from_csv("time,f0\n" + rows, make_grid(0.01, 0.005, 0.010))
