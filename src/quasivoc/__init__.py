@@ -1,6 +1,6 @@
 """Quasi-harmonic vocoder with cascaded ARMA spectral envelopes."""
 
-from .signals import (FrameGrid, QuasivocError, SignalBuffer, cubic_interp, linear_interp,
+from .signals import (FrameGrid, QuasivocError, SignalBuffer, linear_interp,
                       make_grid, make_window, read_wav, write_wav)
 from .qhm import (F0Track, HarmonicSet, QhmFrameParams, analyze_qhm, detect_f0,
                   framewise_amp_phase, frequency_correction, harmonic_grid,

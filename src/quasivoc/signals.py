@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.io import wavfile
 
 
@@ -52,9 +51,10 @@ class SignalBuffer:
 class FrameGrid:
     """Equally spaced frame centers with a shared analysis window.
 
-    centers are in seconds, strictly increasing, spaced by frame_shift.
-    half_window is half the window span in seconds; window_kind is one of
-    'hann', 'hamming', 'gauss'. gauss_sigma is in samples.
+    centers are finite times in seconds, strictly increasing, spaced by
+    frame_shift. half_window is half the window span in seconds;
+    frame_shift and half_window are finite and positive. window_kind is
+    one of 'hann', 'hamming', 'gauss'. gauss_sigma is in samples.
     """
 
     centers: np.ndarray
@@ -65,6 +65,9 @@ class FrameGrid:
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
+        if not (np.all(np.isfinite(self.centers)) and np.isfinite(self.frame_shift)
+                and np.isfinite(self.half_window)):
+            raise SignalError("frame centers, frame_shift and half_window must be finite")
         if self.frame_shift <= 0 or self.half_window <= 0:
             raise SignalError("frame_shift and half_window must be positive")
         if len(self.centers) > 1:
@@ -186,19 +189,3 @@ def linear_interp(knot_times, knot_values, query_times) -> np.ndarray:
 def _wrap(phi):
     """Wrap to (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(phi), 2 * np.pi)
-
-
-def cubic_interp(knot_times, knot_values, query_times) -> np.ndarray:
-    """Monotone-preserving piecewise-cubic Hermite interpolation.
-
-    Exact at knots, C1 between them, reproduces affine data exactly, and
-    never overshoots monotone runs (no spurious frequency wobble when
-    applied to unwrapped phase). Queries outside the knot span hold the
-    endpoint values.
-    """
-    t = np.asarray(knot_times, dtype=np.float64)
-    v = np.asarray(knot_values, dtype=np.float64)
-    if t.size < 2:
-        raise SignalError("cubic_interp requires at least 2 knots")
-    q = np.clip(np.asarray(query_times, dtype=np.float64), t[0], t[-1])
-    return PchipInterpolator(t, v)(q)

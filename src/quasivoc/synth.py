@@ -1,16 +1,19 @@
 """Oscillator-bank synthesis from framewise parameters.
 
-Framewise unwrapped phases are cubic-interpolated and amplitudes
-linear-interpolated to audio rate, then components are summed as
+Framewise unwrapped phases are interpolated to audio rate by monotone
+piecewise-cubic Hermite (PCHIP) interpolation, with the coefficients of
+every oscillator from one pass and one interval search shared by all of
+them; amplitudes are linear-interpolated. Components are summed as
 2*A_k(t)*cos(phi_k(t)) in ascending k (deterministic, bit-reproducible).
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
 from .arma import ArmaCascade, sample_cascade
 from .qhm import NYQUIST_GUARD, F0Track, HarmonicSet, harmonic_grid
-from .signals import FrameGrid, SignalBuffer, SignalError, cubic_interp, linear_interp
+from .signals import FrameGrid, SignalBuffer, SignalError
 
 
 def excitation_phase(frame_freqs: np.ndarray, grid: FrameGrid,
@@ -64,6 +67,15 @@ def mute_aliasing(amplitudes: np.ndarray, frame_freqs: np.ndarray,
     return amps
 
 
+def _sample_times(lo: int, hi: int, t0: float, t_end: float, sample_rate: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Times of samples lo..hi-1 from t0, held at t_end; one formula, so a
+    slice of the times equals the times of the slice bit for bit."""
+    times = np.divide(np.arange(lo, hi, dtype=np.float64), sample_rate, out=out)
+    times += t0
+    return np.minimum(times, t_end, out=times)
+
+
 def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
            sample_rate: int) -> SignalBuffer:
     """Additive rendering of framewise tracks over [t_0, t_L].
@@ -75,6 +87,13 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     columns are skipped, and the linear amplitude is exactly 0 up to the
     frame center before its first nonzero frame and from the center after
     its last, where the sum would only gain +-0.0.
+
+    Phases are PCHIP-interpolated, holding the end values past t_L. The
+    coefficients of all live columns come from one interpolator, and each
+    column evaluates them at the shared sample intervals in the term order
+    of scipy's piecewise-polynomial evaluation,
+    ((c3 + c2*s) + c1*s**2) + c0*s**3, so the samples equal one
+    interpolator per column bit for bit.
     """
     amps = np.atleast_2d(np.asarray(amplitudes, dtype=np.float64))
     phis = np.atleast_2d(np.asarray(phases, dtype=np.float64))
@@ -83,9 +102,9 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     L = amps.shape[0]
     if L == 0:
         return SignalBuffer(np.zeros(0), sample_rate)
-    t0, t_end = grid.centers[0], grid.centers[-1]
+    centers = grid.centers
+    t0, t_end = centers[0], centers[-1]
     n = int(round((t_end - t0) * sample_rate)) + 1
-    tt = t0 + np.arange(n) / sample_rate
     out = np.zeros(n)
     nonzero = amps != 0
     live = np.flatnonzero(nonzero.any(axis=0))
@@ -93,15 +112,43 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
         for k in live:
             out += 2 * amps[0, k] * np.cos(phis[0, k])
         return SignalBuffer(out, sample_rate)
+    if live.size == 0:
+        return SignalBuffer(out, sample_rate)
     first = np.argmax(nonzero, axis=0)
     last = L - 1 - np.argmax(nonzero[::-1], axis=0)
-    centers = grid.centers
-    for k in live:
-        lo = np.searchsorted(tt, centers[first[k] - 1], "right") if first[k] > 0 else 0
-        hi = np.searchsorted(tt, centers[last[k] + 1], "left") if last[k] < L - 1 else n
-        phi = cubic_interp(centers, phis[:, k], tt[lo:hi])
-        a = linear_interp(centers, amps[:, k], tt[lo:hi])
-        out[lo:hi] += 2 * a * np.cos(phi)
+    # (live, 4, L - 1): in a column's c, c[m, j] multiplies s**(3 - m) on interval j
+    coef = np.ascontiguousarray(PchipInterpolator(centers, phis[:, live]).c.transpose(2, 0, 1))
+    tt = _sample_times(0, n, t0, t_end, sample_rate)
+    before = np.searchsorted(tt, centers, "left")
+    after = np.searchsorted(tt, centers, "right")
+    # interval j holds samples [edges[j], edges[j + 1]), the last one also
+    # those at t_end; s is each sample's offset into its interval
+    edges = np.r_[0, before[1:-1], n]
+    s = tt - np.repeat(centers[:-1], np.diff(edges))
+    # only s and out stay n long: a column rebuilds its own sample times,
+    # and frees its arrays before the next column allocates
+    del tt
+    for c, k in zip(coef, live):
+        lo = after[first[k] - 1] if first[k] > 0 else 0
+        hi = before[last[k] + 1] if last[k] < L - 1 else n
+        runs = np.diff(edges.clip(lo, hi))
+        x = s[lo:hi]
+        # ((c3 + c2*s) + c1*s**2) + c0*s**3, with one buffer besides phi
+        phi = c[2].repeat(runs)
+        phi *= x
+        phi += c[3].repeat(runs)
+        buf = x * x
+        buf *= c[1].repeat(runs)
+        phi += buf
+        np.multiply(x, x, out=buf)
+        buf *= x
+        buf *= c[0].repeat(runs)
+        phi += buf
+        a = np.interp(_sample_times(lo, hi, t0, t_end, sample_rate, out=buf), centers, amps[:, k])
+        a *= 2
+        a *= np.cos(phi, out=phi)
+        out[lo:hi] += a
+        del phi, buf, a
     return SignalBuffer(out, sample_rate)
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.interpolate import PchipInterpolator
 from scipy.signal import lfilter
 
 from quasivoc import fixtures
@@ -70,3 +71,11 @@ def frame_at(cascade, l):
     """Frame l of a cascade, for the one-frame oracles."""
     return CascadeFrame(cascade.gain[l], [ArmaSection(a, b)
                                           for a, b in zip(cascade.ar[l], cascade.ma[l])])
+
+
+def pchip_per_column(knot_times, knot_values, query_times):
+    """The per-column phase oracle of rendering: one PCHIP interpolator over
+    one column's knots, evaluated at queries held to the knot span."""
+    t = np.asarray(knot_times, dtype=np.float64)
+    q = np.clip(np.asarray(query_times, dtype=np.float64), t[0], t[-1])
+    return PchipInterpolator(t, knot_values)(q)

@@ -411,6 +411,25 @@ def test_synth_exit_code_2_on_ragged_cascade(tmp_path, capsys):
     assert not (tmp_path / "out.wav").exists()
 
 
+@pytest.mark.parametrize("field, value", [("centers", 2), ("frame_shift", None),
+                                          ("half_window", None)])
+def test_synth_exit_code_2_on_nonfinite_grid(tmp_path, tone_wav, capsys, field, value):
+    """A NaN in the grid of a harmonics product is a usage error, not a
+    traceback from the interpolator."""
+    harm = tmp_path / "harm.json"
+    assert main(["analyze", str(tone_wav), str(harm), "--max-components", "3"]) == 0
+    doc = json.loads(harm.read_text())
+    if value is None:
+        doc["grid"][field] = float("nan")
+    else:
+        doc["grid"][field][value] = float("nan")
+    harm.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["synth", str(harm), str(tmp_path / "out.wav"), "--from-harmonics"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.wav").exists()
+
+
 def test_config_file_flows_through(tmp_path, tone_wav):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("max_components = 4\nframe_shift = 0.01\n")

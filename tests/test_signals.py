@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
-from quasivoc.signals import (FrameGrid, SignalBuffer, SignalError, cubic_interp,
-                              linear_interp, make_grid, make_window, read_wav,
-                              write_wav)
+from quasivoc.signals import (FrameGrid, SignalBuffer, SignalError, linear_interp,
+                              make_grid, make_window, read_wav, write_wav)
 
 
 # --- windows ---------------------------------------------------------------
@@ -76,6 +75,19 @@ def test_grid_validation():
         FrameGrid(np.array([0.0, 0.0]), 0.005, 0.01)
     with pytest.raises(SignalError):
         FrameGrid(np.array([0.0]), -1.0, 0.01)
+
+
+@pytest.mark.parametrize("centers, frame_shift, half_window", [
+    ([0.0, np.nan, 0.01], 0.005, 0.01),
+    ([0.0, np.inf, np.inf], 0.005, 0.01),
+    ([0.0, 0.005], np.nan, 0.01),
+    ([0.0, 0.005], np.inf, 0.01),
+    ([0.0, 0.005], 0.005, np.nan),
+])
+def test_grid_rejects_nonfinite(centers, frame_shift, half_window):
+    """NaN compares false, so the ordering and sign checks alone pass it."""
+    with pytest.raises(SignalError, match="finite"):
+        FrameGrid(np.array(centers), frame_shift, half_window)
 
 
 # --- WAV I/O ---------------------------------------------------------------
@@ -155,29 +167,6 @@ def test_linear_interp_single_knot_and_error():
         linear_interp([], [], [0.0])
 
 
-def test_cubic_interp_reproduces_affine():
-    t = np.array([0.0, 0.3, 1.1, 2.0])
-    v = 3.0 * t + 1.0
-    q = np.linspace(0, 2, 97)
-    np.testing.assert_allclose(cubic_interp(t, v, q), 3.0 * q + 1.0, atol=1e-12)
-
-
-def test_cubic_interp_exact_at_knots_and_monotone():
-    t = np.array([0.0, 1.0, 2.0, 3.0])
-    v = np.array([0.0, 0.1, 2.0, 2.05])
-    np.testing.assert_allclose(cubic_interp(t, v, t), v, atol=1e-13)
-    dense = cubic_interp(t, v, np.linspace(0, 3, 1001))
-    assert np.all(np.diff(dense) >= -1e-12)
-    assert dense.min() >= v.min() - 1e-12 and dense.max() <= v.max() + 1e-12
-
-
-def test_cubic_interp_errors_and_endpoint_hold():
-    with pytest.raises(SignalError):
-        cubic_interp([0.0], [1.0], [0.0])
-    out = cubic_interp([0, 1], [2, 5], [-1.0, 2.0])
-    np.testing.assert_allclose(out, [2.0, 5.0])
-
-
 @given(st.floats(-100, 100),
        st.lists(st.floats(0.01, 10), min_size=1, max_size=11),
        st.lists(st.floats(-1e6, 1e6), min_size=12, max_size=12))
@@ -186,13 +175,3 @@ def test_interp_exact_at_knots_property(start, gaps, values):
     t = start + np.concatenate(([0.0], np.cumsum(gaps)))
     v = np.asarray(values[:t.size])
     np.testing.assert_allclose(linear_interp(t, v, t), v, rtol=1e-12, atol=1e-9)
-    np.testing.assert_allclose(cubic_interp(t, v, t), v, rtol=1e-12, atol=1e-9)
-
-
-@given(st.floats(-50, 50), st.floats(-50, 50))
-@settings(max_examples=40, deadline=None)
-def test_cubic_affine_reproduction_property(slope, intercept):
-    t = np.array([0.0, 0.5, 1.25, 3.0, 4.0])
-    q = np.linspace(0, 4, 41)
-    out = cubic_interp(t, slope * t + intercept, q)
-    np.testing.assert_allclose(out, slope * q + intercept, atol=1e-9)

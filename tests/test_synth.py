@@ -2,14 +2,15 @@
 pipelines."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasivoc import arma, fixtures
-from conftest import cascade_of, frame_at
+from quasivoc import arma, fixtures, synth
+from conftest import cascade_of, frame_at, pchip_per_column
 from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, sample_cascade,
                            sample_harmonics)
+from quasivoc.modify import scaled_times
 from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm, harmonic_grid
-from quasivoc.signals import (FrameGrid, SignalBuffer, SignalError, cubic_interp,
-                              linear_interp, make_grid)
+from quasivoc.signals import FrameGrid, SignalError, linear_interp, make_grid
 from quasivoc.synth import (compensated_phase, delayed_phase, excitation_phase,
                             mute_aliasing, render, synthesize_arma,
                             synthesize_qhm)
@@ -198,7 +199,7 @@ def _render_every_sample(amps, phis, grid):
         if L == 1:
             out += 2 * amps[0, k] * np.cos(phis[0, k])
             continue
-        phi = cubic_interp(grid.centers, phis[:, k], tt)
+        phi = pchip_per_column(grid.centers, phis[:, k], tt)
         a = linear_interp(grid.centers, amps[:, k], tt)
         out += 2 * a * np.cos(phi)
     return out
@@ -228,6 +229,125 @@ def test_render_skips_only_exact_zeros(centers):
     one = render(amps[6:7], phis[6:7], FrameGrid(centers[6:7], 0.005, 0.010), FS).samples
     assert one.tobytes() == _render_every_sample(amps[6:7], phis[6:7],
                                                  FrameGrid(centers[6:7], 0.005, 0.010)).tobytes()
+
+
+def _centers(kind, L):
+    """Frame centers of one shape: on sample times or off them, uniform or
+    jittered, or the stretched grid of a constant time scale."""
+    rng = np.random.default_rng(L)
+    if kind == "uniform-on-samples":
+        return np.arange(L) * 120 / FS
+    if kind == "uniform-off-samples":
+        return 0.0123 + 0.005 * np.arange(L)
+    if kind == "jittered-on-samples":
+        return np.cumsum(rng.integers(30, 300, L)) / FS
+    if kind == "jittered-off-samples":
+        return 0.0123 + np.cumsum(np.r_[0.0, rng.uniform(0.004, 0.011, L - 1)])
+    beta = float(kind.split("=")[1])
+    return scaled_times(_grid(L, 0.005), np.full(L, beta))
+
+
+@pytest.mark.parametrize("kind", ["uniform-on-samples", "uniform-off-samples",
+                                  "jittered-on-samples", "jittered-off-samples",
+                                  "beta=0.7", "beta=2.0"])
+@pytest.mark.parametrize("L", [2, 3, 12])
+def test_render_matches_per_column_pchip(L, kind):
+    """One coefficient pass and one interval search give the bytes of one
+    interpolator per column, on every support a column can have."""
+    centers = _centers(kind, L)
+    grid = FrameGrid(centers, 0.005, 0.010)
+    rng = np.random.default_rng(5)
+    amps = np.zeros((L, 6))
+    amps[0, 0] = 0.3                          # first frame only
+    amps[-1, 1] = -0.2                        # last frame only
+    amps[L // 2, 2] = 0.4                     # one interior frame when L > 2
+    amps[:, 3] = rng.uniform(0.1, 0.5, L)     # everywhere
+    amps[:, 5] = rng.uniform(-0.5, 0.5, L)    # everywhere, signs mixed
+    # column 4 stays all zero
+    phis = excitation_phase(rng.uniform(100, 3000, (L, 6)), grid) + rng.uniform(-3, 3, 6)
+    out = render(amps, phis, grid, FS).samples
+    assert out.tobytes() == _render_every_sample(amps, phis, grid).tobytes()
+
+
+def test_one_pchip_per_render(monkeypatch, vowel_data):
+    """The phase coefficients of every live column come from one interpolator."""
+    built = []
+
+    class Counted(synth.PchipInterpolator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "PchipInterpolator", Counted)
+    grid = _grid(12)
+    amps = np.full((12, 8), 0.1)
+    phis = excitation_phase(np.full((12, 8), 100.0) * np.arange(1, 9), grid)
+    render(amps, phis, grid, FS)
+    assert len(built) == 1
+    render(np.zeros((12, 8)), phis, grid, FS)
+    assert len(built) == 1
+    _, _, cascade, track = vowel_data
+    synthesize_arma(cascade, track)
+    assert len(built) == 2
+
+
+def _unit_render(centers, phases):
+    """2 * 0.5 * cos(phi(t)): the rendered samples of one unit component."""
+    grid = FrameGrid(np.asarray(centers, dtype=np.float64), 0.005, 0.010)
+    phases = np.asarray(phases, dtype=np.float64)[:, None]
+    return render(np.full(phases.shape, 0.5), phases, grid, FS).samples
+
+
+def _sample_times(centers):
+    n = int(round((centers[-1] - centers[0]) * FS)) + 1
+    return centers[0] + np.arange(n) / FS
+
+
+def test_render_phase_reproduces_affine():
+    centers = np.array([0.0, 0.003, 0.011, 0.020])
+    tt = _sample_times(centers)
+    out = _unit_render(centers, 300.0 * centers + 1.0)
+    np.testing.assert_allclose(out, np.cos(300.0 * tt + 1.0), atol=1e-12)
+
+
+def test_render_phase_exact_at_knots_and_monotone():
+    """On [0, pi] the cosine is decreasing, so the samples are monotone and
+    stay within the knot values exactly when the interpolated phase does."""
+    knots = np.array([0, 24, 48, 72])
+    v = np.array([0.0, 0.1, 2.0, 2.05])
+    out = _unit_render(knots / FS, v)
+    np.testing.assert_allclose(out[knots], np.cos(v), atol=1e-13)
+    assert np.all(np.diff(out) <= 1e-12)
+    assert out.min() >= np.cos(v.max()) - 1e-12 and out.max() <= np.cos(v.min()) + 1e-12
+
+
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=11),
+       st.lists(st.floats(-1e3, 1e3), min_size=12, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_render_phase_exact_at_knots_property(gaps, values):
+    knots = np.concatenate(([0], np.cumsum(gaps)))
+    v = np.asarray(values[:knots.size])
+    out = _unit_render(knots / FS, v)
+    # a knot's own interval starts at it, where the polynomial is its value
+    assert out[knots[:-1]].tobytes() == np.cos(v[:-1]).tobytes()
+    np.testing.assert_allclose(out[knots[-1]], np.cos(v[-1]), atol=1e-9)
+
+
+def test_render_phase_holds_endpoint():
+    """The last sample falls past the last center, where the phase holds."""
+    centers = np.array([0.0, 100.0, 240.6]) / FS
+    assert _sample_times(centers)[-1] > centers[-1]
+    out = _unit_render(centers, [2.0, 3.5, 5.0])
+    np.testing.assert_allclose(out[-1], np.cos(5.0), atol=1e-12)
+
+
+@given(st.floats(-5000, 5000), st.floats(-50, 50))
+@settings(max_examples=40, deadline=None)
+def test_render_affine_phase_property(slope, intercept):
+    centers = np.array([0.0, 0.005, 0.0125, 0.030, 0.040])
+    out = _unit_render(centers, slope * centers + intercept)
+    np.testing.assert_allclose(out, np.cos(slope * _sample_times(centers) + intercept),
+                               atol=1e-9)
 
 
 def test_mute_aliasing():
