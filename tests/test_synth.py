@@ -298,14 +298,15 @@ def _unit_render(centers, phases):
     return render(np.full(phases.shape, 0.5), phases, grid, FS).samples
 
 
-def _sample_times(centers):
+def _output_times(centers):
+    """The times of render's output samples, not held at the last center."""
     n = int(round((centers[-1] - centers[0]) * FS)) + 1
     return centers[0] + np.arange(n) / FS
 
 
 def test_render_phase_reproduces_affine():
     centers = np.array([0.0, 0.003, 0.011, 0.020])
-    tt = _sample_times(centers)
+    tt = _output_times(centers)
     out = _unit_render(centers, 300.0 * centers + 1.0)
     np.testing.assert_allclose(out, np.cos(300.0 * tt + 1.0), atol=1e-12)
 
@@ -336,7 +337,7 @@ def test_render_phase_exact_at_knots_property(gaps, values):
 def test_render_phase_holds_endpoint():
     """The last sample falls past the last center, where the phase holds."""
     centers = np.array([0.0, 100.0, 240.6]) / FS
-    assert _sample_times(centers)[-1] > centers[-1]
+    assert _output_times(centers)[-1] > centers[-1]
     out = _unit_render(centers, [2.0, 3.5, 5.0])
     np.testing.assert_allclose(out[-1], np.cos(5.0), atol=1e-12)
 
@@ -346,7 +347,7 @@ def test_render_phase_holds_endpoint():
 def test_render_affine_phase_property(slope, intercept):
     centers = np.array([0.0, 0.005, 0.0125, 0.030, 0.040])
     out = _unit_render(centers, slope * centers + intercept)
-    np.testing.assert_allclose(out, np.cos(slope * _sample_times(centers) + intercept),
+    np.testing.assert_allclose(out, np.cos(slope * _output_times(centers) + intercept),
                                atol=1e-9)
 
 
