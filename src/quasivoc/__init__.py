@@ -1,10 +1,9 @@
 """Quasi-harmonic vocoder with cascaded ARMA spectral envelopes."""
 
-from .signals import (FrameGrid, QuasivocError, SignalBuffer, linear_interp,
-                      make_grid, make_window, read_wav, write_wav)
-from .qhm import (F0Track, HarmonicSet, QhmFrameParams, analyze_qhm, detect_f0,
-                  framewise_amp_phase, frequency_correction, harmonic_grid,
-                  integrate_phase, qhm_ls_fit, refine_adaptive, refine_f0)
+from .signals import (FrameGrid, QuasivocError, SignalBuffer, make_grid, make_window,
+                      read_wav, write_wav)
+from .qhm import (F0Track, HarmonicSet, analyze_qhm, detect_f0, harmonic_grid,
+                  refine_adaptive, refine_f0)
 from .arma import (ArmaCascade, correction_capacity, fit_cascade, fit_targets,
                    sample_cascade)
 from .synth import (compensated_phase, delayed_phase, excitation_phase, render,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .arma import ArmaCascade, sample_cascade
 from .qhm import NYQUIST_GUARD, F0Track, harmonic_grid
-from .signals import FrameGrid, QuasivocError, SignalBuffer, SignalError, linear_interp
+from .signals import FrameGrid, QuasivocError, SignalBuffer, SignalError
 from .synth import delayed_phase, excitation_phase, render
 
 
@@ -46,12 +46,14 @@ class ScaleSchedule:
     @classmethod
     def from_breakpoints(cls, times, betas, rhos, grid: FrameGrid,
                          vuv: np.ndarray) -> "ScaleSchedule":
-        """Linear interpolation of breakpoint (time, beta, rho) onto frames."""
+        """Linear interpolation of breakpoint (time, beta, rho) onto frames,
+        holding the end values outside the breakpoints."""
+        if not len(times):
+            raise ModificationError("a schedule needs at least one breakpoint")
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
             raise ModificationError("breakpoint times must be finite and increasing")
-        b = linear_interp(times, betas, grid.centers)
-        r = linear_interp(times, rhos, grid.centers)
-        return cls(b, r, vuv)
+        return cls(np.interp(grid.centers, times, betas), np.interp(grid.centers, times, rhos),
+                   vuv)
 
 
 def scaled_times(grid: FrameGrid, betas: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .signals import FrameGrid, QuasivocError, SignalBuffer, _wrap, grid_window, linear_interp
+from .signals import FrameGrid, QuasivocError, SignalBuffer, _wrap, grid_window
 
 AMPLITUDE_FLOOR = 1e-7
 COND_THRESHOLD = 1e10
@@ -35,22 +35,6 @@ REFINE_REL_TOL = 1e-4
 
 class AnalysisError(QuasivocError):
     """Raised when a frame cannot be analyzed."""
-
-
-@dataclass
-class QhmFrameParams:
-    """LS solution of one frame: complex amplitudes, slopes, frequencies."""
-
-    a: np.ndarray          # complex amplitude per component
-    b: np.ndarray          # complex slope per component (1/s)
-    f_hat: np.ndarray      # seed frequency per component (Hz)
-    frame_index: int = 0
-    ill_conditioned: bool = False
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.complex128)
-        self.b = np.asarray(self.b, dtype=np.complex128)
-        self.f_hat = np.asarray(self.f_hat, dtype=np.float64)
 
 
 @dataclass
@@ -77,6 +61,9 @@ class HarmonicSet:
         self.compensations = np.atleast_2d(np.asarray(self.compensations, dtype=np.float64))
         if self.flags is None:
             self.flags = np.zeros(self.frequencies.shape[0], dtype=np.int64)
+        if not all(np.all(np.isfinite(a)) for a in (self.frequencies, self.amplitudes,
+                                                    self.phases, self.compensations)):
+            raise AnalysisError("frequencies, amplitudes, phases and compensations must be finite")
         if np.any(self.amplitudes < 0):
             raise AnalysisError("amplitudes must be nonnegative")
 
@@ -200,7 +187,8 @@ class _LsSolver:
     The 1-norm condition number of G is max ||A_i|| * max ||A_i^-1||, with
     ||A_i^-1|| = 1 / (rcond_i ||A_i||). If it exceeds COND_THRESHOLD or a
     factor does not exist, the design is ill-conditioned and every block
-    gets a RIDGE_SCALE*trace(G) ridge.
+    gets a RIDGE_SCALE*trace(G) ridge. If not even the ridge makes every
+    block factorable, the solver has no blocks and solves no frame.
 
     The RHS of the samples x is ((weights * x) @ table).ravel(): table
     (m, 2K) holds the windowed [2cos | -2sin] columns and weights (2, m) the
@@ -230,8 +218,11 @@ class _LsSolver:
             self.rcond = 0.0
         self.ill_conditioned = self.rcond * COND_THRESHOLD < 1.0
         if self.ill_conditioned:
-            factors = [cho_factor(gram + np.diag(RIDGE_SCALE * trace / (d * d)))
-                       for (_, gram), d in zip(blocks, scales)]
+            try:
+                factors = [cho_factor(gram + np.diag(RIDGE_SCALE * trace / (d * d)))
+                           for (_, gram), d in zip(blocks, scales)]
+            except LinAlgError:
+                factors = []
         self.blocks = [(index, d, factor)
                        for (index, _), d, factor in zip(blocks, scales, factors)]
         self.table, self.weights = table, weights
@@ -255,8 +246,11 @@ class _LsSolver:
         return cls([(np.arange(ew.shape[1]), ew.T @ ew)], ew[:, :2 * phase.shape[1]],
                    np.stack((window, t * window)))
 
-    def solve(self, frame: np.ndarray, f_hat: np.ndarray, frame_index: int) -> QhmFrameParams:
-        """Complex amplitudes and slopes of the components seeded at f_hat."""
+    def solve(self, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Complex amplitudes a and slopes b of the components, or None if
+        the solver has no blocks."""
+        if not self.blocks:
+            return None
         if len(self.blocks) == 1:
             parts = (frame,)
         else:
@@ -267,63 +261,7 @@ class _LsSolver:
             rhs = ((self.weights * part) @ self.table).ravel()[index]
             theta[index] = cho_solve(factor, rhs / d) / d
         theta = theta.reshape(4, -1)
-        return QhmFrameParams(theta[0] + 1j * theta[1], theta[2] + 1j * theta[3],
-                              f_hat, frame_index, self.ill_conditioned)
-
-
-def qhm_ls_fit(frame_samples: np.ndarray, f_hats: np.ndarray, window: np.ndarray,
-               sample_rate: int, frame_index: int = 0) -> QhmFrameParams:
-    """Windowed least-squares fit of complex amplitude and slope per component.
-
-    frame_samples must be centered on the frame (odd length, local time
-    axis symmetric around 0). Requires at least 4K samples for a stable
-    solution.
-    """
-    x = np.asarray(frame_samples, dtype=np.float64)
-    f = np.asarray(f_hats, dtype=np.float64)
-    k = f.size
-    if x.size < 4 * k:
-        raise AnalysisError(
-            f"frame {frame_index}: window of {x.size} samples is below 4K={4 * k}")
-    if np.any(np.abs(f) >= sample_rate / 2):
-        raise AnalysisError(f"frame {frame_index}: component frequency at or above Nyquist")
-    half = (x.size - 1) / 2.0
-    t = (np.arange(x.size) - half) / sample_rate
-    solver = _LsSolver.from_phase(t, 2 * np.pi * np.outer(t, f), np.asarray(window, dtype=np.float64))
-    return solver.solve(x, f, frame_index)
-
-
-def frequency_correction(params: QhmFrameParams) -> np.ndarray:
-    """Per-component frequency offset from the complex slope.
-
-    eta = (aR*bI - aI*bR) / (2*pi*|a|^2); components with |a| at or below
-    the amplitude floor get eta = 0 (correction undefined).
-    """
-    a, b = params.a, params.b
-    mag2 = np.abs(a) ** 2
-    eta = np.zeros_like(mag2)
-    ok = np.abs(a) > AMPLITUDE_FLOOR
-    eta[ok] = (a.real[ok] * b.imag[ok] - a.imag[ok] * b.real[ok]) / (2 * np.pi * mag2[ok])
-    return eta
-
-
-def framewise_amp_phase(params: QhmFrameParams) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude and wrapped phase of each component at the frame center.
-
-    Zero-amplitude components get phase 0 by convention.
-    """
-    amp = np.abs(params.a)
-    phase = np.where(amp > 0, np.angle(params.a), 0.0)
-    return amp, phase
-
-
-def integrate_phase(inst_freq: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Cumulative-trapezoid phase from instantaneous frequency tracks along
-    the last axis."""
-    f = np.asarray(inst_freq, dtype=np.float64)
-    if not np.all(np.isfinite(f)):
-        raise AnalysisError("instantaneous frequency must be finite")
-    return cumulative_trapezoid(2 * np.pi * f, dx=1.0 / sample_rate, initial=0.0)
+        return theta[0] + 1j * theta[1], theta[2] + 1j * theta[3]
 
 
 def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
@@ -410,29 +348,27 @@ def refine_f0(hset: HarmonicSet, track: F0Track) -> F0Track:
     return F0Track(hset.grid, values)
 
 
-def _clamp_correction(eta: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Limit corrections to half the component spacing.
-
-    Keeps components from swapping order or drifting onto a neighbor,
-    which happens on near-silent components whose slope is pure noise.
-    """
-    if freqs.size > 1:
-        bound = 0.5 * float(np.min(np.abs(np.diff(np.sort(freqs)))))
-        bound = max(bound, 1e-3)
-    else:
-        bound = 0.5 * max(float(freqs[0]), 1.0)
-    return np.clip(eta, -bound, bound)
-
-
-def _corrected(params: QhmFrameParams, sample_rate: int):
+def _corrected(a: np.ndarray, b: np.ndarray, f_hat: np.ndarray, sample_rate: int):
     """Corrected frequencies, amplitudes and phases of one solved frame.
 
-    The correction is clamped to half the component spacing and the
-    corrected frequencies are clipped to [0, Nyquist).
+    The frequency correction from the complex slope is
+    eta = (aR*bI - aI*bR) / (2*pi*|a|^2), and 0 where |a| is at or below
+    AMPLITUDE_FLOOR (there it is undefined). It is clamped to half the
+    spacing of the seeds f_hat (half the seed of a lone component), which
+    keeps a near-silent component whose slope is pure noise from drifting
+    onto a neighbour, and f_hat + eta is clipped to [0, Nyquist). The
+    amplitude is |a| and the phase arg(a), 0 on a zero amplitude.
     """
-    eta = _clamp_correction(frequency_correction(params), params.f_hat)
-    amp, phase = framewise_amp_phase(params)
-    return np.clip(params.f_hat + eta, 0.0, sample_rate / 2 - 1e-6), amp, phase
+    amp = np.abs(a)
+    ok = amp > AMPLITUDE_FLOOR
+    eta = np.zeros(amp.shape)
+    eta[ok] = (a.real[ok] * b.imag[ok] - a.imag[ok] * b.real[ok]) / (2 * np.pi * amp[ok] ** 2)
+    if f_hat.size > 1:
+        bound = max(0.5 * float(np.min(np.abs(np.diff(np.sort(f_hat))))), 1e-3)
+    else:
+        bound = 0.5 * max(float(f_hat[0]), 1.0)
+    freqs = np.clip(f_hat + np.clip(eta, -bound, bound), 0.0, sample_rate / 2 - 1e-6)
+    return freqs, amp, np.where(amp > 0, np.angle(a), 0.0)
 
 
 def harmonic_grid(f0_track: F0Track, sample_rate: int,
@@ -494,7 +430,8 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
     least as many samples as unknowns; the others keep their seeds at zero
     amplitude. The component count K is fixed across frames (the maximum
     the K rule yields on any frame). Flag bit 1 marks an ill-conditioned
-    fit, bit 2 a window truncated by the signal's edge.
+    fit, bit 2 a window truncated by the signal's edge. A frame whose system
+    not even the ridge makes factorable keeps its seeds at zero amplitude.
     """
     fs = buffer.sample_rate
     window = grid_window(grid, fs)
@@ -524,24 +461,12 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
         key = (fseed.tobytes(), sl.start, sl.stop)
         if key not in solvers:
             solvers[key] = _LsSolver.harmonic(fseed[0], k_l, t[sl], window[sl])
-        params = solvers[key].solve(x[lo:hi], fseed, l)
-        freqs[l, :k_l], amps[l, :k_l], phases[l, :k_l] = _corrected(params, fs)
-        flags[l] = int(params.ill_conditioned) | 2 * (hi - lo < n_win)
+        solved = solvers[key].solve(x[lo:hi])
+        if solved is not None:
+            freqs[l, :k_l], amps[l, :k_l], phases[l, :k_l] = _corrected(*solved, fseed, fs)
+        flags[l] = int(solvers[key].ill_conditioned) | 2 * (hi - lo < n_win)
     comp = compensations_from_phases(grid, freqs, phases)
     return HarmonicSet(grid, freqs, amps, phases, comp, fs, flags)
-
-
-def _instantaneous_tracks(hset: HarmonicSet, n_samples: int):
-    """Audio-rate frequency and amplitude per component, linearly interpolated."""
-    fs = hset.sample_rate
-    tt = np.arange(n_samples) / fs
-    tc = hset.grid.centers
-    inst_f = np.empty((hset.n_components, n_samples))
-    inst_a = np.empty((hset.n_components, n_samples))
-    for k in range(hset.n_components):
-        inst_f[k] = linear_interp(tc, hset.frequencies[:, k], tt)
-        inst_a[k] = linear_interp(tc, hset.amplitudes[:, k], tt)
-    return inst_f, inst_a
 
 
 def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqhm",
@@ -607,9 +532,16 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, mode: str,
     fs = buffer.sample_rate
     half = (window.size - 1) // 2
     n_samples = len(buffer)
-    inst_f, inst_a = _instantaneous_tracks(current, n_samples)
-    # global unwrapped phase track per component from frequency integration
-    inst_phi = integrate_phase(inst_f, fs)
+    # audio-rate tracks per component, linear between frame centres; the
+    # global unwrapped phase integrates the frequency by the trapezoid rule
+    tt = np.arange(n_samples) / fs
+    tc = current.grid.centers
+    inst_f = np.empty((current.n_components, n_samples))
+    inst_a = np.empty((current.n_components, n_samples))
+    for k in range(current.n_components):
+        inst_f[k] = np.interp(tt, tc, current.frequencies[:, k])
+        inst_a[k] = np.interp(tt, tc, current.amplitudes[:, k])
+    inst_phi = cumulative_trapezoid(2 * np.pi * inst_f, dx=1.0 / fs, initial=0.0)
     freqs = current.frequencies.copy()
     amps = current.amplitudes.copy()
     phases = current.phases.copy()
@@ -635,14 +567,11 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, mode: str,
             amp_ratio = np.ones((hi - lo, live.size))
             ratio = inst_a[live[significant], lo:hi].T / a_c[significant][None, :]
             amp_ratio[:, significant] = np.clip(ratio, 0.1, 10.0)
-        try:
-            params = _LsSolver.from_phase(t_local, basis_phase, window, amp_ratio).solve(
-                x[lo:hi], freqs[l, live], l)
-        except LinAlgError:
-            # not even the ridge made the system factorable: an ill-conditioned fit
-            flags[l] |= 1
-            continue
-        freqs[l, live], amps[l, live], phases[l, live] = _corrected(params, fs)
-        flags[l] |= int(params.ill_conditioned)
+        solver = _LsSolver.from_phase(t_local, basis_phase, window, amp_ratio)
+        solved = solver.solve(x[lo:hi])
+        if solved is not None:
+            freqs[l, live], amps[l, live], phases[l, live] = _corrected(
+                *solved, freqs[l, live], fs)
+        flags[l] |= int(solver.ill_conditioned)
     comp = compensations_from_phases(current.grid, freqs, phases)
     return HarmonicSet(current.grid, freqs, amps, phases, comp, fs, flags)

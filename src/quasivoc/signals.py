@@ -1,4 +1,4 @@
-"""Core signal types, framing, windows, interpolation, WAV I/O.
+"""Core signal types, framing, windows, WAV I/O.
 
 Everything here is a pure function over immutable inputs; all sample
 amplitudes are float64 internally.
@@ -172,18 +172,6 @@ def grid_window(grid: FrameGrid, sample_rate: int) -> np.ndarray:
     """The grid's analysis window realized at the given sample rate."""
     n = grid.window_samples(sample_rate)
     return make_window(grid.window_kind, n, grid.gauss_sigma)
-
-
-def linear_interp(knot_times, knot_values, query_times) -> np.ndarray:
-    """Piecewise-linear interpolation, exact at knots, endpoint hold outside."""
-    t = np.asarray(knot_times, dtype=np.float64)
-    v = np.asarray(knot_values, dtype=np.float64)
-    if t.size < 1:
-        raise SignalError("linear_interp requires at least 1 knot")
-    q = np.asarray(query_times, dtype=np.float64)
-    if t.size == 1:
-        return np.full(q.shape, v[0])
-    return np.interp(q, t, v)
 
 
 def _wrap(phi):

@@ -16,10 +16,9 @@ from quasivoc.arma import (ArmaSection, CascadeFrame, _wrap, correction_capacity
                            sample_harmonics)
 from quasivoc.metrics import f0_rmse, mcd, mel_cepstrum, rtf, snr, vuv_rate
 from quasivoc.modify import ScaleSchedule, modify
-from quasivoc.qhm import (F0Track, analyze_qhm, detect_f0, frequency_correction,
-                          qhm_ls_fit, refine_adaptive, refine_f0)
+from quasivoc.qhm import F0Track, analyze_qhm, detect_f0, refine_adaptive, refine_f0
 from quasivoc.serialize import cascade_to_bytes, harmonics_to_bytes
-from quasivoc.signals import SignalBuffer, make_grid, make_window
+from quasivoc.signals import FrameGrid, SignalBuffer, make_grid
 from quasivoc.synth import synthesize_arma, synthesize_qhm
 
 FS = 24000
@@ -42,14 +41,15 @@ def _interior_snr(ref, gen, trim):
 
 def test_criterion_1_frequency_correction():
     t0 = time.time()
-    window = make_window("hann", 481)
-    half = 240
-    t = (np.arange(481) - half) / FS
+    # one frame at the centre of a 481-sample clip, under a full Hann window
+    grid = FrameGrid(np.array([240 / FS]), 0.005, 0.010)
+    t = (np.arange(481) - 240) / FS
 
     def corrected(f_true, f_seed):
-        x = np.cos(2 * np.pi * f_true * t)
-        params = qhm_ls_fit(x, np.array([f_seed]), window, FS)
-        return f_seed + frequency_correction(params)[0]
+        buf = SignalBuffer(np.cos(2 * np.pi * f_true * t), FS)
+        hset = analyze_qhm(buf, grid, F0Track(grid, [f_seed]), max_components=1)
+        assert not hset.flags[0] & 2
+        return hset.frequencies[0, 0]
 
     one_pass = corrected(101.0, 100.0)
     ok_single = abs(one_pass - 101.0) <= 0.05
@@ -63,7 +63,7 @@ def test_criterion_1_frequency_correction():
     elapsed = time.time() - t0
     _report(1, "frequency correction", ok_single and worst_rel <= 0.05
             and elapsed < 1.0,
-            f"101 Hz -> {one_pass:.4f}, worst offset error {100 * worst_rel:.3f}%, "
+            f"101 Hz -> {one_pass:.6f}, worst offset error {100 * worst_rel:.4f}%, "
             f"{elapsed:.2f} s")
 
 

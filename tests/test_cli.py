@@ -430,6 +430,49 @@ def test_synth_exit_code_2_on_nonfinite_grid(tmp_path, tone_wav, capsys, field, 
     assert not (tmp_path / "out.wav").exists()
 
 
+@pytest.fixture(scope="module")
+def small_harmonics(tmp_path_factory):
+    """A 5-frame tone's harmonics JSON at three components, and its F0 CSV."""
+    d = tmp_path_factory.mktemp("small")
+    assert main(["gen-fixture", "tone", str(d / "tone.wav"),
+                 "--params", '{"freq": 200.0, "duration": 0.02}']) == 0
+    assert main(["analyze", str(d / "tone.wav"), str(d / "harm.json"), "--max-components",
+                 "3", "--f0-out", str(d / "f0.csv")]) in (0, 1)
+    return d
+
+
+@pytest.mark.parametrize("command", ["synth", "fit-envelope"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["frequencies", "amplitudes", "phases", "compensations"])
+def test_nonfinite_harmonics_exit_2(small_harmonics, tmp_path, capsys, command, value, name):
+    """A harmonics product with one non-finite value is a usage error for
+    synthesis and for the envelope fit, not a traceback or a written file."""
+    d = small_harmonics
+    doc = json.loads((d / "harm.json").read_text())
+    doc[name][2][1] = value
+    harm = tmp_path / "bad.json"
+    harm.write_text(json.dumps(doc))
+    out = tmp_path / ("out.wav" if command == "synth" else "casc.bin")
+    argv = ([command, str(harm), str(out), "--from-harmonics"] if command == "synth" else
+            [command, str(harm), str(out), "--f0", str(d / "f0.csv"), "--orders", "4,4,1"])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_gauss_window_without_a_factorable_frame(tmp_path, capsys):
+    """A Gauss window a thousandth of a sample wide leaves one frame that not
+    even the ridge makes factorable: analyze writes the product and exits 0
+    or 1, with no traceback."""
+    wav, harm, cfg = tmp_path / "tn.wav", tmp_path / "x.bin", tmp_path / "g.cfg"
+    assert main(["gen-fixture", "tone", str(wav),
+                 "--params", '{"freq": 200.0, "duration": 0.2}']) == 0
+    cfg.write_text("window_kind = gauss\ngauss_sigma = 1e-3\n")
+    assert main(["analyze", str(wav), str(harm), "--config", str(cfg)]) in (0, 1)
+    assert serialize.harmonics_from_bytes(harm.read_bytes()).flags[-1] & 1
+
+
 def test_config_file_flows_through(tmp_path, tone_wav):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("max_components = 4\nframe_shift = 0.01\n")

@@ -50,6 +50,12 @@ def test_schedule_from_breakpoints():
                                            grid, np.ones(len(grid), bool))
     np.testing.assert_allclose(sched.betas, [1.0, 1.25, 1.5, 1.75, 2.0])
     np.testing.assert_allclose(sched.rhos, 1.0)
+    # one breakpoint holds its values on every frame
+    sched = ScaleSchedule.from_breakpoints([0.01], [1.5], [0.8], grid, np.ones(len(grid), bool))
+    np.testing.assert_array_equal(sched.betas, 1.5)
+    np.testing.assert_array_equal(sched.rhos, 0.8)
+    with pytest.raises(ModificationError, match="breakpoint"):
+        ScaleSchedule.from_breakpoints([], [], [], grid, np.ones(len(grid), bool))
 
 
 def test_load_schedule(tmp_path):

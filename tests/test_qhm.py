@@ -5,13 +5,12 @@ import pytest
 from scipy.linalg import LinAlgError, cho_factor
 
 from quasivoc import fixtures, qhm
-from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, QhmFrameParams,
-                          analyze_qhm, compensations_from_phases, detect_f0,
-                          framewise_amp_phase, frequency_correction,
-                          harmonic_grid, integrate_phase, qhm_ls_fit,
+from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, analyze_qhm,
+                          compensations_from_phases, detect_f0, harmonic_grid,
                           refine_adaptive, refine_f0)
-from quasivoc.qhm import COND_THRESHOLD, F0_QUANTUM, _basis, _harmonic_normal, _LsSolver
-from quasivoc.signals import SignalBuffer, grid_window, make_grid, make_window
+from quasivoc.qhm import (COND_THRESHOLD, F0_QUANTUM, _basis, _corrected, _harmonic_normal,
+                          _LsSolver)
+from quasivoc.signals import FrameGrid, SignalBuffer, grid_window, make_grid, make_window
 from quasivoc.synth import synthesize_arma
 
 FS = 24000
@@ -50,41 +49,52 @@ def _oracle_ls(x, t, freqs, window):
     return a, b
 
 
-# --- qhm_ls_fit ------------------------------------------------------------
+# --- one-frame LS solve ----------------------------------------------------
+
+def _stationary_solver(freqs, window, t):
+    """The solver of the stationary design of any seeds, one block."""
+    return _LsSolver.from_phase(t, 2 * np.pi * np.outer(t, freqs), window)
+
 
 def test_ls_fit_pure_cosine_exact_seed():
+    """Both constructors: the one-block design and the even/odd blocks."""
     A, f, phi = 0.3, 200.0, 0.7
-    x, _ = _centered_frame([f], [A], [phi])
+    x, t = _centered_frame([f], [A], [phi])
     w = make_window("hann", 481)
-    params = qhm_ls_fit(x, np.array([f]), w, FS)
-    np.testing.assert_allclose(params.a[0], (A / 2) * np.exp(1j * phi), atol=1e-9)
-    assert abs(params.b[0]) <= 1e-6 * A
+    for solver in (_stationary_solver([f], w, t), _LsSolver.harmonic(f, 1, t, w)):
+        a, b = solver.solve(x)
+        np.testing.assert_allclose(a[0], (A / 2) * np.exp(1j * phi), atol=1e-9)
+        assert abs(b[0]) <= 1e-6 * A
 
 
 def test_ls_fit_zero_frame():
+    _, t = _centered_frame([], [], [])
     w = make_window("hann", 481)
-    params = qhm_ls_fit(np.zeros(481), np.array([100.0, 200.0]), w, FS)
-    np.testing.assert_allclose(params.a, 0.0, atol=1e-15)
-    np.testing.assert_allclose(params.b, 0.0, atol=1e-15)
+    for solver in (_stationary_solver([100.0, 200.0], w, t), _LsSolver.harmonic(100.0, 2, t, w)):
+        a, b = solver.solve(np.zeros(481))
+        np.testing.assert_allclose(a, 0.0, atol=1e-15)
+        np.testing.assert_allclose(b, 0.0, atol=1e-15)
 
 
 def test_ls_fit_matches_normal_equation_oracle():
     x, t = _centered_frame([101.0], [1.0], [0.0])
     w = make_window("hann", 481)
-    params = qhm_ls_fit(x, np.array([100.0]), w, FS)
+    a, b = _stationary_solver([100.0], w, t).solve(x)
     a_ref, b_ref = _oracle_ls(x, t, [100.0], w)
-    np.testing.assert_allclose(params.a, a_ref, rtol=1e-8, atol=1e-12)
-    np.testing.assert_allclose(params.b, b_ref, rtol=1e-8, atol=1e-10)
-    eta = frequency_correction(params)
-    assert abs(eta[0] - 1.0) < 0.05
+    np.testing.assert_allclose(a, a_ref, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(b, b_ref, rtol=1e-8, atol=1e-10)
+    freqs, _, _ = _corrected(a, b, np.array([100.0]), FS)
+    assert abs(freqs[0] - 101.0) < 0.05
 
 
 def test_ls_fit_errors():
-    w = make_window("hann", 481)
-    with pytest.raises(AnalysisError):
-        qhm_ls_fit(np.zeros(7), np.array([100.0, 200.0]), w[:7], FS)
-    with pytest.raises(AnalysisError):
-        qhm_ls_fit(np.zeros(481), np.array([FS / 2.0]), w, FS)
+    """analyze_qhm refuses a seed at Nyquist and a frame with under 8 samples."""
+    grid = FrameGrid(np.array([240 / FS]), 0.005, 0.010)
+    with pytest.raises(AnalysisError, match="Nyquist"):
+        analyze_qhm(SignalBuffer(np.zeros(481), FS), grid, F0Track(grid, [FS / 2.0]))
+    grid = FrameGrid(np.zeros(1), 0.005, 0.010)
+    with pytest.raises(AnalysisError, match="no usable samples"):
+        analyze_qhm(SignalBuffer(np.zeros(7), FS), grid, F0Track(grid, [100.0]))
 
 
 def test_ls_optimality_under_perturbation():
@@ -94,7 +104,7 @@ def test_ls_optimality_under_perturbation():
     x += 0.01 * rng.standard_normal(x.size)
     freqs = np.array([150.0, 320.0])
     w = make_window("hann", 481)
-    params = qhm_ls_fit(x, freqs, w, FS)
+    a, b = _stationary_solver(freqs, w, t).solve(x)
 
     def wsse(a, b):
         model = np.zeros_like(x)
@@ -103,11 +113,11 @@ def test_ls_optimality_under_perturbation():
             model += 2 * np.real((a[k] + t * b[k]) * e)
         return np.sum((w * (x - model)) ** 2)
 
-    base = wsse(params.a, params.b)
+    base = wsse(a, b)
     for _ in range(40):
         da = 1e-4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         db = 1e-2 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        assert wsse(params.a + da, params.b + db) >= base - 1e-12
+        assert wsse(a + da, b + db) >= base - 1e-12
 
 
 # --- LS conditioning -------------------------------------------------------
@@ -127,19 +137,21 @@ def test_analysis_runs_no_full_svd(monkeypatch):
 
 
 def test_ls_fit_coincident_frequencies_flagged():
-    x, _ = _centered_frame([150.0, 300.0], [0.5, 0.2], [0.3, -1.1])
+    x, t = _centered_frame([150.0, 300.0], [0.5, 0.2], [0.3, -1.1])
     w = make_window("hann", 481)
-    params = qhm_ls_fit(x, np.array([150.0, 150.0, 300.0]), w, FS)
-    assert params.ill_conditioned
-    assert np.all(np.isfinite(params.a)) and np.all(np.isfinite(params.b))
+    solver = _stationary_solver([150.0, 150.0, 300.0], w, t)
+    assert solver.ill_conditioned
+    a, b = solver.solve(x)
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
 
 
 def test_ls_fit_harmonic_set_not_flagged():
     f = _seeds(150.0)
     w = make_window("hann", 481)
-    x, _ = _centered_frame(f[:5], [0.5, 0.3, 0.2, 0.1, 0.05], [0.0, 0.4, -0.7, 1.2, 2.0])
+    _, t = _centered_frame([], [], [])
     assert f.size == 79
-    assert not qhm_ls_fit(x, f, w, FS).ill_conditioned
+    assert not _stationary_solver(f, w, t).ill_conditioned
+    assert not _LsSolver.harmonic(150.0, 79, t, w).ill_conditioned
 
 
 @pytest.mark.parametrize("freqs", [_seeds(150.0),
@@ -233,72 +245,84 @@ def test_harmonic_solver_matches_basis_solver(n_components, edge):
     ref_solver = _LsSolver.from_phase(t, 2 * np.pi * np.outer(t, f), w)
     solver = _LsSolver.harmonic(base, f.size, t, w)
     assert solver.ill_conditioned == ref_solver.ill_conditioned
-    ref, got = ref_solver.solve(x, f, 3), solver.solve(x, f, 3)
-    assert got.frame_index == 3 and np.array_equal(got.f_hat, f)
     rel = 1e-9 if solver.ill_conditioned else max(1e-9, 1e-14 / ref_solver.rcond)
-    for value, expect in ((got.a, ref.a), (got.b, ref.b)):
+    for value, expect in zip(solver.solve(x), ref_solver.solve(x)):
         np.testing.assert_allclose(value, expect, rtol=0, atol=rel * np.abs(expect).max())
 
 
-# --- frequency correction --------------------------------------------------
+# --- frequency correction ------------------------------------------------
+
+def _slopes(eta, a=None):
+    """Unit amplitudes a and the slopes b whose correction is eta Hz."""
+    eta = np.asarray(eta, dtype=np.float64)
+    a = np.ones(eta.size, complex) if a is None else a
+    return a, 2j * np.pi * eta * a
+
 
 def test_correction_zero_slope():
-    p = QhmFrameParams(np.array([1.0 + 0j]), np.array([0j]), np.array([100.0]))
-    assert frequency_correction(p)[0] == 0.0
+    freqs, _, _ = _corrected(*_slopes([0.0]), np.array([100.0]), FS)
+    assert freqs[0] == 100.0
 
 
 def test_correction_closed_form():
     c = 7.3
-    p = QhmFrameParams(np.array([1.0 + 0j]), np.array([1j * c]), np.array([100.0]))
-    np.testing.assert_allclose(frequency_correction(p)[0], c / (2 * np.pi))
+    freqs, _, _ = _corrected(np.array([1.0 + 0j]), np.array([1j * c]), np.array([100.0]), FS)
+    np.testing.assert_allclose(freqs[0] - 100.0, c / (2 * np.pi))
 
 
 def test_correction_floor():
-    p = QhmFrameParams(np.array([1e-9 + 0j]), np.array([5.0 + 3j]), np.array([100.0]))
-    assert frequency_correction(p)[0] == 0.0
+    freqs, _, _ = _corrected(np.array([1e-9 + 0j]), np.array([5.0 + 3j]), np.array([100.0]), FS)
+    assert freqs[0] == 100.0
 
 
 def test_correction_scale_invariance():
-    rng = np.random.default_rng(2)
-    x, _ = _centered_frame([103.0], [0.4], [0.2])
+    x, t = _centered_frame([103.0], [0.4], [0.2])
     w = make_window("hann", 481)
+    solver = _stationary_solver([100.0], w, t)
+    a1, b1 = solver.solve(x)
+    f1, _, _ = _corrected(a1, b1, np.array([100.0]), FS)
     for c in (0.5, 3.0, 40.0):
-        p1 = qhm_ls_fit(x, np.array([100.0]), w, FS)
-        p2 = qhm_ls_fit(c * x, np.array([100.0]), w, FS)
-        np.testing.assert_allclose(p2.a, c * p1.a, rtol=1e-9)
-        np.testing.assert_allclose(p2.b, c * p1.b, rtol=1e-9)
-        np.testing.assert_allclose(frequency_correction(p2),
-                                   frequency_correction(p1), rtol=1e-9)
+        a2, b2 = solver.solve(c * x)
+        np.testing.assert_allclose(a2, c * a1, rtol=1e-9)
+        np.testing.assert_allclose(b2, c * b1, rtol=1e-9)
+        np.testing.assert_allclose(_corrected(a2, b2, np.array([100.0]), FS)[0], f1, rtol=1e-9)
+
+
+@pytest.mark.parametrize("f_hat, eta, expect", [
+    ([100.0, 200.0, 300.0], [80.0, -3.0, -60.0], [150.0, 197.0, 250.0]),
+    # refinement passes the current frequencies, in any order
+    ([100.0, 300.0, 150.0], [40.0, -40.0, 10.0], [125.0, 275.0, 160.0]),
+    # coincident seeds still move by 1e-3 Hz
+    ([100.0, 100.0], [5.0, -5.0], [100.001, 99.999]),
+])
+def test_correction_clamped_to_half_the_seed_spacing(f_hat, eta, expect):
+    """A noisy slope moves a component by at most half the seed spacing."""
+    freqs, amp, _ = _corrected(*_slopes(eta), np.array(f_hat), FS)
+    np.testing.assert_allclose(freqs, expect, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(amp, 1.0)
+
+
+@pytest.mark.parametrize("f_hat, eta, expect", [(40.0, 100.0, 60.0), (40.0, -100.0, 20.0),
+                                                (40.0, 15.0, 55.0), (0.5, -3.0, 0.0)])
+def test_correction_of_a_lone_component_within_half_its_frequency(f_hat, eta, expect):
+    """A lone component moves by at most 0.5*f, and at least 0.5 Hz."""
+    freqs, _, _ = _corrected(*_slopes([eta]), np.array([f_hat]), FS)
+    np.testing.assert_allclose(freqs, [expect], rtol=0, atol=1e-9)
+
+
+def test_corrected_frequencies_clipped_to_zero_and_below_nyquist():
+    freqs, _, _ = _corrected(*_slopes([-300.0, 100.0]), np.array([1.0, 11990.0]), FS)
+    assert freqs[0] == 0.0
+    assert freqs[1] == FS / 2 - 1e-6
 
 
 # --- framewise amplitude/phase ---------------------------------------------
 
 def test_framewise_amp_phase_cases():
-    p = QhmFrameParams(np.array([1.0, 0.0, -2j]), np.zeros(3, complex),
-                       np.array([100.0, 200.0, 300.0]))
-    amp, phase = framewise_amp_phase(p)
+    a = np.array([1.0, 0.0, -2j])
+    _, amp, phase = _corrected(a, np.zeros(3, complex), np.array([100.0, 200.0, 300.0]), FS)
     np.testing.assert_allclose(amp, [1.0, 0.0, 2.0])
     np.testing.assert_allclose(phase, [0.0, 0.0, -np.pi / 2])
-
-
-# --- phase integration -----------------------------------------------------
-
-def test_integrate_phase_constant():
-    n = int(0.01 * FS) + 1
-    phi = integrate_phase(np.full(n, 100.0), FS)
-    np.testing.assert_allclose(phi[-1] - phi[0], 2 * np.pi, rtol=1e-10)
-
-
-def test_integrate_phase_chirp_oracle():
-    n = 241
-    f = np.linspace(100.0, 110.0, n)
-    phi = integrate_phase(f, FS)
-    # dense trapezoid reference, accumulated step by step
-    expect = np.concatenate(
-        ([0.0], np.cumsum(np.pi * (f[:-1] + f[1:]) / FS)))
-    np.testing.assert_allclose(phi, expect, atol=1e-10)
-    with pytest.raises(AnalysisError):
-        integrate_phase(np.array([100.0, np.inf]), FS)
 
 
 # --- pitch detection -------------------------------------------------------
@@ -433,6 +457,32 @@ def test_analyze_qhm_edge_frames_match_oracle(multisine_data):
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(hset.frequencies[l], freqs + eta, rtol=0, atol=1e-9)
         assert hset.flags[l] & 2
+
+
+def test_analyze_flags_a_failed_solve_ill_conditioned():
+    """A frame whose normal matrix not even the ridge makes factorable keeps
+    its seeds at zero amplitude and gets bit 1. Under a Gauss window a
+    thousandth of a sample wide, that is the last frame of a tone."""
+    buf, _ = fixtures.tone(200.0, 0.2, FS)
+    grid = make_grid(buf.duration, 0.005, 0.010, "gauss", 1e-3)
+    track = detect_f0(buf, grid)
+    hset = analyze_qhm(buf, grid, track)
+    seeds, _ = harmonic_grid(track, FS)
+    assert hset.flags[-1] == 3
+    assert np.all(hset.amplitudes[-1] == 0) and np.all(hset.phases[-1] == 0)
+    np.testing.assert_array_equal(hset.frequencies[-1], seeds[-1])
+    assert np.all(hset.amplitudes[:-1].any(axis=1))
+
+
+@pytest.mark.parametrize("name", ["frequencies", "amplitudes", "phases", "compensations"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_harmonic_set_rejects_nonfinite_values(name, value):
+    grid = make_grid(0.01, 0.005, 0.010)
+    arrays = {key: np.ones((3, 2)) for key in ("frequencies", "amplitudes", "phases",
+                                               "compensations")}
+    arrays[name][1, 0] = value
+    with pytest.raises(AnalysisError, match="finite"):
+        HarmonicSet(grid, **arrays, sample_rate=FS)
 
 
 def test_refine_f0_recovers_offset():

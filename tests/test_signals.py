@@ -1,11 +1,10 @@
-"""Windows, interpolation and WAV I/O."""
+"""Windows, frame grids and WAV I/O."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
-from quasivoc.signals import (FrameGrid, SignalBuffer, SignalError, linear_interp,
-                              make_grid, make_window, read_wav, write_wav)
+from quasivoc.signals import (FrameGrid, SignalBuffer, SignalError, make_grid, make_window,
+                              read_wav, write_wav)
 
 
 # --- windows ---------------------------------------------------------------
@@ -149,29 +148,3 @@ def test_read_wav_errors(tmp_path):
         read_wav(empty)
     with pytest.raises(SignalError):
         write_wav(SignalBuffer(np.zeros(4), 8000), tmp_path / "x.wav", "mp3")
-
-
-# --- interpolation ---------------------------------------------------------
-
-def test_linear_interp_examples():
-    assert linear_interp([0, 1], [0, 2], [0.5])[0] == 1.0
-    assert linear_interp([0, 1], [0, 2], [1.0])[0] == 2.0
-    assert linear_interp([0, 1], [0, 2], [-0.5])[0] == 0.0
-    assert linear_interp([0, 1], [0, 2], [1.7])[0] == 2.0
-
-
-def test_linear_interp_single_knot_and_error():
-    np.testing.assert_array_equal(linear_interp([1.0], [3.0], [0.0, 5.0]),
-                                  [3.0, 3.0])
-    with pytest.raises(SignalError):
-        linear_interp([], [], [0.0])
-
-
-@given(st.floats(-100, 100),
-       st.lists(st.floats(0.01, 10), min_size=1, max_size=11),
-       st.lists(st.floats(-1e6, 1e6), min_size=12, max_size=12))
-@settings(max_examples=60, deadline=None)
-def test_interp_exact_at_knots_property(start, gaps, values):
-    t = start + np.concatenate(([0.0], np.cumsum(gaps)))
-    v = np.asarray(values[:t.size])
-    np.testing.assert_allclose(linear_interp(t, v, t), v, rtol=1e-12, atol=1e-9)

@@ -10,7 +10,7 @@ from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, sample_cascad
                            sample_harmonics)
 from quasivoc.modify import scaled_times
 from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm, harmonic_grid
-from quasivoc.signals import FrameGrid, SignalError, linear_interp, make_grid
+from quasivoc.signals import FrameGrid, SignalError, make_grid
 from quasivoc.synth import (compensated_phase, delayed_phase, excitation_phase,
                             mute_aliasing, render, synthesize_arma,
                             synthesize_qhm)
@@ -200,7 +200,7 @@ def _render_every_sample(amps, phis, grid):
             out += 2 * amps[0, k] * np.cos(phis[0, k])
             continue
         phi = pchip_per_column(grid.centers, phis[:, k], tt)
-        a = linear_interp(grid.centers, amps[:, k], tt)
+        a = np.interp(tt, grid.centers, amps[:, k])
         out += 2 * a * np.cos(phi)
     return out
 
