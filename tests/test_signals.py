@@ -148,3 +148,14 @@ def test_read_wav_errors(tmp_path):
         read_wav(empty)
     with pytest.raises(SignalError):
         write_wav(SignalBuffer(np.zeros(4), 8000), tmp_path / "x.wav", "mp3")
+
+
+# --- interpolation ---------------------------------------------------------
+
+def test_linear_interp_single_knot_and_error():
+    """Every linear interpolation in the package is np.interp: one knot holds its
+    value at every query, as a one-frame product needs, and no knots is an error
+    that callers report in their own terms before reaching it."""
+    np.testing.assert_array_equal(np.interp([0.0, 5.0], [1.0], [3.0]), [3.0, 3.0])
+    with pytest.raises(ValueError):
+        np.interp([0.0], [], [])
