@@ -26,7 +26,7 @@ class PipelineConfig:
     f0_min: float = 50.0
     f0_max: float = 500.0
     voicing_threshold: float = 0.45
-    refine_mode: str = "none"        # none | aqhm | eaqhm
+    refine_mode: str = "none"        # none | aqhm
     refine_iters: int = 3
     output_format: str = "float32"   # float32 | pcm16
 
@@ -47,7 +47,7 @@ class PipelineConfig:
             raise ConfigError("phase_weight must be nonnegative")
         if self.window_kind not in ("hann", "hamming", "gauss"):
             raise ConfigError(f"unknown window kind: {self.window_kind}")
-        if self.refine_mode not in ("none", "aqhm", "eaqhm"):
+        if self.refine_mode not in ("none", "aqhm"):
             raise ConfigError(f"unknown refine mode: {self.refine_mode}")
         if self.output_format not in ("float32", "pcm16"):
             raise ConfigError(f"unknown output format: {self.output_format}")

@@ -1,8 +1,8 @@
 """Framewise quasi-harmonic analysis.
 
 Least-squares estimation of complex amplitudes and slopes per component,
-frequency correction from the complex slope, adaptive refinement with a
-nonstationary phase basis, and an autocorrelation fallback pitch detector.
+frequency correction from the complex slope, harmonic-locked adaptive
+refinement, and an autocorrelation fallback pitch detector.
 
 The real-signal convention halves the unknowns: components are solved for
 k = 1..K with the conjugate pair at -f implied, i.e. the model is
@@ -24,12 +24,12 @@ AMPLITUDE_FLOOR = 1e-7
 COND_THRESHOLD = 1e10
 RIDGE_SCALE = 1e-8
 F0_QUANTUM = 0.01
-# Component seeds stay this far below Nyquist, and unvoiced frames use seeds
-# at this spacing (Pantazis et al., IEEE TASLP 2011)
+# Component seeds and refined harmonics stay this far below Nyquist, and
+# unvoiced frames use seeds at this spacing (Pantazis et al., IEEE TASLP 2011)
 NYQUIST_GUARD = 50.0
 UNVOICED_F0 = 100.0
-# adaptive refinement stops once an accepted iteration lowers the error by
-# less than this fraction
+# adaptive refinement accepts an iteration only if it lowers the error by at
+# least this fraction of it
 REFINE_REL_TOL = 1e-4
 
 
@@ -93,86 +93,87 @@ class F0Track:
         return self.values > 0
 
 
-def _basis(t: np.ndarray, phase: np.ndarray, amp: np.ndarray | None = None) -> np.ndarray:
-    """Real design matrix for the conjugate-pair LS system.
+def _harmonic_normal(z: np.ndarray, k: int, t: np.ndarray, window: np.ndarray, fold: bool):
+    """Normal matrix of harmonics 1..k of one base phase, in closed form.
 
-    phase is (n, K), each component's phase track over the window (the
-    stationary model uses 2*pi*outer(t, f)); amp optionally scales each
-    column. Columns come in blocks of K: [2cos | -2sin | 2t cos | -2t sin],
-    so that the unknown vector is [Re a | Im a | Re b | Im b].
-    """
-    c, s = np.cos(phase), np.sin(phase)
-    if amp is not None:
-        c, s = c * amp, s * amp
-    return np.hstack((2 * c, -2 * s, 2 * t[:, None] * c, -2 * t[:, None] * s))
+    z = exp(i*Phi(t)) samples the base phase over the window, and harmonic i
+    has the phase theta_i = i*Phi. The design columns come in blocks of k,
+    [2cos | -2sin | 2t cos | -2t sin], so that the unknown vector is
+    [Re a | Im a | Re b | Im b]. With the window sums
+    S_m(d) = sum w^2 t^m z^d, d = 0..2k, and S_m(-d) = conj(S_m(d)),
+    Toeplitz plus Hankel gives the cos-cos, sin-sin and cos-sin entries of
+    moment m (sums of w^2 t^m times the two columns):
+      cc_m = 2Re[S_m(j-i) + S_m(i+j)], ss_m = 2Re[S_m(j-i) - S_m(i+j)],
+      cs_m = -2Im[S_m(j-i) + S_m(i+j)].
+    The powers z^d come from repeated squaring: one exp per sample.
 
-
-def _harmonic_normal(base: float, k: int, t: np.ndarray, window: np.ndarray):
-    """Even and odd normal-matrix blocks of the seeds base*(1..k), in closed form.
-
-    Needs a full window: the centred axis t (t[0] == -t[-1]) and a symmetric
-    window. Then the _basis columns split into the even {2cos, -2t sin} and
-    the odd {-2sin, 2t cos}, which are orthogonal, so G = Ew.T @ Ew of
-    Ew = _basis(t, 2*pi*outer(t, f)) * window, f = base*(1..k), is block
-    diagonal. With cc_m, cs_m and ss_m the cos-cos, cos-sin and sin-sin
-    entries of moment m (sums of w^2 t^m times the two columns), the blocks
-    are
+    In general mode (a window cut by the signal's edge, or a nonstationary
+    Phi) the sums run over every sample, and there is one block of order 4k.
+    fold mode needs a full window, the centred axis t (t[0] == -t[-1]) and a
+    symmetric window, and a stationary phase Phi = 2*pi*base*t. Then S_0
+    and S_2 are real and S_1 is imaginary, so the sums run over the half
+    window t >= 0 only, and the columns split into the even
+    {2cos, -2t sin} and the odd {-2sin, 2t cos}, which are orthogonal:
       even, unknowns [Re a | Im b]: [[cc_0, cs_1], [cs_1.T, ss_2]],
       odd,  unknowns [Im a | Re b]: [[ss_0, cs_1.T], [cs_1, cc_2]].
-    With theta_i = 2*pi*i*base*t and the window sums
-    S_m(d) = sum w^2 t^m exp(i*2*pi*d*base*t), d = 0..2k, Toeplitz plus
-    Hankel gives S_m(j-i) + S_m(i+j) = sum w^2 t^m 2cos(theta_i) exp(i*theta_j),
-    whose real and imaginary parts are the cos-cos and cos-sin entries;
-    S_m(j-i) - S_m(i+j) gives the sin-sin ones. On a symmetric window S_0
-    and S_2 are real and S_1 is imaginary, so the sums run over the half
-    window t >= 0 only. The powers exp(i*2*pi*d*base*t) come from repeated
-    squaring: one exp per sample.
 
     Returns (blocks, table, weights) for _LsSolver: blocks is
-    [(index, gram)] of the even and the odd block, index placing the
-    block's unknowns in [Re a | Im a | Re b | Im b]; table holds the
-    windowed [2cos | -2sin] columns and weights the window and t*window,
-    both over t >= 0, with the centre weight halved because a fold of the
-    frame about its centre counts the centre sample twice.
+    [(index, gram)], index placing each block's unknowns in
+    [Re a | Im a | Re b | Im b]; table holds the windowed [2cos | -2sin]
+    columns and weights the window and t*window. In fold mode both are over
+    t >= 0, with the centre weight halved because a fold of the frame about
+    its centre counts the centre sample twice.
     """
-    h = t.size // 2
-    th, wh = t[h:], window[h:]
+    mult = 1.0
+    if fold:
+        h = t.size // 2
+        t, window, z = t[h:], window[h:], z[h:]
+        # each sample off the centre stands for itself and its mirror image
+        mult = np.full(h + 1, 2.0)
+        mult[0] = 1.0
     n_pow = 2 * k + 1
-    powers = np.empty((h + 1, n_pow), dtype=np.complex128)
+    powers = np.empty((t.size, n_pow), dtype=np.complex128)
     powers[:, 0] = 1.0
-    z = np.exp(2j * np.pi * base * th)
     done = 1
     while done < n_pow:     # columns [0, m) times z^done are columns [done, done + m)
         m = min(done, n_pow - done)
         np.multiply(powers[:, :m], z[:, None], out=powers[:, done:done + m])
         done += m
         z = z * z
-    # each sample off the centre stands for itself and its mirror image
-    mult = np.full(h + 1, 2.0)
-    mult[0] = 1.0
-    w2 = mult * wh * wh
+    w2 = mult * window * window
     # a real product on the interleaved (re, im) columns: unlike the complex
     # product, it rounds the same with one and with two OpenBLAS threads
-    moments = np.stack((w2, w2 * th, w2 * th * th)) @ powers.view(np.float64)
-    # 2*S_0, -2*S_1/i and 2*S_2: even, odd and even in d
-    sums = np.stack((2 * moments[0, 0::2], -2 * moments[1, 1::2], 2 * moments[2, 0::2]))
-    signed = np.concatenate((sums[:, k - 1:0:-1] * [[1], [-1], [1]], sums[:, :k]), axis=1)
-    toeplitz = sliding_window_view(signed, k, axis=1)[:, ::-1]
-    hankel = sliding_window_view(sums[:, 2:], k, axis=1)
-    grams = np.empty((2, 2, k, 2, k))      # [even/odd, row half, i, column half, j]
-    np.add(toeplitz[0], hankel[0], out=grams[0, 0, :, 0])          # cc_0
-    np.subtract(toeplitz[2], hankel[2], out=grams[0, 1, :, 1])     # ss_2
-    np.subtract(toeplitz[0], hankel[0], out=grams[1, 0, :, 0])     # ss_0
-    np.add(toeplitz[2], hankel[2], out=grams[1, 1, :, 1])          # cc_2
-    np.add(toeplitz[1], hankel[1], out=grams[0, 0, :, 1])          # cs_1
-    grams[1, 1, :, 0] = grams[0, 0, :, 1]
-    grams[0, 1, :, 0] = grams[1, 0, :, 1] = grams[0, 0, :, 1].T
-    even, odd = grams.reshape(2, 2 * k, 2 * k)
-    table = np.empty((h + 1, 2 * k))
-    np.multiply(powers[:, 1:k + 1].real, 2 * wh[:, None], out=table[:, :k])
-    np.multiply(powers[:, 1:k + 1].imag, -2 * wh[:, None], out=table[:, k:])
-    weights = np.stack((wh, th * wh)) * (mult / 2)
-    return [(np.r_[:k, 3 * k:4 * k], even), (np.arange(k, 3 * k), odd)], table, weights
+    moments = np.stack((w2, w2 * t, w2 * t * t)) @ powers.view(np.float64)
+    # 2Re S_m and -2Im S_m, m = 0..2: even and odd in d. The first three
+    # rows give cc_m = T + H and ss_m = T - H, the last three cs_m = T + H.
+    # In fold mode only 2Re S_0, 2Re S_2 and -2Im S_1 are window sums
+    sums = np.concatenate((2 * moments[:, 0::2], -2 * moments[:, 1::2]))
+    signed = np.concatenate((sums[:, k - 1:0:-1] * np.repeat([[1.0], [-1.0]], 3, axis=0),
+                             sums[:, :k]), axis=1)
+    toeplitz = sliding_window_view(signed, k, axis=1)[:, ::-1]     # T = S(j - i)
+    hankel = sliding_window_view(sums[:, 2:], k, axis=1)           # H = S(i + j)
+    table = np.empty((t.size, 2 * k))
+    np.multiply(powers[:, 1:k + 1].real, 2 * window[:, None], out=table[:, :k])
+    np.multiply(powers[:, 1:k + 1].imag, -2 * window[:, None], out=table[:, k:])
+    if fold:
+        grams = np.empty((2, 2, k, 2, k))      # [even/odd, row half, i, column half, j]
+        np.add(toeplitz[0], hankel[0], out=grams[0, 0, :, 0])          # cc_0
+        np.subtract(toeplitz[2], hankel[2], out=grams[0, 1, :, 1])     # ss_2
+        np.subtract(toeplitz[0], hankel[0], out=grams[1, 0, :, 0])     # ss_0
+        np.add(toeplitz[2], hankel[2], out=grams[1, 1, :, 1])          # cc_2
+        np.add(toeplitz[4], hankel[4], out=grams[0, 0, :, 1])          # cs_1
+        grams[1, 1, :, 0] = grams[0, 0, :, 1]
+        grams[0, 1, :, 0] = grams[1, 0, :, 1] = grams[0, 0, :, 1].T
+        even, odd = grams.reshape(2, 2 * k, 2 * k)
+        weights = np.stack((window, t * window)) * (mult / 2)
+        return [(np.r_[:k, 3 * k:4 * k], even), (np.arange(k, 3 * k), odd)], table, weights
+    cc, ss = toeplitz[:3] + hankel[:3], toeplitz[:3] - hankel[:3]
+    cs = toeplitz[3:] + hankel[3:]
+    gram = np.block([[cc[0], cs[0], cc[1], cs[1]],
+                     [cs[0].T, ss[0], cs[1].T, ss[1]],
+                     [cc[1], cs[1], cc[2], cs[2]],
+                     [cs[1].T, ss[1], cs[2].T, ss[2]]])
+    return [(np.arange(4 * k), gram)], table, np.stack((window, t * window))
 
 
 class _LsSolver:
@@ -197,9 +198,9 @@ class _LsSolver:
     odd blocks of a full window: each reads its own fold of the frame about
     the centre sample, x(t) + x(-t) or x(t) - x(-t) over t >= 0.
 
-    Build one with `harmonic` (seeds base*(1..K), closed-form blocks on a
-    full window) or `from_phase` (any phase tracks, one block of the _basis
-    design).
+    Build one with `harmonic` (the stationary seeds base*(1..K)) or `locked`
+    (any harmonics of one base phase); both assemble the normal matrix in
+    closed form with _harmonic_normal.
     """
 
     def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]], table: np.ndarray,
@@ -229,22 +230,26 @@ class _LsSolver:
 
     @classmethod
     def harmonic(cls, base: float, k: int, t: np.ndarray, window: np.ndarray) -> "_LsSolver":
-        """Solver for the stationary design of the seeds base*(1..k).
-
-        A window cut by the signal's edge (t[0] != -t[-1]) is not symmetric
-        and gets the one-block _basis design.
-        """
+        """Solver for the stationary design of the seeds base*(1..k): the even
+        and odd blocks on a full window, one block on a window cut by the
+        signal's edge (t[0] != -t[-1])."""
+        z = np.exp(2j * np.pi * base * t)
         if t[0] == -t[-1]:
-            return cls(*_harmonic_normal(base, k, t, window))
-        return cls.from_phase(t, 2 * np.pi * np.outer(t, base * np.arange(1, k + 1)), window)
+            return cls(*_harmonic_normal(z, k, t, window, fold=True))
+        return cls.locked(z, np.arange(1, k + 1), t, window)
 
     @classmethod
-    def from_phase(cls, t: np.ndarray, phase: np.ndarray, window: np.ndarray,
-                   amp: np.ndarray | None = None) -> "_LsSolver":
-        """Solver for the _basis design of the given phase tracks."""
-        ew = _basis(t, phase, amp) * window[:, None]
-        return cls([(np.arange(ew.shape[1]), ew.T @ ew)], ew[:, :2 * phase.shape[1]],
-                   np.stack((window, t * window)))
+    def locked(cls, z: np.ndarray, harmonics: np.ndarray, t: np.ndarray,
+               window: np.ndarray) -> "_LsSolver":
+        """One-block solver for the harmonics (increasing, from 1) of the base
+        phase samples z: the rows and columns of those harmonics in the design
+        of harmonics 1..harmonics[-1]."""
+        k = int(harmonics[-1])
+        [(_, gram)], table, weights = _harmonic_normal(z, k, t, window, fold=False)
+        cols = harmonics - 1
+        index = (cols + k * np.arange(4)[:, None]).ravel()
+        return cls([(np.arange(index.size), gram[np.ix_(index, index)])],
+                   table[:, np.r_[cols, k + cols]], weights)
 
     def solve(self, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Complex amplitudes a and slopes b of the components, or None if
@@ -332,20 +337,19 @@ def refine_f0(hset: HarmonicSet, track: F0Track) -> F0Track:
     """
     if hset.n_frames != len(track.values):
         raise AnalysisError("harmonic set and track must share the grid")
-    k = np.arange(1, hset.n_components + 1)
-    values = np.zeros(hset.n_frames)
-    for l in range(hset.n_frames):
-        if track.values[l] <= 0:
-            continue
-        amp = hset.amplitudes[l]
-        f = hset.frequencies[l]
-        use = (amp > AMPLITUDE_FLOOR) & (f > 0)
-        if not use.any():
-            values[l] = track.values[l]
-            continue
-        w = amp[use] ** 2
-        values[l] = float(np.sum(w * f[use] / k[use]) / np.sum(w))
+    values = np.where(track.values > 0,
+                      _harmonic_f0(hset.frequencies, hset.amplitudes, track.values), 0.0)
     return F0Track(hset.grid, values)
+
+
+def _harmonic_f0(freqs: np.ndarray, amps: np.ndarray, fallback) -> np.ndarray:
+    """Per frame, the amplitude-squared-weighted mean of f_k / k over the
+    components above AMPLITUDE_FLOOR with f_k > 0, or fallback (a scalar or
+    one value per frame) on a frame with none."""
+    w = np.where((amps > AMPLITUDE_FLOOR) & (freqs > 0), amps ** 2, 0.0)
+    num = np.sum(w * freqs / np.arange(1, freqs.shape[1] + 1), axis=1)
+    den = np.sum(w, axis=1)
+    return np.divide(num, den, out=np.full(den.shape, fallback, dtype=np.float64), where=den > 0)
 
 
 def _corrected(a: np.ndarray, b: np.ndarray, f_hat: np.ndarray, sample_rate: int):
@@ -471,19 +475,23 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
 
 def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqhm",
                     max_iters: int = 3, return_errors: bool = False):
-    """Adaptive refinement of a QHM pass with a nonstationary phase basis.
+    """Harmonic-locked adaptive refinement of a QHM pass.
 
-    Each iteration interpolates the corrected frequencies to audio rate,
-    integrates them into a per-component phase track, rebuilds the LS
-    basis around that track (mode 'eaqhm' also applies the framewise
-    amplitude ratio), re-solves on every frame whose window lies inside the
-    signal the components that carry amplitude (parked ones stay at zero),
-    and re-corrects their frequencies.
-    Iterations that do not reduce the resynthesis error against the
-    original speech are rejected and refinement stops; accepted error is
-    therefore monotone nonincreasing.
+    Each iteration takes each frame's f0 as the amplitude-squared-weighted
+    mean of f_k / k (UNVOICED_F0 on a frame with no component above
+    AMPLITUDE_FLOOR), interpolates it linearly between frame centres and
+    integrates it into one base phase track Phi0 (the adaptive harmonic
+    model: Degottex & Stylianou, IEEE TASLP 2013). On every frame whose
+    window lies inside the signal, it re-solves the components that carry
+    amplitude (parked ones stay at zero) and whose k*f0 lies below
+    Nyquist - NYQUIST_GUARD, harmonic k with the phase k*Phi0, and
+    re-corrects each about k*f0; the other components keep their values.
+    An iteration is accepted only if it lowers the resynthesis error
+    against the original speech by at least REFINE_REL_TOL of it;
+    otherwise refinement stops, so the accepted errors fall strictly. The
+    only mode is 'aqhm'.
     """
-    if mode not in ("aqhm", "eaqhm"):
+    if mode != "aqhm":
         raise AnalysisError(f"unknown refinement mode: {mode}")
     if max_iters < 1:
         raise AnalysisError("max_iters must be >= 1")
@@ -512,36 +520,28 @@ def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqh
     best_err = total_error(initial)
     history = [best_err]
     for _ in range(max_iters):
-        candidate = _refine_once(buffer, best, mode, window, t_local, centers_idx)
+        candidate = _refine_once(buffer, best, window, t_local, centers_idx)
         cand_err = total_error(candidate)
-        if cand_err >= best_err:
+        if not (cand_err < best_err and best_err - cand_err >= REFINE_REL_TOL * best_err):
             break
-        improved = (best_err - cand_err) >= REFINE_REL_TOL * best_err
         best, best_err = candidate, cand_err
         history.append(cand_err)
-        if not improved:
-            break
     if return_errors:
         return best, history
     return best
 
 
-def _refine_once(buffer: SignalBuffer, current: HarmonicSet, mode: str,
-                 window: np.ndarray, t_local: np.ndarray,
-                 centers_idx: list[int]) -> HarmonicSet:
+def _refine_once(buffer: SignalBuffer, current: HarmonicSet, window: np.ndarray,
+                 t_local: np.ndarray, centers_idx: list[int]) -> HarmonicSet:
     fs = buffer.sample_rate
     half = (window.size - 1) // 2
     n_samples = len(buffer)
-    # audio-rate tracks per component, linear between frame centres; the
-    # global unwrapped phase integrates the frequency by the trapezoid rule
-    tt = np.arange(n_samples) / fs
-    tc = current.grid.centers
-    inst_f = np.empty((current.n_components, n_samples))
-    inst_a = np.empty((current.n_components, n_samples))
-    for k in range(current.n_components):
-        inst_f[k] = np.interp(tt, tc, current.frequencies[:, k])
-        inst_a[k] = np.interp(tt, tc, current.amplitudes[:, k])
-    inst_phi = cumulative_trapezoid(2 * np.pi * inst_f, dx=1.0 / fs, initial=0.0)
+    f0 = _harmonic_f0(current.frequencies, current.amplitudes, UNVOICED_F0)
+    # one base phase track: f0 linear between frame centres, integrated by
+    # the trapezoid rule
+    inst_f0 = np.interp(np.arange(n_samples) / fs, current.grid.centers, f0)
+    phi0 = cumulative_trapezoid(2 * np.pi * inst_f0, dx=1.0 / fs, initial=0.0)
+    harmonics = np.arange(1, current.n_components + 1)
     freqs = current.frequencies.copy()
     amps = current.amplitudes.copy()
     phases = current.phases.copy()
@@ -552,26 +552,20 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, mode: str,
         if lo < 0 or hi > n_samples:
             # edge windows run off the signal and make the adaptive basis degenerate
             continue
-        # only components with amplitude are solved: the ones harmonic_grid
-        # parks at a duplicate frequency would make the basis rank-deficient,
-        # so they keep their frequency, zero amplitude and phase
-        live = np.flatnonzero(current.amplitudes[l])
+        # only components with amplitude are solved, so the ones harmonic_grid
+        # parks stay silent; nor are harmonics at or above Nyquist -
+        # NYQUIST_GUARD, which a misjudged f0 puts there and which would
+        # alias. Both keep their values
+        seeds = harmonics * f0[l]
+        live = np.flatnonzero((current.amplitudes[l] > 0) & (seeds < fs / 2 - NYQUIST_GUARD))
         if live.size == 0:
             continue
-        # nonstationary phase basis Phi_k(t) = phi_k(t_l + t) - phi_k(t_l)
-        basis_phase = inst_phi[live, lo:hi].T - inst_phi[None, live, c]
-        amp_ratio = None
-        if mode == "eaqhm":
-            a_c = inst_a[live, c]
-            significant = a_c > max(AMPLITUDE_FLOOR, 1e-4 * float(a_c.max()))
-            amp_ratio = np.ones((hi - lo, live.size))
-            ratio = inst_a[live[significant], lo:hi].T / a_c[significant][None, :]
-            amp_ratio[:, significant] = np.clip(ratio, 0.1, 10.0)
-        solver = _LsSolver.from_phase(t_local, basis_phase, window, amp_ratio)
+        # base phase Phi0(t) = phi0(t_l + t) - phi0(t_l); harmonic k has k*Phi0
+        solver = _LsSolver.locked(np.exp(1j * (phi0[lo:hi] - phi0[c])), harmonics[live],
+                                  t_local, window)
         solved = solver.solve(x[lo:hi])
         if solved is not None:
-            freqs[l, live], amps[l, live], phases[l, live] = _corrected(
-                *solved, freqs[l, live], fs)
+            freqs[l, live], amps[l, live], phases[l, live] = _corrected(*solved, seeds[live], fs)
         flags[l] |= int(solver.ill_conditioned)
     comp = compensations_from_phases(current.grid, freqs, phases)
     return HarmonicSet(current.grid, freqs, amps, phases, comp, fs, flags)

@@ -27,6 +27,7 @@ def test_component_cap():
     {"phase_weight": -1.0},
     {"refine_iters": 0},
     {"f0_min": 0.0},
+    {"refine_mode": "eaqhm"},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ConfigError):

@@ -8,8 +8,8 @@ from quasivoc import fixtures, qhm
 from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, analyze_qhm,
                           compensations_from_phases, detect_f0, harmonic_grid,
                           refine_adaptive, refine_f0)
-from quasivoc.qhm import (COND_THRESHOLD, F0_QUANTUM, _basis, _corrected, _harmonic_normal,
-                          _LsSolver)
+from quasivoc.qhm import (COND_THRESHOLD, F0_QUANTUM, NYQUIST_GUARD, _corrected,
+                          _harmonic_normal, _LsSolver)
 from quasivoc.signals import FrameGrid, SignalBuffer, grid_window, make_grid, make_window
 from quasivoc.synth import synthesize_arma
 
@@ -51,9 +51,25 @@ def _oracle_ls(x, t, freqs, window):
 
 # --- one-frame LS solve ----------------------------------------------------
 
+def _basis(t, phase):
+    """Real design matrix of the phase tracks phase (n, K), one row per
+    sample: blocks of K columns [2cos | -2sin | 2t cos | -2t sin], so that
+    the unknown vector is [Re a | Im a | Re b | Im b]."""
+    c, s = np.cos(phase), np.sin(phase)
+    return np.hstack((2 * c, -2 * s, 2 * t[:, None] * c, -2 * t[:, None] * s))
+
+
+def _basis_solver(t, phase, window):
+    """The one-block solver of the _basis design, its Gram matrix Ew.T @ Ew
+    built from the sampled columns (no shared code with _harmonic_normal)."""
+    ew = _basis(t, phase) * window[:, None]
+    return _LsSolver([(np.arange(ew.shape[1]), ew.T @ ew)], ew[:, :2 * phase.shape[1]],
+                     np.stack((window, t * window)))
+
+
 def _stationary_solver(freqs, window, t):
     """The solver of the stationary design of any seeds, one block."""
-    return _LsSolver.from_phase(t, 2 * np.pi * np.outer(t, freqs), window)
+    return _basis_solver(t, 2 * np.pi * np.outer(t, freqs), window)
 
 
 def test_ls_fit_pure_cosine_exact_seed():
@@ -170,7 +186,7 @@ def test_condition_estimate_tracks_two_norm(freqs):
     d = np.sqrt(np.diag(G))
     oracle = np.linalg.cond(G / np.outer(d, d))
     assert oracle < COND_THRESHOLD
-    solvers = [_LsSolver.from_phase(t, 2 * np.pi * np.outer(t, freqs), w)]
+    solvers = [_stationary_solver(freqs, w, t)]
     if np.array_equal(freqs, freqs[0] * np.arange(1, freqs.size + 1)):
         # the even and odd blocks of the full window
         solvers.append(_LsSolver.harmonic(freqs[0], freqs.size, t, w))
@@ -196,38 +212,68 @@ def _harmonic_case(n_components, edge):
     return base, base * np.arange(1, k + 1), t, w
 
 
+def _assert_gram_matches(gram, expect):
+    """gram equals expect to 1e-12 after Jacobi scaling by expect's diagonal."""
+    d = np.sqrt(np.diag(expect))
+    np.testing.assert_allclose(gram / np.outer(d, d), expect / np.outer(d, d), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("edge", sorted(WINDOW_SLICES))
 @pytest.mark.parametrize("n_components", [1, 79, 119])
 def test_harmonic_normal_matches_basis(n_components, edge):
     """On the full window the _basis Gram matrix is block diagonal, and the
-    closed-form even and odd blocks are its blocks; a window cut by the
-    edge gets the one-block _basis design."""
+    folded even and odd blocks are its blocks; a window cut by the edge
+    gets the whole matrix as one block, summed over every sample."""
     base, f, t, w = _harmonic_case(n_components, edge)
     k = f.size
     ew = _basis(t, 2 * np.pi * np.outer(t, f)) * w[:, None]
     ref = ew.T @ ew
     weights = np.stack((w, t * w))
+    z = np.exp(2j * np.pi * base * t)
     if edge != "interior":
-        solver = _LsSolver.harmonic(base, k, t, w)
-        [(index, d, _)] = solver.blocks
+        [(index, gram)], table, got_weights = _harmonic_normal(z, k, t, w, fold=False)
         np.testing.assert_array_equal(index, np.arange(4 * k))
-        np.testing.assert_array_equal(d, np.sqrt(np.diag(ref)))
-        np.testing.assert_array_equal(solver.table, ew[:, :2 * k])
-        np.testing.assert_array_equal(solver.weights, weights)
+        _assert_gram_matches(gram, ref)
+        np.testing.assert_array_equal(gram, gram.T)
+        np.testing.assert_allclose(table, ew[:, :2 * k], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got_weights, weights)
+        assert len(_LsSolver.harmonic(base, k, t, w).blocks) == 1
         return
     even, odd = np.r_[:k, 3 * k:4 * k], np.arange(k, 3 * k)
     assert np.abs(ref[np.ix_(even, odd)]).max() <= 1e-15 * np.abs(ref).max()
-    blocks, table, half_weights = _harmonic_normal(base, k, t, w)
+    blocks, table, half_weights = _harmonic_normal(z, k, t, w, fold=True)
     assert [index.tolist() for index, _ in blocks] == [even.tolist(), odd.tolist()]
     for index, gram in blocks:
-        expect = ref[np.ix_(index, index)]
-        d = np.sqrt(np.diag(expect))
-        np.testing.assert_allclose(gram / np.outer(d, d), expect / np.outer(d, d),
-                                   rtol=0, atol=1e-12)
+        _assert_gram_matches(gram, ref[np.ix_(index, index)])
     h = t.size // 2
     np.testing.assert_allclose(table, ew[h:, :2 * k], rtol=0, atol=1e-12)
     # a fold of the frame about its centre counts the centre sample twice
     np.testing.assert_array_equal(half_weights, weights[:, h:] * np.r_[0.5, np.ones(h)])
+
+
+def test_locked_solver_matches_basis_on_a_chirp():
+    """A sparse subset of the harmonics of a 750 Hz/s chirp's base phase:
+    the rows and columns of those harmonics in the closed-form design match
+    the _basis Gram matrix, and the solver matches the _basis solver."""
+    w = make_window("hann", 481)
+    t = (np.arange(481) - 240) / FS
+    phi = 2 * np.pi * (150.0 * t + 0.5 * 750.0 * t * t)
+    harmonics = np.array([1, 2, 3, 5, 8, 13, 21, 34, 55, 79])
+    ew = _basis(t, np.outer(phi, harmonics)) * w[:, None]
+    ref = ew.T @ ew
+    solver = _LsSolver.locked(np.exp(1j * phi), harmonics, t, w)
+    [(index, d, _)] = solver.blocks
+    np.testing.assert_array_equal(index, np.arange(4 * harmonics.size))
+    np.testing.assert_allclose(d, np.sqrt(np.diag(ref)), rtol=1e-12)
+    np.testing.assert_allclose(solver.table, ew[:, :2 * harmonics.size], rtol=0, atol=1e-12)
+    [(_, gram)], _, _ = _harmonic_normal(np.exp(1j * phi), 79, t, w, fold=False)
+    cols = (harmonics - 1 + 79 * np.arange(4)[:, None]).ravel()
+    _assert_gram_matches(gram[np.ix_(cols, cols)], ref)
+    x = np.random.default_rng(3).standard_normal(t.size)
+    ref_solver = _basis_solver(t, np.outer(phi, harmonics), w)
+    assert not solver.ill_conditioned and not ref_solver.ill_conditioned
+    for value, expect in zip(solver.solve(x), ref_solver.solve(x)):
+        np.testing.assert_allclose(value, expect, rtol=0, atol=1e-9 * np.abs(expect).max())
 
 
 @pytest.mark.parametrize("edge", sorted(WINDOW_SLICES))
@@ -242,7 +288,7 @@ def test_harmonic_solver_matches_basis_solver(n_components, edge):
     """
     base, f, t, w = _harmonic_case(n_components, edge)
     x = np.random.default_rng(n_components).standard_normal(t.size)
-    ref_solver = _LsSolver.from_phase(t, 2 * np.pi * np.outer(t, f), w)
+    ref_solver = _basis_solver(t, 2 * np.pi * np.outer(t, f), w)
     solver = _LsSolver.harmonic(base, f.size, t, w)
     assert solver.ill_conditioned == ref_solver.ill_conditioned
     rel = 1e-9 if solver.ill_conditioned else max(1e-9, 1e-14 / ref_solver.rcond)
@@ -500,6 +546,42 @@ def test_refine_f0_recovers_offset():
     assert np.all(refine_f0(hset, track0).values == 0)
 
 
+def _loop_harmonic_f0(freqs, amps, fallback):
+    """The weighted f_k / k mean one frame at a time, over the compacted
+    components above the amplitude floor."""
+    k = np.arange(1, freqs.shape[1] + 1)
+    out = np.array(np.broadcast_to(fallback, freqs.shape[:1]), dtype=np.float64)
+    for l in range(freqs.shape[0]):
+        use = (amps[l] > qhm.AMPLITUDE_FLOOR) & (freqs[l] > 0)
+        if use.any():
+            w = amps[l, use] ** 2
+            out[l] = np.sum(w * freqs[l, use] / k[use]) / np.sum(w)
+    return out
+
+
+def test_harmonic_f0_matches_per_frame_loop():
+    """refine_f0 and refinement's f0 sum every frame's row at once; the
+    summation order differs from the per-frame loop, so the bound is the
+    rounding of K positive terms in any order, 2*K*eps relative."""
+    rng = np.random.default_rng(12)
+    L, K = 60, 119
+    grid = make_grid((L - 1) * 0.005, 0.005, 0.010)
+    freqs = rng.uniform(90.0, 110.0, (L, 1)) * np.arange(1, K + 1) + rng.normal(0, 2.0, (L, K))
+    amps = rng.uniform(0.0, 0.1, (L, K)) * (rng.uniform(size=(L, K)) < 0.7)
+    amps[:5] = 0.0                                          # no component at all
+    amps[5:10] = qhm.AMPLITUDE_FLOOR                        # none above the floor
+    freqs[10, :] = 0.0                                      # none with f > 0
+    track = F0Track(grid, np.where(np.arange(L) % 4 == 3, 0.0, rng.uniform(80.0, 120.0, L)))
+    hset = HarmonicSet(grid, freqs, amps, np.zeros((L, K)), np.zeros((L, K)), FS)
+    rtol = 2 * K * np.finfo(np.float64).eps
+    got = refine_f0(hset, track).values
+    expect = np.where(track.values > 0, _loop_harmonic_f0(freqs, amps, track.values), 0.0)
+    np.testing.assert_allclose(got, expect, rtol=rtol, atol=0)
+    np.testing.assert_array_equal(got[:11], expect[:11])
+    np.testing.assert_allclose(qhm._harmonic_f0(freqs, amps, qhm.UNVOICED_F0),
+                               _loop_harmonic_f0(freqs, amps, qhm.UNVOICED_F0), rtol=rtol, atol=0)
+
+
 def test_compensations_reproduce_phases():
     grid = make_grid(0.05, 0.005, 0.010)
     rng = np.random.default_rng(8)
@@ -538,15 +620,14 @@ def vibrato_analysis():
     return buf, analyze_qhm(buf, grid, detect_f0(buf, grid))
 
 
-@pytest.mark.parametrize("mode", ["aqhm", "eaqhm"])
-def test_refine_leaves_parked_components_silent(vibrato_analysis, mode):
+def test_refine_leaves_parked_components_silent(vibrato_analysis):
     """Refinement solves only components with amplitude, so the components
     harmonic_grid parks at a duplicate frequency stay at zero amplitude and
     do not make every refined frame ill-conditioned."""
     buf, hset = vibrato_analysis
     parked = hset.amplitudes == 0
     assert parked.any()
-    refined = refine_adaptive(buf, hset, mode, max_iters=1)
+    refined = refine_adaptive(buf, hset, "aqhm", max_iters=1)
     assert np.all(refined.amplitudes[parked] == 0)
     np.testing.assert_array_equal(refined.frequencies[parked], hset.frequencies[parked])
     half = (grid_window(hset.grid, FS).size - 1) // 2
@@ -574,8 +655,7 @@ def test_refine_flags_a_failed_solve_ill_conditioned(vibrato_analysis, monkeypat
         return cho_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(qhm, "cho_factor", failing_first_frame)
-    refined = qhm._refine_once(buf, hset, "aqhm", window, (np.arange(window.size) - half) / FS,
-                               centers)
+    refined = qhm._refine_once(buf, hset, window, (np.arange(window.size) - half) / FS, centers)
     assert len(calls) > 2
     assert refined.flags[first] & 1 and not refined.flags[first] & 2
     np.testing.assert_array_equal(refined.amplitudes[first], hset.amplitudes[first])
@@ -593,14 +673,29 @@ def test_refine_adaptive_chirp_error_decreases():
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
-def test_refine_eaqhm_beats_aqhm_on_am():
-    buf, _ = fixtures.am_tone(300.0, 5.0, 0.5, 0.6, FS)
-    grid = make_grid(0.6 - 1.0 / FS, 0.005, 0.010)
-    track = F0Track(grid, np.full(len(grid), 300.0))
-    hset = analyze_qhm(buf, grid, track, max_components=2)
-    _, err_a = refine_adaptive(buf, hset, "aqhm", max_iters=2, return_errors=True)
-    _, err_e = refine_adaptive(buf, hset, "eaqhm", max_iters=2, return_errors=True)
-    assert err_e[-1] <= err_a[-1] + 1e-12
+def test_refine_keeps_harmonics_above_the_nyquist_guard():
+    """A frame whose f0 puts its top harmonics at or above Nyquist -
+    NYQUIST_GUARD solves only the ones below: those above keep their values
+    (solving them would alias), and the rest stay finite."""
+    buf, _ = fixtures.noise(0.1, FS, seed=2)
+    grid = make_grid(buf.duration, 0.005, 0.010)
+    L, K, f0 = len(grid), 119, 105.0
+    k = np.arange(1, K + 1)
+    above = k * f0 >= FS / 2 - NYQUIST_GUARD
+    assert 0 < above.sum() < K
+    rng = np.random.default_rng(6)
+    hset = HarmonicSet(grid, np.tile(f0 * k, (L, 1)), rng.uniform(0.01, 0.1, (L, K)),
+                       rng.uniform(-np.pi, np.pi, (L, K)), np.zeros((L, K)), FS)
+    window = grid_window(grid, FS)
+    half = (window.size - 1) // 2
+    refined = qhm._refine_once(buf, hset, window, (np.arange(window.size) - half) / FS,
+                               [int(round(tc * FS)) for tc in grid.centers])
+    for name in ("frequencies", "amplitudes", "phases"):
+        value, before = getattr(refined, name), getattr(hset, name)
+        np.testing.assert_array_equal(value[:, above], before[:, above])
+        assert np.all(np.isfinite(value))
+        # interior frames re-solve every harmonic below the guard
+        assert np.all(value[L // 2, ~above] != before[L // 2, ~above])
 
 
 def test_refine_adaptive_errors():
