@@ -86,7 +86,7 @@ def _make_grid_for(duration: float, cfg: PipelineConfig):
 
 
 def _detect_f0(buffer, grid, cfg: PipelineConfig) -> F0Track:
-    return detect_f0(buffer, grid, (cfg.f0_min, cfg.f0_max), cfg.voicing_threshold)
+    return detect_f0(buffer, grid, (cfg.f0_min, cfg.f0_max))
 
 
 def _analyze(buffer, cfg: PipelineConfig, f0_file=None):

@@ -25,7 +25,6 @@ class PipelineConfig:
     fit_max_steps: int = 500
     f0_min: float = 50.0
     f0_max: float = 500.0
-    voicing_threshold: float = 0.45
     refine_mode: str = "none"        # none | aqhm
     refine_iters: int = 3
     output_format: str = "float32"   # float32 | pcm16

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.fft import dct, rfft
 
 from .qhm import F0Track
-from .signals import FrameGrid, QuasivocError, SignalBuffer, SignalError, grid_window
+from .signals import FrameGrid, QuasivocError, SignalBuffer, framed, grid_window
 
 LOG_FLOOR = 1e-10
 SNR_CAP_DB = 120.0
@@ -55,11 +55,13 @@ def f0_rmse(gen: F0Track, ref: F0Track, rhos=None) -> float | None:
     """RMSE of log f0 over frames voiced in both tracks; None if no overlap.
 
     rhos rescales the reference per frame (pitch-modification evaluation);
-    identity when omitted.
+    identity when omitted. Scale factors must be finite and positive.
     """
     if len(gen.values) != len(ref.values):
         raise MetricError("track lengths differ")
     rho = np.ones(len(ref.values)) if rhos is None else np.asarray(rhos, dtype=np.float64)
+    if not np.all(np.isfinite(rho) & (rho > 0)):
+        raise MetricError("pitch scale factors must be finite and positive")
     both = gen.voiced & ref.voiced
     if not np.any(both):
         return None
@@ -81,13 +83,10 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     mel_pts = np.linspace(0.0, _hz_to_mel(nyq), n_filters + 2)
     hz_pts = _mel_to_hz(mel_pts)
     bins = np.linspace(0.0, nyq, n_fft // 2 + 1)
-    fb = np.zeros((n_filters, bins.size))
-    for i in range(n_filters):
-        lo, mid, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
-        up = (bins - lo) / max(mid - lo, 1e-12)
-        down = (hi - bins) / max(hi - mid, 1e-12)
-        fb[i] = np.clip(np.minimum(up, down), 0.0, None)
-    return fb
+    lo, mid, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
+    up = (bins - lo) / np.maximum(mid - lo, 1e-12)
+    down = (hi - bins) / np.maximum(hi - mid, 1e-12)
+    return np.clip(np.minimum(up, down), 0.0, None)
 
 
 def mel_cepstrum(buffer: SignalBuffer, grid: FrameGrid) -> np.ndarray:
@@ -99,25 +98,15 @@ def mel_cepstrum(buffer: SignalBuffer, grid: FrameGrid) -> np.ndarray:
     fs = buffer.sample_rate
     window = grid_window(grid, fs)
     n_win = window.size
-    half = (n_win - 1) // 2
-    n_fft = 1
-    while n_fft < n_win:
-        n_fft *= 2
+    n_fft = 1 << (n_win - 1).bit_length()
     fb = mel_filterbank(N_MEL_FILTERS, n_fft, fs)
-    x = buffer.samples
-    out = np.zeros((len(grid), N_CEPSTRA))
-    for l, tc in enumerate(grid.centers):
-        c = int(round(tc * fs))
-        lo, hi = c - half, c + half + 1
-        frame = np.zeros(n_win)
-        s_lo, s_hi = max(0, lo), min(len(x), hi)
-        if s_hi > s_lo:
-            frame[s_lo - lo:s_hi - lo] = x[s_lo:s_hi]
-        mag = np.abs(rfft(frame * window, n=n_fft))
-        energies = np.maximum(fb @ mag, LOG_FLOOR)
-        ceps = dct(np.log(energies), type=2, norm="ortho")
-        out[l] = ceps[1:N_CEPSTRA + 1]
-    return out
+    frames = framed(buffer.samples, grid.center_samples(fs) - n_win // 2, n_win)
+    mag = np.abs(rfft(frames * window, n=n_fft, axis=1))
+    # one matrix-vector product per frame, as a frame on its own gets it;
+    # mag @ fb.T rounds differently
+    energies = np.maximum((fb @ mag[:, :, None])[..., 0], LOG_FLOOR)
+    ceps = dct(np.log(energies), type=2, norm="ortho", axis=1)
+    return ceps[:, 1:N_CEPSTRA + 1]
 
 
 def mcd(gen_coeffs: np.ndarray, ref_coeffs: np.ndarray) -> float:

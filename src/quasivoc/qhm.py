@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .signals import FrameGrid, QuasivocError, SignalBuffer, _wrap, grid_window
+from .signals import FrameGrid, QuasivocError, SignalBuffer, _wrap, framed, grid_window
 
 AMPLITUDE_FLOOR = 1e-7
 COND_THRESHOLD = 1e10
@@ -31,6 +32,10 @@ UNVOICED_F0 = 100.0
 # adaptive refinement accepts an iteration only if it lowers the error by at
 # least this fraction of it
 REFINE_REL_TOL = 1e-4
+VOICING_THRESHOLD = 0.45
+# detect_f0's ACF is 0 at lags that keep at most this fraction of the energy
+ACF_TAIL_FLOOR = 1e-20
+ACF_BLOCK = 128     # frames per rfft in detect_f0
 
 
 class AnalysisError(QuasivocError):
@@ -270,12 +275,16 @@ class _LsSolver:
 
 
 def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
-              f0_range: tuple[float, float] = (50.0, 500.0),
-              voicing_threshold: float = 0.45) -> F0Track:
+              f0_range: tuple[float, float] = (50.0, 500.0)) -> F0Track:
     """Normalized-autocorrelation pitch detector with a voicing threshold.
 
-    Per frame, the strongest normalized ACF peak inside the lag range
-    gives f0; peaks below the threshold mark the frame unvoiced (0).
+    A frame's segment is the samples inside the signal within lag_max =
+    ceil(fs / min) of its centre sample, less their mean. Its ACF at lag k is
+    divided by sqrt(e_0 * e_k), e_k its energy from sample k on, and is 0
+    where e_k <= ACF_TAIL_FLOOR * e_0. The strongest peak at lags from
+    lag_min = max(2, floor(fs / max)) to lag_max, refined by a parabola,
+    gives f0. A frame is unvoiced (0) if its peak is below VOICING_THRESHOLD,
+    its f0 outside f0_range or its segment shorter than 2 * lag_min + 2.
     """
     if len(buffer) == 0:
         raise AnalysisError("empty buffer")
@@ -286,44 +295,38 @@ def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
     lag_min = max(2, int(np.floor(fs / fmax)))
     lag_max = int(np.ceil(fs / fmin))
     seg_len = 2 * lag_max
-    x = buffer.samples
-    values = np.zeros(len(grid))
-    for l, tc in enumerate(grid.centers):
-        c = int(round(tc * fs))
-        lo, hi = c - seg_len // 2, c + seg_len // 2
-        seg = x[max(0, lo):min(len(x), hi)]
-        if seg.size < 2 * lag_min + 2:
-            continue
-        seg = seg - seg.mean()
-        e0 = np.dot(seg, seg)
-        if e0 <= 0:
-            continue
-        n = seg.size
-        acf = np.correlate(seg, seg, mode="full")[n - 1:]
-        # normalize by the energy of the overlapping region
-        cum = np.cumsum(seg * seg)
-        tail = e0 - np.concatenate(([0.0], cum[:-1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nacf = acf / np.sqrt(e0 * np.maximum(tail, 1e-300))
-        top = min(lag_max, n - 2)
-        if top <= lag_min:
-            continue
-        window = nacf[lag_min:top + 1]
-        peak = int(np.argmax(window)) + lag_min
-        if nacf[peak] < voicing_threshold:
-            continue
-        # parabolic refinement around the peak lag
-        if lag_min < peak < top:
-            y0, y1, y2 = nacf[peak - 1], nacf[peak], nacf[peak + 1]
-            denom = y0 - 2 * y1 + y2
-            delta = 0.5 * (y0 - y2) / denom if abs(denom) > 1e-30 else 0.0
-            delta = float(np.clip(delta, -0.5, 0.5))
-        else:
-            delta = 0.0
-        f0 = fs / (peak + delta)
-        if fmin <= f0 <= fmax:
-            values[l] = f0
-    return F0Track(grid, values)
+    # each row holds its segment from column 0 on, zeros after it
+    lo = grid.center_samples(fs) - lag_max
+    starts = np.maximum(lo, 0)
+    sizes = np.clip(np.minimum(lo + seg_len, len(buffer)) - starts, 0, None)
+    # lags 0..lag_max + 1, a peak and both its neighbours, clear of wrap-around
+    nfft = next_fast_len(seg_len + lag_max + 2, real=True)
+    nacf = np.zeros((len(grid), lag_max + 2))
+    for i in range(0, len(grid), ACF_BLOCK):     # blocks of frames bound the memory
+        rows = slice(i, i + ACF_BLOCK)
+        inside = np.arange(seg_len) < sizes[rows, None]
+        seg = framed(buffer.samples, starts[rows], seg_len) * inside
+        seg -= seg.sum(axis=1, keepdims=True) / np.maximum(sizes[rows], 1)[:, None]
+        seg *= inside
+        acf = irfft(np.abs(rfft(seg, nfft, axis=1)) ** 2, nfft, axis=1)[:, :lag_max + 2]
+        cum = np.cumsum(seg * seg, axis=1)
+        e0 = cum[:, -1:]
+        tail = e0 - np.pad(cum[:, :lag_max + 1], ((0, 0), (1, 0)))
+        # the FFT's ACF is good to about eps * e_0: where the overlap holds no
+        # energy, it would divide rounding by a vanishing norm
+        np.divide(acf, np.sqrt(e0 * tail), out=nacf[rows], where=tail > ACF_TAIL_FLOOR * e0)
+    top = np.minimum(lag_max, sizes - 2)
+    peak = lag_min + np.argmax(np.where(np.arange(lag_min, lag_max + 2) <= top[:, None],
+                                        nacf[:, lag_min:], -np.inf), axis=1)
+    y0, y1, y2 = np.take_along_axis(nacf, peak[:, None] + np.arange(-1, 2), axis=1).T
+    # parabolic refinement around an interior peak lag
+    denom = y0 - 2 * y1 + y2
+    delta = np.divide(0.5 * (y0 - y2), denom, out=np.zeros(denom.shape),
+                      where=np.abs(denom) > 1e-30)
+    delta = np.where((lag_min < peak) & (peak < top), np.clip(delta, -0.5, 0.5), 0.0)
+    f0 = fs / (peak + delta)
+    voiced = (sizes >= 2 * lag_min + 2) & (y1 >= VOICING_THRESHOLD) & (fmin <= f0) & (f0 <= fmax)
+    return F0Track(grid, np.where(voiced, f0, 0.0))
 
 
 def refine_f0(hset: HarmonicSet, track: F0Track) -> F0Track:
@@ -454,8 +457,7 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
     x = buffer.samples
     n = len(x)
     solvers: dict[tuple, _LsSolver] = {}
-    for l, tc in enumerate(grid.centers):
-        c = int(round(tc * fs))
+    for l, c in enumerate(grid.center_samples(fs)):
         lo, hi = max(0, c - half), min(n, c + half + 1)
         if hi - lo < 8:
             raise AnalysisError(f"frame {l}: no usable samples")
@@ -497,14 +499,8 @@ def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqh
         raise AnalysisError("max_iters must be >= 1")
     if initial.sample_rate != buffer.sample_rate:
         raise AnalysisError("harmonic set and buffer sample rates differ")
-    fs = buffer.sample_rate
-    grid = initial.grid
-    window = grid_window(grid, fs)
-    n_win = window.size
-    half = (n_win - 1) // 2
-    t_local = (np.arange(n_win) - half) / fs
+    half = initial.grid.window_samples(buffer.sample_rate) // 2
     x = buffer.samples
-    centers_idx = [int(round(tc * fs)) for tc in grid.centers]
 
     def total_error(hset: HarmonicSet) -> float:
         # resynthesis error over the span with full window coverage; edge
@@ -520,7 +516,7 @@ def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqh
     best_err = total_error(initial)
     history = [best_err]
     for _ in range(max_iters):
-        candidate = _refine_once(buffer, best, window, t_local, centers_idx)
+        candidate = _refine_once(buffer, best)
         cand_err = total_error(candidate)
         if not (cand_err < best_err and best_err - cand_err >= REFINE_REL_TOL * best_err):
             break
@@ -531,10 +527,11 @@ def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqh
     return best
 
 
-def _refine_once(buffer: SignalBuffer, current: HarmonicSet, window: np.ndarray,
-                 t_local: np.ndarray, centers_idx: list[int]) -> HarmonicSet:
+def _refine_once(buffer: SignalBuffer, current: HarmonicSet) -> HarmonicSet:
     fs = buffer.sample_rate
-    half = (window.size - 1) // 2
+    window = grid_window(current.grid, fs)
+    half = window.size // 2
+    t = (np.arange(window.size) - half) / fs
     n_samples = len(buffer)
     f0 = _harmonic_f0(current.frequencies, current.amplitudes, UNVOICED_F0)
     # one base phase track: f0 linear between frame centres, integrated by
@@ -547,7 +544,7 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, window: np.ndarray,
     phases = current.phases.copy()
     flags = current.flags.copy()
     x = buffer.samples
-    for l, c in enumerate(centers_idx):
+    for l, c in enumerate(current.grid.center_samples(fs)):
         lo, hi = c - half, c + half + 1
         if lo < 0 or hi > n_samples:
             # edge windows run off the signal and make the adaptive basis degenerate
@@ -562,7 +559,7 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet, window: np.ndarray,
             continue
         # base phase Phi0(t) = phi0(t_l + t) - phi0(t_l); harmonic k has k*Phi0
         solver = _LsSolver.locked(np.exp(1j * (phi0[lo:hi] - phi0[c])), harmonics[live],
-                                  t_local, window)
+                                  t, window)
         solved = solver.solve(x[lo:hi])
         if solved is not None:
             freqs[l, live], amps[l, live], phases[l, live] = _corrected(*solved, seeds[live], fs)

@@ -243,15 +243,15 @@ def f0_to_csv(track: F0Track) -> str:
 
 def f0_from_csv(text: str, grid: FrameGrid) -> F0Track:
     """The track in a CSV of (time, f0) rows, put on grid: one row per frame
-    of grid, with strictly increasing times. Bad rows raise ValueError."""
+    of grid, with finite, strictly increasing times. Bad rows raise ValueError."""
     times, values = [], []
     for line in text.strip().splitlines()[1:]:
         t, v = line.split(",")
         times.append(float(t))
         values.append(float(v))
     times = np.array(times)
-    if np.any(times[1:] <= times[:-1]):
-        raise ValueError("times must be strictly increasing")
+    if not np.all(np.isfinite(times)) or np.any(times[1:] <= times[:-1]):
+        raise ValueError("times must be finite and strictly increasing")
     if len(values) != len(grid):
         raise ValueError(f"{len(values)} frames, but the frame grid has {len(grid)}")
     return F0Track(grid, np.array(values))

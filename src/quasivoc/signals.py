@@ -1,4 +1,4 @@
-"""Core signal types, framing, windows, WAV I/O.
+"""Core signal types, frame placement, windows, WAV I/O.
 
 Everything here is a pure function over immutable inputs; all sample
 amplitudes are float64 internally.
@@ -9,6 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
 
@@ -78,6 +79,10 @@ class FrameGrid:
     def __len__(self) -> int:
         return len(self.centers)
 
+    def center_samples(self, sample_rate: int) -> np.ndarray:
+        """Each frame's centre sample: centre * sample_rate, rounded half to even."""
+        return np.rint(self.centers * sample_rate).astype(np.int64)
+
     def window_samples(self, sample_rate: int) -> int:
         """Odd window length in samples covering [-half_window, half_window]."""
         half = int(round(self.half_window * sample_rate))
@@ -93,6 +98,14 @@ def make_grid(duration: float, frame_shift: float, half_window: float,
     n = int(np.floor(duration / frame_shift)) + 1
     centers = np.arange(n) * frame_shift
     return FrameGrid(centers, frame_shift, half_window, window_kind, gauss_sigma)
+
+
+def framed(samples: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """A new (len(starts), length) array of the rows samples[s:s + length] of
+    the signal extended by zeros on both sides, taken from a strided view."""
+    left = -int(starts.min(initial=0))
+    right = max(0, int(starts.max(initial=0)) + length - samples.size)
+    return sliding_window_view(np.pad(samples, (left, right)), length)[starts + left]
 
 
 def read_wav(path) -> SignalBuffer:

@@ -156,6 +156,12 @@ def test_eval_rho_scaled_pair(tmp_path):
     assert rep["f0_rmse"] < 0.02
 
 
+@pytest.mark.parametrize("rho", ["-1", "0", "nan", "inf"])
+def test_eval_rejects_bad_rho(tone_wav, rho, capsys):
+    assert main(["eval", str(tone_wav), str(tone_wav), "--rho", rho]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+
+
 def test_eval_mcd_covers_every_frame_of_the_shorter_signal(tmp_path):
     """3598 samples span 30 frames at the default 5 ms shift; a grid built
     from (frames - 1) * shift loses the last one to rounding."""
@@ -204,6 +210,18 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
     main(["analyze", str(wav), str(hset)])
     assert hset.exists()
     runs.append(["fit-envelope", str(hset), str(tmp_path / "c.json"), "--orders", "nonsense"])
+    # F0 CSVs with a NaN or infinite time, one row per frame of the product's grid
+    hgrid = serialize.harmonics_from_bytes(hset.read_bytes()).grid
+    for time, row in (("nan", 2), ("inf", -1)):
+        for grid, argv in (
+                (hgrid, ["analyze", str(wav), str(tmp_path / "h.json"), "--f0-file"]),
+                (hgrid, ["fit-envelope", str(hset), str(tmp_path / "c.json"), "--f0"]),
+                (cascade.grid, ["synth", str(casc), str(out), "--f0"])):
+            lines = serialize.f0_to_csv(F0Track(grid, np.full(len(grid), 150.0))).splitlines()
+            lines[row] = f"{time},150.0"
+            bad = tmp_path / f"{time}_{argv[0]}.csv"
+            bad.write_text("\n".join(lines) + "\n")
+            runs.append(argv + [str(bad)])
     for src, keep in ((casc, -13), (casc, 10), (hset, -13)):
         short = tmp_path / f"cut{keep}_{src.name}"
         short.write_bytes(src.read_bytes()[:keep])
@@ -551,7 +569,8 @@ _NUMBERS = {"f0": ["0", "0.5", "150", "-150", "nan", "inf", "1e9"],
             "schedule": ["0", "0.01", "0.5", "2", "-1", "nan", "inf"]}
 _LAYOUT = {"f0": (2, ","), "schedule": (3, " ")}     # columns, separator
 _KEYS = st.one_of(_WORDS, st.sampled_from(sorted(vars(PipelineConfig()))
-                                          + ["threads", "k_guard", "unvoiced_f0"]))
+                                          + ["threads", "k_guard", "unvoiced_f0",
+                                             "voicing_threshold"]))
 
 
 @st.composite

@@ -65,6 +65,15 @@ def test_load_config_rejects_threads(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_voicing_threshold(tmp_path):
+    """The voicing threshold is the constant qhm.VOICING_THRESHOLD; a config
+    file that sets the removed key is rejected like any unknown key."""
+    path = tmp_path / "cfg.txt"
+    path.write_text("voicing_threshold = 0.3\n")
+    with pytest.raises(ConfigError, match=r"cfg.txt:1: unknown key 'voicing_threshold'"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("line", ["frame_shift = abc", "order_p = 1.5",
                                   "max_components = "])
 def test_load_config_rejects_bad_value(tmp_path, line):

@@ -55,6 +55,13 @@ def test_f0_rmse_cases():
         f0_rmse(a, _track([100.0]))
 
 
+@pytest.mark.parametrize("rho", [-1.0, 0.0, np.nan, np.inf])
+def test_f0_rmse_rejects_bad_scale_factors(rho):
+    a = _track([100, 200, 0, 150])
+    with pytest.raises(MetricError, match="finite and positive"):
+        f0_rmse(a, a, rhos=np.full(4, rho))
+
+
 def test_f0_rmse_symmetry():
     rng = np.random.default_rng(1)
     a = _track(rng.uniform(80, 300, 20))

@@ -396,6 +396,112 @@ def test_detect_f0_noise_mostly_unvoiced():
     assert np.mean(track.values == 0) >= 0.8
 
 
+def _detect_f0_loop(buffer, grid, f0_range=(50.0, 500.0)):
+    """detect_f0 one frame at a time, with direct ACF products: the segment
+    within lag_max of the centre sample inside the signal, less its mean;
+    the ACF over the energy of the overlap from lag k on; the strongest peak,
+    refined by a parabola; f0 values, 0 on unvoiced frames."""
+    fs = buffer.sample_rate
+    fmin, fmax = f0_range
+    lag_min = max(2, int(np.floor(fs / fmax)))
+    lag_max = int(np.ceil(fs / fmin))
+    x = buffer.samples
+    values = np.zeros(len(grid))
+    for l, tc in enumerate(grid.centers):
+        c = int(round(tc * fs))
+        seg = x[max(0, c - lag_max):min(len(x), c + lag_max)]
+        if seg.size < 2 * lag_min + 2:
+            continue
+        seg = seg - seg.mean()
+        e0 = np.dot(seg, seg)
+        if e0 <= 0:
+            continue
+        n = seg.size
+        acf = np.correlate(seg, seg, mode="full")[n - 1:]
+        tail = e0 - np.concatenate(([0.0], np.cumsum(seg * seg)[:-1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nacf = acf / np.sqrt(e0 * np.maximum(tail, 1e-300))
+        top = min(lag_max, n - 2)
+        if top <= lag_min:
+            continue
+        peak = int(np.argmax(nacf[lag_min:top + 1])) + lag_min
+        if nacf[peak] < qhm.VOICING_THRESHOLD:
+            continue
+        delta = 0.0
+        if lag_min < peak < top:
+            y0, y1, y2 = nacf[peak - 1], nacf[peak], nacf[peak + 1]
+            denom = y0 - 2 * y1 + y2
+            if abs(denom) > 1e-30:
+                delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+        f0 = fs / (peak + delta)
+        if fmin <= f0 <= fmax:
+            values[l] = f0
+    return values
+
+
+def _cut_tone(phase, tail):
+    """A 0.3 s 150 Hz tone of the given phase, scaled by tail from 0.15 s on."""
+    x = fixtures.tone(150.0, 0.3, FS, phase=phase)[0].samples
+    x[int(0.15 * FS):] *= tail
+    return SignalBuffer(x, FS)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixtures.vowel(150.0, 0.5, FS, 0.005, 0.010)[0],
+    lambda: fixtures.vowel(90.0, 0.5, FS, 0.005, 0.010)[0],
+    lambda: fixtures.chirp(80.0, 400.0, 0.5, FS, n_harmonics=5)[0],
+    # cut to exact zeros: the FFT's ACF at lags past the cut is rounding,
+    # which read frame 30 of the sine as 50 Hz before the tail-energy floor
+    lambda: _cut_tone(-np.pi / 2, 0.0),
+    lambda: _cut_tone(0.0, 0.0),
+    lambda: _cut_tone(0.0, 1e-12),
+    lambda: SignalBuffer(np.where(np.arange(int(0.3 * FS)) < int(0.15 * FS), 0.0,
+                                  fixtures.tone(150.0, 0.3, FS)[0].samples), FS),
+    lambda: fixtures.noise(0.5, FS, seed=4)[0],
+    # shorter than 2 * lag_min + 2 = 98 samples
+    lambda: SignalBuffer(fixtures.tone(150.0, 0.3, FS)[0].samples[:97], FS),
+    lambda: SignalBuffer(np.zeros(int(0.3 * FS)), FS),
+], ids=["vowel150", "vowel90", "chirp", "sine-cut", "cosine-cut", "cosine-1e-12-tail",
+        "silence-tone", "noise", "short", "zeros"])
+def test_detect_f0_matches_per_frame_loop(make):
+    """One rfft for every frame gives the loop's voicing exactly, and its f0
+    to rounding: the FFT's ACF differs from the direct products by about
+    eps times the segment's energy."""
+    buf = make()
+    grid = make_grid(buf.duration, 0.005, 0.010)
+    got, expect = detect_f0(buf, grid).values, _detect_f0_loop(buf, grid)
+    np.testing.assert_array_equal(got > 0, expect > 0)
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_detect_f0_block_size_changes_no_bit(block, monkeypatch):
+    """Every frame's ACF is computed on its own row, so how many frames share
+    an rfft changes no bit of the track."""
+    buf = fixtures.chirp(80.0, 400.0, 1.5, FS, n_harmonics=5)[0]
+    grid = make_grid(buf.duration, 0.005, 0.010)
+    assert len(grid) > 2 * qhm.ACF_BLOCK
+    expect = detect_f0(buf, grid).values
+    monkeypatch.setattr(qhm, "ACF_BLOCK", block)
+    assert detect_f0(buf, grid).values.tobytes() == expect.tobytes()
+
+
+def test_detect_f0_takes_no_correlation_from_a_tail_without_energy():
+    """Where a sine drops to 1e-12 of itself, the overlap at lag 480 (3
+    periods) of the frame on the drop holds 1e-24 of the segment's energy:
+    below ACF_TAIL_FLOOR, so that lag carries no correlation and the frame
+    reads 150 Hz. The per-frame loop takes the energy from a running sum,
+    where it rounds to zero or below, and reads 50 Hz on this phase. Every
+    other frame agrees."""
+    buf = _cut_tone(-np.pi / 2, 1e-12)
+    grid = make_grid(buf.duration, 0.005, 0.010)
+    got, expect = detect_f0(buf, grid).values, _detect_f0_loop(buf, grid)
+    assert abs(got[30] - 150.0) < 2.0
+    others = np.arange(len(grid)) != 30
+    np.testing.assert_array_equal(got[others] > 0, expect[others] > 0)
+    np.testing.assert_allclose(got[others], expect[others], rtol=1e-12, atol=0)
+
+
 def test_detect_f0_errors():
     grid = make_grid(0.1, 0.005, 0.010)
     with pytest.raises(AnalysisError):
@@ -630,8 +736,8 @@ def test_refine_leaves_parked_components_silent(vibrato_analysis):
     refined = refine_adaptive(buf, hset, "aqhm", max_iters=1)
     assert np.all(refined.amplitudes[parked] == 0)
     np.testing.assert_array_equal(refined.frequencies[parked], hset.frequencies[parked])
-    half = (grid_window(hset.grid, FS).size - 1) // 2
-    centers = np.round(hset.grid.centers * FS).astype(int)
+    half = hset.grid.window_samples(FS) // 2
+    centers = hset.grid.center_samples(FS)
     inside = (centers >= half) & (centers + half < len(buf))
     assert np.count_nonzero(refined.flags[inside] & 1) < np.count_nonzero(inside) / 2
 
@@ -640,9 +746,8 @@ def test_refine_flags_a_failed_solve_ill_conditioned(vibrato_analysis, monkeypat
     """A refined frame whose factorization fails keeps its values and gets
     bit 1; bit 2 stays reserved for windows cut by the signal's edge."""
     buf, hset = vibrato_analysis
-    window = grid_window(hset.grid, FS)
-    half = (window.size - 1) // 2
-    centers = [int(round(tc * FS)) for tc in hset.grid.centers]
+    half = hset.grid.window_samples(FS) // 2
+    centers = hset.grid.center_samples(FS)
     first = next(l for l, c in enumerate(centers)
                  if c >= half and c + half < len(buf) and hset.amplitudes[l].any())
     calls = []
@@ -655,7 +760,7 @@ def test_refine_flags_a_failed_solve_ill_conditioned(vibrato_analysis, monkeypat
         return cho_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(qhm, "cho_factor", failing_first_frame)
-    refined = qhm._refine_once(buf, hset, window, (np.arange(window.size) - half) / FS, centers)
+    refined = qhm._refine_once(buf, hset)
     assert len(calls) > 2
     assert refined.flags[first] & 1 and not refined.flags[first] & 2
     np.testing.assert_array_equal(refined.amplitudes[first], hset.amplitudes[first])
@@ -686,10 +791,7 @@ def test_refine_keeps_harmonics_above_the_nyquist_guard():
     rng = np.random.default_rng(6)
     hset = HarmonicSet(grid, np.tile(f0 * k, (L, 1)), rng.uniform(0.01, 0.1, (L, K)),
                        rng.uniform(-np.pi, np.pi, (L, K)), np.zeros((L, K)), FS)
-    window = grid_window(grid, FS)
-    half = (window.size - 1) // 2
-    refined = qhm._refine_once(buf, hset, window, (np.arange(window.size) - half) / FS,
-                               [int(round(tc * FS)) for tc in grid.centers])
+    refined = qhm._refine_once(buf, hset)
     for name in ("frequencies", "amplitudes", "phases"):
         value, before = getattr(refined, name), getattr(hset, name)
         np.testing.assert_array_equal(value[:, above], before[:, above])

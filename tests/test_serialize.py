@@ -178,9 +178,12 @@ def test_f0_csv_round_trip():
     ("0.0,150\n0.005,abc\n0.01,150\n", None),
     ("0.0,150\n0.005,-150\n0.01,150\n", "finite and nonnegative"),
     ("0.0,150\n0.005,nan\n0.01,150\n", "finite and nonnegative"),
+    ("0.0,150\nnan,150\n0.01,150\n", "finite and strictly increasing"),
+    ("0.0,150\n0.005,150\ninf,150\n", "finite and strictly increasing"),
 ])
 def test_f0_csv_rejects(rows, match):
-    """A bad row, times out of order, a negative or non-finite F0 and a row
-    count other than the grid's frame count all raise."""
+    """A bad row, non-finite times, times out of order, a negative or
+    non-finite F0 and a row count other than the grid's frame count all
+    raise. NaN compares false, so the ordering check alone passes it."""
     with pytest.raises((ValueError, AnalysisError), match=match):
         f0_from_csv("time,f0\n" + rows, make_grid(0.01, 0.005, 0.010))

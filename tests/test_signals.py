@@ -1,10 +1,11 @@
 """Windows, frame grids and WAV I/O."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
-from quasivoc.signals import (FrameGrid, SignalBuffer, SignalError, make_grid, make_window,
-                              read_wav, write_wav)
+from quasivoc.signals import (FrameGrid, SignalBuffer, SignalError, framed, make_grid,
+                              make_window, read_wav, write_wav)
 
 
 # --- windows ---------------------------------------------------------------
@@ -87,6 +88,34 @@ def test_grid_rejects_nonfinite(centers, frame_shift, half_window):
     """NaN compares false, so the ordering and sign checks alone pass it."""
     with pytest.raises(SignalError, match="finite"):
         FrameGrid(np.array(centers), frame_shift, half_window)
+
+
+def test_center_samples_round_half_to_even():
+    """A centre half a sample past an integer rounds to the even one, as
+    Python's round does."""
+    grid = FrameGrid(np.array([0.5, 1.5, 2.5, 2.6, 1000.25]) / 1000, 0.0005, 0.002)
+    samples = grid.center_samples(1000)
+    assert samples.dtype == np.int64
+    assert samples.tolist() == [int(round(tc * 1000)) for tc in grid.centers] == [0, 2, 2, 3, 1000]
+
+
+# --- framing ---------------------------------------------------------------
+
+@given(n=st.integers(0, 40), length=st.integers(1, 12),
+       starts=st.lists(st.integers(-60, 60), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_framed_rows_are_zero_padded_slices(n, length, starts):
+    """Each row is the slice of the signal extended by zeros on both sides,
+    for starts before the signal, inside it and past its end."""
+    x = np.arange(1.0, n + 1)
+    rows = framed(x, np.array(starts, dtype=np.int64), length)
+    assert rows.shape == (len(starts), length)
+    for s, row in zip(starts, rows):
+        expect = np.zeros(length)
+        lo, hi = max(s, 0), min(s + length, n)
+        if hi > lo:
+            expect[lo - s:hi - s] = x[lo:hi]
+        np.testing.assert_array_equal(row, expect)
 
 
 # --- WAV I/O ---------------------------------------------------------------
