@@ -19,7 +19,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .signals import FrameGrid, QuasivocError, SignalBuffer, _wrap, framed, grid_window
+from .signals import FrameGrid, QuasivocError, SignalBuffer, _wrap, frame_view, grid_window
 
 AMPLITUDE_FLOOR = 1e-7
 COND_THRESHOLD = 1e10
@@ -35,7 +35,9 @@ REFINE_REL_TOL = 1e-4
 VOICING_THRESHOLD = 0.45
 # detect_f0's ACF is 0 at lags that keep at most this fraction of the energy
 ACF_TAIL_FLOOR = 1e-20
-ACF_BLOCK = 128     # frames per rfft in detect_f0
+# detect_f0 takes one rfft, and analyze_qhm one solve per LS set, per block of
+# at most this many frames: the blocks bound the memory of both passes
+FRAME_BLOCK = 128
 
 
 class AnalysisError(QuasivocError):
@@ -201,7 +203,10 @@ class _LsSolver:
     window and t*window, so that the two rows are the amplitude and slope
     halves. One block reads the frame itself. Two blocks are the even and
     odd blocks of a full window: each reads its own fold of the frame about
-    the centre sample, x(t) + x(-t) or x(t) - x(-t) over t >= 0.
+    the centre sample, x(t) + x(-t) or x(t) - x(-t) over t >= 0. solve takes
+    one frame (m,) or a stack (F, m) of frames that share the design: each
+    block solves all F right-hand sides in one cho_solve, and every frame
+    gets the bytes it gets on its own.
 
     Build one with `harmonic` (the stationary seeds base*(1..K)) or `locked`
     (any harmonics of one base phase); both assemble the normal matrix in
@@ -256,22 +261,28 @@ class _LsSolver:
         return cls([(np.arange(index.size), gram[np.ix_(index, index)])],
                    table[:, np.r_[cols, k + cols]], weights)
 
-    def solve(self, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """Complex amplitudes a and slopes b of the components, or None if
-        the solver has no blocks."""
+    def solve(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Complex amplitudes a and slopes b of the components of one frame
+        (m,) or of each row of frames (F, m), shaped (K,) or (F, K), or None
+        if the solver has no blocks."""
         if not self.blocks:
             return None
+        rows = np.atleast_2d(frames)
         if len(self.blocks) == 1:
-            parts = (frame,)
+            parts = (rows,)
         else:
-            h = frame.size // 2
-            parts = (frame[h:] + frame[h::-1], frame[h:] - frame[h::-1])
-        theta = np.empty(2 * self.table.shape[1])
+            h = rows.shape[1] // 2
+            parts = (rows[:, h:] + rows[:, h::-1], rows[:, h:] - rows[:, h::-1])
+        n_rows = rows.shape[0]
+        theta = np.empty((n_rows, 2 * self.table.shape[1]))
         for (index, d, factor), part in zip(self.blocks, parts):
-            rhs = ((self.weights * part) @ self.table).ravel()[index]
-            theta[index] = cho_solve(factor, rhs / d) / d
-        theta = theta.reshape(4, -1)
-        return theta[0] + 1j * theta[1], theta[2] + 1j * theta[3]
+            # one (2, m) @ (m, 2K) product per frame: a single (2F, m) product
+            # rounds differently
+            rhs = ((self.weights * part[:, None]) @ self.table).reshape(n_rows, -1)[:, index]
+            theta[:, index] = cho_solve(factor, (rhs / d).T).T / d
+        theta = theta.reshape(n_rows, 4, -1)
+        a, b = theta[:, 0] + 1j * theta[:, 1], theta[:, 2] + 1j * theta[:, 3]
+        return (a, b) if np.ndim(frames) == 2 else (a[0], b[0])
 
 
 def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
@@ -302,10 +313,11 @@ def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
     # lags 0..lag_max + 1, a peak and both its neighbours, clear of wrap-around
     nfft = next_fast_len(seg_len + lag_max + 2, real=True)
     nacf = np.zeros((len(grid), lag_max + 2))
-    for i in range(0, len(grid), ACF_BLOCK):     # blocks of frames bound the memory
-        rows = slice(i, i + ACF_BLOCK)
+    view, offset = frame_view(buffer.samples, starts, seg_len)
+    for i in range(0, len(grid), FRAME_BLOCK):
+        rows = slice(i, i + FRAME_BLOCK)
         inside = np.arange(seg_len) < sizes[rows, None]
-        seg = framed(buffer.samples, starts[rows], seg_len) * inside
+        seg = view[starts[rows] + offset] * inside
         seg -= seg.sum(axis=1, keepdims=True) / np.maximum(sizes[rows], 1)[:, None]
         seg *= inside
         acf = irfft(np.abs(rfft(seg, nfft, axis=1)) ** 2, nfft, axis=1)[:, :lag_max + 2]
@@ -356,7 +368,8 @@ def _harmonic_f0(freqs: np.ndarray, amps: np.ndarray, fallback) -> np.ndarray:
 
 
 def _corrected(a: np.ndarray, b: np.ndarray, f_hat: np.ndarray, sample_rate: int):
-    """Corrected frequencies, amplitudes and phases of one solved frame.
+    """Corrected frequencies, amplitudes and phases of solved frames: a and b
+    are (K,) for one frame or (F, K) for frames that share the seeds f_hat (K,).
 
     The frequency correction from the complex slope is
     eta = (aR*bI - aI*bR) / (2*pi*|a|^2), and 0 where |a| is at or below
@@ -439,6 +452,10 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
     the K rule yields on any frame). Flag bit 1 marks an ill-conditioned
     fit, bit 2 a window truncated by the signal's edge. A frame whose system
     not even the ridge makes factorable keeps its seeds at zero amplitude.
+
+    Frames with the same seeds and window slice share one LS solver: each
+    such group is solved in blocks of at most FRAME_BLOCK frames, and its
+    solver is dropped before the next group's is built.
     """
     fs = buffer.sample_rate
     window = grid_window(grid, fs)
@@ -449,28 +466,36 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
     above = np.flatnonzero(np.any(seed_freqs >= fs / 2, axis=1))
     if above.size:
         raise AnalysisError(f"frame {above[0]}: component frequency at or above Nyquist")
+    starts = grid.center_samples(fs) - half
+    # each frame's window slice [lo, hi) inside the signal
+    lo, hi = np.maximum(0, -starts), np.minimum(n_win, len(buffer) - starts)
+    short = np.flatnonzero(hi - lo < 8)
+    if short.size:
+        raise AnalysisError(f"frame {short[0]}: no usable samples")
+    k = np.minimum(counts, (hi - lo) // 4)
+    groups: dict[tuple, list[int]] = {}
+    for l, (k_l, lo_l, hi_l) in enumerate(zip(k.tolist(), lo.tolist(), hi.tolist())):
+        groups.setdefault((seed_freqs[l, :k_l].tobytes(), lo_l, hi_l), []).append(l)
+    view, offset = frame_view(buffer.samples, starts, n_win)
     L, K = seed_freqs.shape
     freqs = seed_freqs.copy()
     amps = np.zeros((L, K))
     phases = np.zeros((L, K))
     flags = np.zeros(L, dtype=np.int64)
-    x = buffer.samples
-    n = len(x)
-    solvers: dict[tuple, _LsSolver] = {}
-    for l, c in enumerate(grid.center_samples(fs)):
-        lo, hi = max(0, c - half), min(n, c + half + 1)
-        if hi - lo < 8:
-            raise AnalysisError(f"frame {l}: no usable samples")
-        k_l = min(counts[l], (hi - lo) // 4)
-        fseed = seed_freqs[l, :k_l]
-        sl = slice(lo - c + half, hi - c + half)
-        key = (fseed.tobytes(), sl.start, sl.stop)
-        if key not in solvers:
-            solvers[key] = _LsSolver.harmonic(fseed[0], k_l, t[sl], window[sl])
-        solved = solvers[key].solve(x[lo:hi])
-        if solved is not None:
-            freqs[l, :k_l], amps[l, :k_l], phases[l, :k_l] = _corrected(*solved, fseed, fs)
-        flags[l] = int(solvers[key].ill_conditioned) | 2 * (hi - lo < n_win)
+    for (_, lo_g, hi_g), rows in groups.items():
+        rows = np.asarray(rows)
+        k_g = k[rows[0]]
+        fseed = seed_freqs[rows[0], :k_g]
+        solver = _LsSolver.harmonic(fseed[0], k_g, t[lo_g:hi_g], window[lo_g:hi_g])
+        for i in range(0, rows.size, FRAME_BLOCK):
+            block = rows[i:i + FRAME_BLOCK]
+            solved = solver.solve(view[starts[block] + offset, lo_g:hi_g])
+            if solved is None:
+                break
+            cells = np.ix_(block, np.arange(k_g))
+            freqs[cells], amps[cells], phases[cells] = _corrected(*solved, fseed, fs)
+        flags[rows] = int(solver.ill_conditioned) | 2 * (hi_g - lo_g < n_win)
+        del solver      # one solver alive at a time
     comp = compensations_from_phases(grid, freqs, phases)
     return HarmonicSet(grid, freqs, amps, phases, comp, fs, flags)
 

@@ -100,12 +100,21 @@ def make_grid(duration: float, frame_shift: float, half_window: float,
     return FrameGrid(centers, frame_shift, half_window, window_kind, gauss_sigma)
 
 
+def frame_view(samples: np.ndarray, starts: np.ndarray, length: int) -> tuple[np.ndarray, int]:
+    """A strided view of every length-sample row of the signal extended by
+    zeros on both sides, as far as the rows at starts need, and the offset:
+    row s + offset is samples[s:s + length]. The signal is padded once, so
+    callers take blocks of rows from one view."""
+    left = -int(starts.min(initial=0))
+    right = max(0, int(starts.max(initial=0)) + length - samples.size)
+    return sliding_window_view(np.pad(samples, (left, right)), length), left
+
+
 def framed(samples: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
     """A new (len(starts), length) array of the rows samples[s:s + length] of
     the signal extended by zeros on both sides, taken from a strided view."""
-    left = -int(starts.min(initial=0))
-    right = max(0, int(starts.max(initial=0)) + length - samples.size)
-    return sliding_window_view(np.pad(samples, (left, right)), length)[starts + left]
+    view, offset = frame_view(samples, starts, length)
+    return view[starts + offset]
 
 
 def read_wav(path) -> SignalBuffer:

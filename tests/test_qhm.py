@@ -1,5 +1,11 @@
 """Framewise least-squares analysis, frequency correction, refinement,
 and the pitch detector."""
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor
@@ -10,6 +16,7 @@ from quasivoc.qhm import (AnalysisError, F0Track, HarmonicSet, analyze_qhm,
                           refine_adaptive, refine_f0)
 from quasivoc.qhm import (COND_THRESHOLD, F0_QUANTUM, NYQUIST_GUARD, _corrected,
                           _harmonic_normal, _LsSolver)
+from quasivoc.serialize import harmonics_to_bytes
 from quasivoc.signals import FrameGrid, SignalBuffer, grid_window, make_grid, make_window
 from quasivoc.synth import synthesize_arma
 
@@ -296,6 +303,44 @@ def test_harmonic_solver_matches_basis_solver(n_components, edge):
         np.testing.assert_allclose(value, expect, rtol=0, atol=rel * np.abs(expect).max())
 
 
+def _stack_solver(kind):
+    """A solver of each kind, and its frame length."""
+    t = (np.arange(481) - 240) / FS
+    hann, gauss = make_window("hann", 481), make_window("gauss", 481, 1e-3)
+    if kind == "fold":
+        return _LsSolver.harmonic(150.0, 79, t, hann), 481
+    if kind == "edge":
+        return _LsSolver.harmonic(150.0, 79, t[120:], hann[120:]), 361
+    if kind == "locked":
+        phi = 2 * np.pi * (150.0 * t + 0.5 * 750.0 * t * t)
+        harmonics = np.array([1, 2, 3, 5, 8, 13, 21, 34])
+        return _LsSolver.locked(np.exp(1j * phi), harmonics, t, hann), 481
+    if kind == "ridge":
+        return _LsSolver.harmonic(200.0, 59, t, gauss), 481
+    # the window slice left of the centre sample weighs every sample 0
+    return _LsSolver.harmonic(200.0, 59, t[:240], gauss[:240]), 240
+
+
+@pytest.mark.parametrize("kind", ["fold", "edge", "locked", "ridge", "none"])
+def test_solve_on_a_stack_matches_single_solves(kind):
+    """An (F, m) stack of frames solves to the bytes of F single solves: the
+    folds and right-hand sides are per row, and the factor's one cho_solve
+    of F columns rounds each column as a solve on its own does."""
+    solver, m = _stack_solver(kind)
+    assert len(solver.blocks) == {"fold": 2, "ridge": 2, "none": 0}.get(kind, 1)
+    assert solver.ill_conditioned == (kind in ("ridge", "none"))
+    frames = np.random.default_rng(11).standard_normal((37, m))
+    if kind == "none":
+        assert solver.solve(frames) is None and solver.solve(frames[0]) is None
+        return
+    singles = [solver.solve(x) for x in frames]
+    for stack in (frames, frames[:1]):
+        a, b = solver.solve(stack)
+        assert a.shape == b.shape == (len(stack), singles[0][0].size)
+        assert a.tobytes() == np.stack([s[0] for s in singles[:len(stack)]]).tobytes()
+        assert b.tobytes() == np.stack([s[1] for s in singles[:len(stack)]]).tobytes()
+
+
 # --- frequency correction ------------------------------------------------
 
 def _slopes(eta, a=None):
@@ -480,9 +525,9 @@ def test_detect_f0_block_size_changes_no_bit(block, monkeypatch):
     an rfft changes no bit of the track."""
     buf = fixtures.chirp(80.0, 400.0, 1.5, FS, n_harmonics=5)[0]
     grid = make_grid(buf.duration, 0.005, 0.010)
-    assert len(grid) > 2 * qhm.ACF_BLOCK
+    assert len(grid) > 2 * qhm.FRAME_BLOCK
     expect = detect_f0(buf, grid).values
-    monkeypatch.setattr(qhm, "ACF_BLOCK", block)
+    monkeypatch.setattr(qhm, "FRAME_BLOCK", block)
     assert detect_f0(buf, grid).values.tobytes() == expect.tobytes()
 
 
@@ -626,6 +671,172 @@ def test_analyze_flags_a_failed_solve_ill_conditioned():
     assert np.all(hset.amplitudes[:-1].any(axis=1))
 
 
+def _analyze_qhm_loop(buffer, grid, f0_track, max_components=None):
+    """analyze_qhm one frame at a time: each frame solves the samples inside
+    the signal on its own, with the solver of its seeds and window slice,
+    and every solver of the pass stays cached until the pass ends."""
+    fs = buffer.sample_rate
+    window = grid_window(grid, fs)
+    n_win = window.size
+    half = (n_win - 1) // 2
+    t = (np.arange(n_win) - half) / fs
+    seed_freqs, counts = harmonic_grid(f0_track, fs, max_components)
+    L, K = seed_freqs.shape
+    freqs = seed_freqs.copy()
+    amps = np.zeros((L, K))
+    phases = np.zeros((L, K))
+    flags = np.zeros(L, dtype=np.int64)
+    x = buffer.samples
+    n = len(x)
+    solvers = {}
+    for l, c in enumerate(grid.center_samples(fs)):
+        lo, hi = max(0, c - half), min(n, c + half + 1)
+        if hi - lo < 8:
+            raise AnalysisError(f"frame {l}: no usable samples")
+        k_l = min(counts[l], (hi - lo) // 4)
+        fseed = seed_freqs[l, :k_l]
+        sl = slice(lo - c + half, hi - c + half)
+        key = (fseed.tobytes(), sl.start, sl.stop)
+        if key not in solvers:
+            solvers[key] = _LsSolver.harmonic(fseed[0], k_l, t[sl], window[sl])
+        solved = solvers[key].solve(x[lo:hi])
+        if solved is not None:
+            freqs[l, :k_l], amps[l, :k_l], phases[l, :k_l] = _corrected(*solved, fseed, fs)
+        flags[l] = int(solvers[key].ill_conditioned) | 2 * (hi - lo < n_win)
+    comp = compensations_from_phases(grid, freqs, phases)
+    return HarmonicSet(grid, freqs, amps, phases, comp, fs, flags)
+
+
+def _vibrato_clip(n_frames):
+    """A vowel of n_frames 5 ms frames with 150 +- 20 Hz vibrato at 5.5 Hz."""
+    unit = fixtures.vowel_cascade(FS, n_frames, 0.005, 0.010, 1.0)
+    track = F0Track(unit.grid, 150.0 + 20.0 * np.sin(2 * np.pi * 5.5 * unit.grid.centers))
+    raw = synthesize_arma(unit, track).samples
+    return SignalBuffer(0.5 * raw / np.abs(raw).max(), FS)
+
+
+def _steady(buf, f0):
+    grid = make_grid(buf.duration, 0.005, 0.010)
+    return buf, grid, F0Track(grid, np.full(len(grid), f0))
+
+
+def _detected(buf, window_kind="hann", gauss_sigma=0.0):
+    grid = make_grid(buf.duration, 0.005, 0.010, window_kind, gauss_sigma)
+    return buf, grid, detect_f0(buf, grid)
+
+
+# (buffer, grid, track, max_components) of analyze_qhm's equivalence cases
+ANALYSIS_CASES = {
+    # one interior LS set of 197 frames: two blocks
+    "vowel150": lambda: (*_steady(fixtures.vowel(150.0, 1.0, FS)[0], 150.0), None),
+    # 132 seeds, 120 fitted on a full window: the (hi - lo) // 4 rule
+    "vowel90": lambda: (*_steady(fixtures.vowel(90.0, 0.5, FS)[0], 90.0), None),
+    "vibrato": lambda: (*_detected(_vibrato_clip(81)), None),
+    # 300 samples: every window is cut by an edge
+    "short": lambda: (*_steady(SignalBuffer(fixtures.vowel(150.0, 0.1, FS)[0].samples[:300],
+                                            FS), 150.0), None),
+    # the last frame's solver has no blocks
+    "gauss": lambda: (*_detected(fixtures.tone(200.0, 0.2, FS)[0], "gauss", 1e-3), None),
+    "cap": lambda: (*_detected(fixtures.vowel(150.0, 0.5, FS)[0]), 12),
+}
+
+
+def _batched_and_loop_bytes(case):
+    buf, grid, track, cap = ANALYSIS_CASES[case]()
+    return (harmonics_to_bytes(analyze_qhm(buf, grid, track, cap)),
+            harmonics_to_bytes(_analyze_qhm_loop(buf, grid, track, cap)))
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_CASES))
+def test_analyze_qhm_matches_per_frame_loop(case):
+    """Solving each LS set's frames together writes the loop's bytes."""
+    got, expect = _batched_and_loop_bytes(case)
+    assert got == expect
+
+
+def test_analyze_qhm_cases_cover_two_blocks_and_edge_frames():
+    """The vowel150 case has one LS set of more than FRAME_BLOCK frames, and
+    every window of the short case is cut by an edge. The gauss case's failed
+    solve is pinned by test_analyze_flags_a_failed_solve_ill_conditioned."""
+    buf, grid, track, _ = ANALYSIS_CASES["vowel150"]()
+    centers = grid.center_samples(FS)
+    assert np.count_nonzero((centers >= 240) & (centers + 241 <= len(buf))) > qhm.FRAME_BLOCK
+    assert np.all(analyze_qhm(*ANALYSIS_CASES["short"]()[:3]).flags & 2)
+
+
+def test_analyze_qhm_raises_on_the_loops_first_short_frame():
+    """Frames 1 and 2 have fewer than 8 samples inside the signal: the error
+    names frame 1, as the loop's does."""
+    buf = SignalBuffer(fixtures.tone(150.0, 0.1, FS)[0].samples, FS)
+    grid = FrameGrid(np.array([1200, 2633, 2700, 3000]) / FS, 0.005, 0.010)
+    track = F0Track(grid, np.full(4, 150.0))
+    errors = []
+    for run in (analyze_qhm, _analyze_qhm_loop):
+        with pytest.raises(AnalysisError) as info:
+            run(buf, grid, track)
+        errors.append(str(info.value))
+    assert errors == ["frame 1: no usable samples"] * 2
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_analyze_qhm_block_size_changes_no_bit(block, monkeypatch):
+    """Every frame's right-hand side and solution is its own column, so how
+    many frames share a solve changes no bit of the harmonics."""
+    buf, grid, track, _ = ANALYSIS_CASES["vowel150"]()
+    expect = harmonics_to_bytes(analyze_qhm(buf, grid, track))
+    monkeypatch.setattr(qhm, "FRAME_BLOCK", block)
+    assert harmonics_to_bytes(analyze_qhm(buf, grid, track)) == expect
+
+
+def _solver_builds(monkeypatch, run, *args):
+    """run(*args) with _LsSolver.harmonic recording each build's (base, k,
+    t[0], t.size), which names its seeds base * (1..k) and its window slice,
+    and how many earlier solvers are still alive at the build."""
+    harmonic = _LsSolver.harmonic
+    built, alive, refs = [], [], []
+
+    def recording(base, k, t, window):
+        alive.append(sum(ref() is not None for ref in refs))
+        solver = harmonic(base, k, t, window)
+        built.append((float(base), int(k), float(t[0]), t.size))
+        refs.append(weakref.ref(solver))
+        return solver
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_LsSolver, "harmonic", recording)
+        run(*args)
+    return built, alive
+
+
+def test_analyze_qhm_builds_each_solver_once_with_one_alive(monkeypatch):
+    """Each seed set and window slice gets one solver, as the loop's cache
+    gives it, and no earlier solver is alive when the next one is built."""
+    case = ANALYSIS_CASES["vibrato"]()[:3]
+    expect, _ = _solver_builds(monkeypatch, _analyze_qhm_loop, *case)
+    assert len(set(expect)) == len(expect) < len(case[1])
+    built, alive = _solver_builds(monkeypatch, analyze_qhm, *case)
+    assert sorted(built) == sorted(expect)
+    assert alive == [0] * len(built)
+
+
+def test_analyze_qhm_matches_per_frame_loop_on_two_blas_threads():
+    """A solve of many right-hand sides may split its columns across
+    threads: at two OpenBLAS threads the batched pass still writes the bytes
+    the loop writes at that thread count."""
+    script = ("import sys\n"
+              "sys.path[:0] = sys.argv[1:]\n"
+              "import test_qhm\n"
+              "for case in ('vowel150', 'vibrato'):\n"
+              "    got, expect = test_qhm._batched_and_loop_bytes(case)\n"
+              "    print(case, got == expect)\n")
+    src = Path(qhm.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    run = subprocess.run([sys.executable, "-c", script, str(src), str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["vowel150", "True", "vibrato", "True"]
+
+
 @pytest.mark.parametrize("name", ["frequencies", "amplitudes", "phases", "compensations"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_harmonic_set_rejects_nonfinite_values(name, value):
@@ -717,11 +928,7 @@ def test_refine_adaptive_stationary_degenerate(multisine_data):
 @pytest.fixture(scope="module")
 def vibrato_analysis():
     """QHM analysis of a 0.2 s vowel with 150 +- 20 Hz vibrato at 5.5 Hz."""
-    n = 41
-    unit = fixtures.vowel_cascade(FS, n, 0.005, 0.010, 1.0)
-    track = F0Track(unit.grid, 150.0 + 20.0 * np.sin(2 * np.pi * 5.5 * unit.grid.centers))
-    raw = synthesize_arma(unit, track).samples
-    buf = SignalBuffer(0.5 * raw / np.abs(raw).max(), FS)
+    buf = _vibrato_clip(41)
     grid = make_grid(buf.duration, 0.005, 0.010)
     return buf, analyze_qhm(buf, grid, detect_f0(buf, grid))
 
