@@ -94,8 +94,8 @@ def _analyze(buffer, cfg: PipelineConfig, f0_file=None):
     track = (_load_f0_csv(Path(f0_file), cfg, grid) if f0_file
              else _detect_f0(buffer, grid, cfg))
     hset = analyze_qhm(buffer, grid, track, cfg.component_cap)
-    if cfg.refine_mode != "none":
-        hset = refine_adaptive(buffer, hset, cfg.refine_mode, cfg.refine_iters)
+    if cfg.refine_iters >= 1:
+        hset = refine_adaptive(buffer, hset, max_iters=cfg.refine_iters)
     return hset, track
 
 

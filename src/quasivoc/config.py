@@ -25,8 +25,7 @@ class PipelineConfig:
     fit_max_steps: int = 500
     f0_min: float = 50.0
     f0_max: float = 500.0
-    refine_mode: str = "none"        # none | aqhm
-    refine_iters: int = 3
+    refine_iters: int = 0            # 0 means no refinement
     output_format: str = "float32"   # float32 | pcm16
 
     def validate(self):
@@ -40,14 +39,14 @@ class PipelineConfig:
             raise ConfigError("f0 range must satisfy 0 < min < max")
         if self.max_components < 0:
             raise ConfigError("max_components must be at least 0 (0 means no cap)")
-        if self.fit_max_steps < 1 or self.refine_iters < 1:
-            raise ConfigError("fit_max_steps and refine_iters must be at least 1")
+        if self.fit_max_steps < 1:
+            raise ConfigError("fit_max_steps must be at least 1")
+        if self.refine_iters < 0:
+            raise ConfigError("refine_iters must be at least 0 (0 means no refinement)")
         if self.phase_weight < 0:
             raise ConfigError("phase_weight must be nonnegative")
         if self.window_kind not in ("hann", "hamming", "gauss"):
             raise ConfigError(f"unknown window kind: {self.window_kind}")
-        if self.refine_mode not in ("none", "aqhm"):
-            raise ConfigError(f"unknown refine mode: {self.refine_mode}")
         if self.output_format not in ("float32", "pcm16"):
             raise ConfigError(f"unknown output format: {self.output_format}")
         return self

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arma import ArmaCascade
-from .signals import SignalBuffer, SignalError, make_grid
+from .signals import FrameGrid, SignalBuffer, SignalError
 
 
 def tone(freq: float, duration: float, sample_rate: int,
@@ -94,7 +94,7 @@ def vowel_cascade(sample_rate: int, n_frames: int, frame_shift: float,
                    resonant_ar([2500, 3500], [0.88, 0.85])])
     ma = np.zeros((2, q_sec))
     ma[1, 0] = 0.3
-    grid = make_grid((n_frames - 1) * frame_shift, frame_shift, half_window)
+    grid = FrameGrid(np.arange(n_frames) * frame_shift, frame_shift, half_window)
     return ArmaCascade(grid, np.full(n_frames, gain), np.tile(ar, (n_frames, 1, 1)),
                        np.tile(ma, (n_frames, 1, 1)), sample_rate)
 

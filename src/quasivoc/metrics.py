@@ -9,7 +9,7 @@ import numpy as np
 from scipy.fft import dct, rfft
 
 from .qhm import F0Track
-from .signals import FrameGrid, QuasivocError, SignalBuffer, framed, grid_window
+from .signals import FrameGrid, QuasivocError, SignalBuffer, frame_view, grid_window
 
 LOG_FLOOR = 1e-10
 SNR_CAP_DB = 120.0
@@ -100,7 +100,9 @@ def mel_cepstrum(buffer: SignalBuffer, grid: FrameGrid) -> np.ndarray:
     n_win = window.size
     n_fft = 1 << (n_win - 1).bit_length()
     fb = mel_filterbank(N_MEL_FILTERS, n_fft, fs)
-    frames = framed(buffer.samples, grid.center_samples(fs) - n_win // 2, n_win)
+    starts = grid.center_samples(fs) - n_win // 2
+    view, offset = frame_view(buffer.samples, starts, n_win)
+    frames = view[starts + offset]
     mag = np.abs(rfft(frames * window, n=n_fft, axis=1))
     # one matrix-vector product per frame, as a frame on its own gets it;
     # mag @ fb.T rounds differently

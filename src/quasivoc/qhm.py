@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
@@ -560,9 +559,10 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet) -> HarmonicSet:
     n_samples = len(buffer)
     f0 = _harmonic_f0(current.frequencies, current.amplitudes, UNVOICED_F0)
     # one base phase track: f0 linear between frame centres, integrated by
-    # the trapezoid rule
-    inst_f0 = np.interp(np.arange(n_samples) / fs, current.grid.centers, f0)
-    phi0 = cumulative_trapezoid(2 * np.pi * inst_f0, dx=1.0 / fs, initial=0.0)
+    # the trapezoid rule in the operation order of scipy's cumulative_trapezoid
+    y = 2 * np.pi * np.interp(np.arange(n_samples) / fs, current.grid.centers, f0)
+    phi0 = np.zeros(n_samples)
+    np.cumsum(1.0 / fs * (y[1:] + y[:-1]) / 2.0, out=phi0[1:])
     harmonics = np.arange(1, current.n_components + 1)
     freqs = current.frequencies.copy()
     amps = current.amplitudes.copy()

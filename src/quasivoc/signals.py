@@ -110,13 +110,6 @@ def frame_view(samples: np.ndarray, starts: np.ndarray, length: int) -> tuple[np
     return sliding_window_view(np.pad(samples, (left, right)), length), left
 
 
-def framed(samples: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
-    """A new (len(starts), length) array of the rows samples[s:s + length] of
-    the signal extended by zeros on both sides, taken from a strided view."""
-    view, offset = frame_view(samples, starts, length)
-    return view[starts + offset]
-
-
 def read_wav(path) -> SignalBuffer:
     """Read a RIFF/WAVE file into a mono float64 buffer scaled to [-1, 1].
 

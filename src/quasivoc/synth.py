@@ -3,8 +3,9 @@
 Framewise unwrapped phases are interpolated to audio rate by monotone
 piecewise-cubic Hermite (PCHIP) interpolation, with the coefficients of
 every oscillator from one pass and one interval search shared by all of
-them; amplitudes are linear-interpolated. Components are summed as
-2*A_k(t)*cos(phi_k(t)) in ascending k (deterministic, bit-reproducible).
+them; amplitudes are linear-interpolated on the same intervals.
+Components are summed as 2*A_k(t)*cos(phi_k(t)) in ascending k
+(deterministic, bit-reproducible).
 """
 from __future__ import annotations
 
@@ -67,15 +68,6 @@ def mute_aliasing(amplitudes: np.ndarray, frame_freqs: np.ndarray,
     return amps
 
 
-def _sample_times(lo: int, hi: int, t0: float, t_end: float, sample_rate: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Times of samples lo..hi-1 from t0, held at t_end; one formula, so a
-    slice of the times equals the times of the slice bit for bit."""
-    times = np.divide(np.arange(lo, hi, dtype=np.float64), sample_rate, out=out)
-    times += t0
-    return np.minimum(times, t_end, out=times)
-
-
 def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
            sample_rate: int) -> SignalBuffer:
     """Additive rendering of framewise tracks over [t_0, t_L].
@@ -93,7 +85,8 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     column evaluates them at the shared sample intervals in the term order
     of scipy's piecewise-polynomial evaluation,
     ((c3 + c2*s) + c1*s**2) + c0*s**3, so the samples equal one
-    interpolator per column bit for bit.
+    interpolator per column bit for bit. Amplitudes take numpy.interp's
+    formula, slope*s + a_j, on the same intervals.
     """
     amps = np.atleast_2d(np.asarray(amplitudes, dtype=np.float64))
     phis = np.atleast_2d(np.asarray(phases, dtype=np.float64))
@@ -118,17 +111,18 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     last = L - 1 - np.argmax(nonzero[::-1], axis=0)
     # (live, 4, L - 1): in a column's c, c[m, j] multiplies s**(3 - m) on interval j
     coef = np.ascontiguousarray(PchipInterpolator(centers, phis[:, live]).c.transpose(2, 0, 1))
-    tt = _sample_times(0, n, t0, t_end, sample_rate)
+    tt = np.minimum(np.arange(n) / sample_rate + t0, t_end)
     before = np.searchsorted(tt, centers, "left")
     after = np.searchsorted(tt, centers, "right")
     # interval j holds samples [edges[j], edges[j + 1]), the last one also
     # those at t_end; s is each sample's offset into its interval
     edges = np.r_[0, before[1:-1], n]
     s = tt - np.repeat(centers[:-1], np.diff(edges))
-    # only s and out stay n long: a column rebuilds its own sample times,
-    # and frees its arrays before the next column allocates
+    # only s and out stay n long: each column frees its arrays before the
+    # next one allocates
     del tt
-    for c, k in zip(coef, live):
+    slopes = np.diff(amps[:, live], axis=0) / np.diff(centers)[:, None]
+    for c, slope, k in zip(coef, slopes.T, live):
         lo = after[first[k] - 1] if first[k] > 0 else 0
         hi = before[last[k] + 1] if last[k] < L - 1 else n
         runs = np.diff(edges.clip(lo, hi))
@@ -144,11 +138,16 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
         buf *= x
         buf *= c[0].repeat(runs)
         phi += buf
-        a = np.interp(_sample_times(lo, hi, t0, t_end, sample_rate, out=buf), centers, amps[:, k])
+        del buf
+        # np.interp's slope*s + a_j, and a_L from t_end on
+        a = slope.repeat(runs)
+        a *= x
+        a += amps[:-1, k].repeat(runs)
+        a[before[-1] - lo:] = amps[-1, k]
         a *= 2
         a *= np.cos(phi, out=phi)
         out[lo:hi] += a
-        del phi, buf, a
+        del phi, a
     return SignalBuffer(out, sample_rate)
 
 

@@ -520,14 +520,16 @@ def test_fit_cascade_blas_thread_independent():
 
 def test_import_leaves_scipy_signal_unloaded():
     """The package never filters in the time domain, so importing it does not
-    load scipy.signal; only the tests' lfilter oracle does."""
+    load scipy.signal; only the tests' lfilter oracle does. Phase integrals
+    are numpy trapezoid sums, so it does not load scipy.integrate either."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", "import sys, quasivoc; "
-                          "print('scipy.signal' in sys.modules)"],
+                          "print('scipy.signal' in sys.modules, "
+                          "'scipy.integrate' in sys.modules)"],
                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "False False"
 
 
 def test_fit_without_scipy_optimize(monkeypatch):

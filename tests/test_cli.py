@@ -286,6 +286,15 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_fixture_vowel_with_a_frame_count_off_the_floor(tmp_path):
+    """0.1451 s holds 30 frames, where (30 - 1) * 0.005 / 0.005 floors to 28:
+    the generator's cascade still has one grid centre per frame."""
+    wav = tmp_path / "v.wav"
+    assert main(["gen-fixture", "vowel", str(wav),
+                 "--params", '{"f0": 150.0, "duration": 0.1451}']) == 0
+    assert len(read_wav(wav)) == 29 * 120 + 1
+
+
 def test_analyze_below_the_window_pitch_writes_and_flags(tmp_path, capsys):
     """At 90 Hz the default window holds fewer samples than 4K unknowns; each
     frame fits the components its samples support, and analyze writes the
@@ -570,7 +579,7 @@ _NUMBERS = {"f0": ["0", "0.5", "150", "-150", "nan", "inf", "1e9"],
 _LAYOUT = {"f0": (2, ","), "schedule": (3, " ")}     # columns, separator
 _KEYS = st.one_of(_WORDS, st.sampled_from(sorted(vars(PipelineConfig()))
                                           + ["threads", "k_guard", "unvoiced_f0",
-                                             "voicing_threshold"]))
+                                             "voicing_threshold", "refine_mode"]))
 
 
 @st.composite

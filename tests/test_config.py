@@ -21,13 +21,13 @@ def test_component_cap():
     {"order_p": 10, "order_r": 3},
     {"f0_min": 600.0, "f0_max": 500.0},
     {"window_kind": "kaiser"},
-    {"refine_mode": "magic"},
     {"output_format": "flac"},
     {"fit_max_steps": 0},
     {"phase_weight": -1.0},
-    {"refine_iters": 0},
+    {"refine_iters": -1},
     {"f0_min": 0.0},
-    {"refine_mode": "eaqhm"},
+    {"half_window": 0.0},
+    {"phase_weight": float("nan")},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
@@ -71,6 +71,15 @@ def test_load_config_rejects_voicing_threshold(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("voicing_threshold = 0.3\n")
     with pytest.raises(ConfigError, match=r"cfg.txt:1: unknown key 'voicing_threshold'"):
+        load_config(path)
+
+
+def test_load_config_rejects_refine_mode(tmp_path):
+    """Refinement runs when refine_iters is at least 1; a config file that
+    sets the removed refine_mode key is rejected like any unknown key."""
+    path = tmp_path / "cfg.txt"
+    path.write_text("refine_mode = aqhm\n")
+    with pytest.raises(ConfigError, match=r"cfg.txt:1: unknown key 'refine_mode'"):
         load_config(path)
 
 

@@ -441,3 +441,30 @@ def test_synthesize_arma_samples_every_frame_at_once(monkeypatch):
 
     monkeypatch.setattr(arma, "sample_harmonics", forbidden)
     assert synthesize_arma(cascade, track).samples.tobytes() == expect.tobytes()
+
+
+def test_render_calls_no_interp(monkeypatch):
+    """Amplitudes come from the interval search that places every sample's
+    phase, so rendering calls np.interp for no column."""
+    cascade = fixtures.vowel_cascade(FS, 41, 0.005, 0.010, 0.05)
+    track = F0Track(cascade.grid, np.full(41, 140.0))
+    calls = []
+    interp = np.interp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counting)
+    out = synthesize_arma(cascade, track).samples
+    assert np.abs(out).max() > 0
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("frame_shift", [0.005, 0.01, 0.0125])
+def test_vowel_cascade_has_one_frame_per_grid_centre(frame_shift):
+    """The cascade's grid has n_frames centres for every count, including
+    those where (n - 1) * shift / shift floors to n - 2."""
+    for n in range(1, 3000):
+        cascade = fixtures.vowel_cascade(FS, n, frame_shift, 0.010)
+        assert len(cascade.grid) == cascade.n_frames == n, n
