@@ -269,9 +269,10 @@ class _Fit:
 
     def residuals(self, theta, rows, mag_only: bool = False, jacobian: bool = True):
         """Residuals (L, K), or (L, 2K) with the phase rows, of frames `rows`
-        at theta, and their transposed Jacobian (L, n_par, K or 2K) or None."""
+        at theta, and the numerators, denominators and magnitudes that
+        `jacobian` builds the Jacobian of any of those frames from (None
+        without jacobian)."""
         table, log_amp, phase, weight = (t[rows] for t in self.targets)
-        n, _, K = table.shape
         log_g, ar, ma = self.split(theta)
         num, den = _poly(ma, table), _poly(ar, table)
         mag = np.exp(log_g[:, None] + np.sum(np.log(np.maximum(np.abs(num), 1e-30))
@@ -280,21 +281,28 @@ class _Fit:
         if not mag_only:
             angle = np.sum(np.angle(num) - np.angle(den), axis=1)
             res = np.concatenate([res, weight * _wrap(phase - angle)], axis=1)
-        if not jacobian:
-            return res, None
+        return res, ((num, den, mag) if jacobian else None)
+
+    def jacobian(self, rows, parts, mag_only: bool = False):
+        """Transposed Jacobian (L, n_par, K or 2K) of the residuals of frames
+        `rows`, from the (num, den, mag) of those frames."""
+        num, den, mag = parts
+        table, weight = self.targets[0][rows], self.targets[3][rows]
+        n, _, K = table.shape
         # chain through log(|H|+eps): factor |H|/(|H|+eps) on the magnitude
         # rows. dlogH/da = -e^{-iwn}/den and dlogH/db = e^{-iwn}/num;
         # log|H| takes the real part, angle H the imaginary part
-        jt = np.zeros((n, theta.shape[1], res.shape[1]))
+        jt = np.zeros((n, 1 + self.r * (self.p + self.q), K if mag_only else 2 * K))
         cm = mag / (mag + AMPLITUDE_FLOOR)
         jt[:, 0, :K] = -cm
         for poly, order, off in ((-den, self.p, 1), (num, self.q, 1 + self.r * self.p)):
             t = table[:, None, :order] * (1.0 / poly)[:, :, None]
-            cols, shape = slice(off, off + self.r * order), (n, self.r * order, K)
-            jt[:, cols, :K] = -(cm[:, None, None] * t.real).reshape(shape)
+            block = jt[:, off:off + self.r * order].reshape(n, self.r, order, jt.shape[2])
+            # (-c) * x is -(c * x) exactly: rounding is symmetric in sign
+            np.multiply(-cm[:, None, None], t.real, out=block[..., :K])
             if not mag_only:
-                jt[:, cols, K:] = -(weight[:, None, None] * t.imag).reshape(shape)
-        return res, jt
+                np.multiply(-weight[:, None, None], t.imag, out=block[..., K:])
+        return jt
 
     def loss(self, theta, rows):
         return np.sum(self.residuals(theta, rows, jacobian=False)[0] ** 2, axis=1)
@@ -315,8 +323,8 @@ def _levenberg_marquardt(fit: _Fit, theta, rows, mag_only: bool, max_steps: int)
     _COST_FLOOR. No frame's result depends on another's.
     """
     theta, active = theta.copy(), np.arange(len(theta))
-    res, jt = fit.residuals(theta, rows, mag_only)
-    cost, (a, g) = 0.5 * np.sum(res ** 2, axis=1), _normal(res, jt)
+    res, parts = fit.residuals(theta, rows, mag_only)
+    cost, (a, g) = 0.5 * np.sum(res ** 2, axis=1), _normal(res, fit.jacobian(rows, parts, mag_only))
     diag = np.diagonal(a, axis1=1, axis2=2)
     mu, nu, steps = np.full(len(theta), 1e-2), np.full(len(theta), 2.0), np.zeros(len(theta))
     checkpoint = cost.copy()
@@ -326,14 +334,17 @@ def _levenberg_marquardt(fit: _Fit, theta, rows, mag_only: bool, max_steps: int)
         damp = mu[active, None] * np.maximum(d, 1e-12 * d.max(axis=1, keepdims=True))
         h = np.linalg.solve(a[active] + damp[:, :, None] * np.eye(d.shape[1]),
                             -g[active][..., None])[..., 0]
-        res, jt = fit.residuals(theta[active] + h, rows[active], mag_only)
+        res, parts = fit.residuals(theta[active] + h, rows[active], mag_only)
         old, new = cost[active], 0.5 * np.sum(res ** 2, axis=1)
         predicted = 0.5 * np.sum(h * (damp * h - g[active]), axis=1)
         steps[active] += 1
         ok = new < old
         took = active[ok]
         theta[took] += h[ok]
-        cost[took], (a[took], g[took]) = new[ok], _normal(res[ok], jt[ok])
+        if took.size:
+            # the Jacobian only where the step is taken, from that trial's parts
+            jt = fit.jacobian(rows[took], [part[ok] for part in parts], mag_only)
+            cost[took], (a[took], g[took]) = new[ok], _normal(res[ok], jt)
         rho = np.minimum((old - new) / np.maximum(predicted, 1e-300), 1.0)
         mu[active] *= np.where(ok, np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), nu[active])
         nu[active] = np.where(ok, 2.0, 2.0 * nu[active])

@@ -6,7 +6,6 @@ import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.fft import dct, rfft
 
 from .qhm import F0Track
 from .signals import FrameGrid, QuasivocError, SignalBuffer, frame_view, grid_window
@@ -15,6 +14,10 @@ LOG_FLOOR = 1e-10
 SNR_CAP_DB = 120.0
 N_MEL_FILTERS = 40
 N_CEPSTRA = 24
+# rows 1..N_CEPSTRA of the orthonormal DCT-II over N_MEL_FILTERS points
+_DCT = np.sqrt(2.0 / N_MEL_FILTERS) * np.cos(
+    np.pi / (2 * N_MEL_FILTERS) * np.arange(1, N_CEPSTRA + 1)[:, None]
+    * (2 * np.arange(N_MEL_FILTERS) + 1))
 
 
 class MetricError(QuasivocError):
@@ -93,7 +96,7 @@ def mel_cepstrum(buffer: SignalBuffer, grid: FrameGrid) -> np.ndarray:
     """Per-frame mel-cepstral coefficients d = 1..N_CEPSTRA from N_MEL_FILTERS filters.
 
     Windowed DFT magnitude -> triangular mel energies -> log (floored)
-    -> DCT-II; the 0th (energy) coefficient is dropped.
+    -> orthonormal DCT-II; the 0th (energy) coefficient is not computed.
     """
     fs = buffer.sample_rate
     window = grid_window(grid, fs)
@@ -103,12 +106,11 @@ def mel_cepstrum(buffer: SignalBuffer, grid: FrameGrid) -> np.ndarray:
     starts = grid.center_samples(fs) - n_win // 2
     view, offset = frame_view(buffer.samples, starts, n_win)
     frames = view[starts + offset]
-    mag = np.abs(rfft(frames * window, n=n_fft, axis=1))
+    mag = np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1))
     # one matrix-vector product per frame, as a frame on its own gets it;
     # mag @ fb.T rounds differently
     energies = np.maximum((fb @ mag[:, :, None])[..., 0], LOG_FLOOR)
-    ceps = dct(np.log(energies), type=2, norm="ortho", axis=1)
-    return ceps[:, 1:N_CEPSTRA + 1]
+    return (_DCT @ np.log(energies)[:, :, None])[..., 0]
 
 
 def mcd(gen_coeffs: np.ndarray, ref_coeffs: np.ndarray) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
@@ -37,6 +36,21 @@ ACF_TAIL_FLOOR = 1e-20
 # detect_f0 takes one rfft, and analyze_qhm one solve per LS set, per block of
 # at most this many frames: the blocks bound the memory of both passes
 FRAME_BLOCK = 128
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n >= 1, as scipy.fft.next_fast_len(n,
+    real=True) gives it: a length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-2 multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 class AnalysisError(QuasivocError):
@@ -310,7 +324,7 @@ def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
     starts = np.maximum(lo, 0)
     sizes = np.clip(np.minimum(lo + seg_len, len(buffer)) - starts, 0, None)
     # lags 0..lag_max + 1, a peak and both its neighbours, clear of wrap-around
-    nfft = next_fast_len(seg_len + lag_max + 2, real=True)
+    nfft = _next_fast_len(seg_len + lag_max + 2)
     nacf = np.zeros((len(grid), lag_max + 2))
     view, offset = frame_view(buffer.samples, starts, seg_len)
     for i in range(0, len(grid), FRAME_BLOCK):
@@ -319,7 +333,8 @@ def detect_f0(buffer: SignalBuffer, grid: FrameGrid,
         seg = view[starts[rows] + offset] * inside
         seg -= seg.sum(axis=1, keepdims=True) / np.maximum(sizes[rows], 1)[:, None]
         seg *= inside
-        acf = irfft(np.abs(rfft(seg, nfft, axis=1)) ** 2, nfft, axis=1)[:, :lag_max + 2]
+        acf = np.fft.irfft(np.abs(np.fft.rfft(seg, nfft, axis=1)) ** 2, nfft,
+                           axis=1)[:, :lag_max + 2]
         cum = np.cumsum(seg * seg, axis=1)
         e0 = cum[:, -1:]
         tail = e0 - np.pad(cum[:, :lag_max + 1], ((0, 0), (1, 0)))

@@ -5,12 +5,18 @@ amplitudes are float64 internally.
 """
 from __future__ import annotations
 
+import struct
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
+
+# WAVE format tags; an EXTENSIBLE fmt chunk names one of the first two in the
+# first 4 bytes of its sub-format GUID, whose last 12 bytes are _GUID_TAIL
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 class QuasivocError(Exception):
@@ -110,30 +116,130 @@ def frame_view(samples: np.ndarray, starts: np.ndarray, length: int) -> tuple[np
     return sliding_window_view(np.pad(samples, (left, right)), length), left
 
 
+def _parse_wav(raw: bytes) -> tuple[int, np.ndarray]:
+    """The sample rate and samples of a little-endian RIFF/WAVE image.
+
+    Chunks are walked in order, up to the RIFF size, each followed by its
+    pad byte when its size is odd; unknown chunks are skipped. The samples
+    are (frames,) or (frames, channels) of uint8, int16, int32 (24-bit
+    samples left-justified) or float32/64: the container is the block
+    alignment per channel, and PCM of 1-8 bits is unsigned bytes. A data
+    chunk cut short keeps its whole samples, with a warning. Where a later
+    chunk repeats fmt or data, the last one read counts. These are the
+    rules of scipy.io.wavfile.read, which returns the same arrays; files it
+    reads as int8, int64, float16 or float128, RIFX and RF64 are not read.
+    Raises SignalError, or struct.error for a field cut by the end of file.
+    """
+    if raw[:4] != b"RIFF":
+        raise SignalError("not a RIFF file (RIFX and RF64 are not read)")
+    end = struct.unpack_from("<I", raw, 4)[0] + 8
+    if raw[8:12] != b"WAVE":
+        raise SignalError("RIFF form is not WAVE")
+    pos, fmt, rate, data = 12, None, 0, None
+    while pos < end:
+        cid, body = raw[pos:pos + 4], pos + 8
+        if len(cid) < 4:
+            if data is None:
+                raise SignalError("no data chunk before the end of file")
+            break
+        if cid == b"fmt ":
+            size = struct.unpack_from("<I", raw, pos + 4)[0]
+            if size < 16:
+                raise SignalError("fmt chunk shorter than 16 bytes")
+            tag, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", raw, body)
+            used = 16
+            if tag == _EXTENSIBLE and size >= 18:
+                if struct.unpack_from("<H", raw, body + 16)[0] < 22:
+                    raise SignalError("EXTENSIBLE fmt chunk without its sub-format")
+                guid, used = raw[body + 24:body + 40], 40
+                if guid.endswith(_GUID_TAIL):
+                    tag = struct.unpack("<I", guid[:4])[0]
+            if tag not in (_PCM, _FLOAT):
+                raise SignalError(f"unsupported WAVE format tag {tag:#06x}")
+            if tag == _PCM and byte_rate != rate * align:
+                raise SignalError("PCM byte rate is not sample rate * block align")
+            fmt = tag, channels, align, bits
+            pos = body + max(size, used) + size % 2
+        elif cid == b"data":
+            if fmt is None:
+                raise SignalError("data chunk before the fmt chunk")
+            size = struct.unpack_from("<I", raw, pos + 4)[0]
+            tag, channels, align, bits = fmt
+            width = align // channels if channels else 0
+            if not width:
+                raise SignalError("fmt chunk gives no bytes per sample")
+            packed = False
+            if tag == _PCM and 1 <= bits <= 8:
+                dtype = np.dtype("u1")
+            elif tag == _PCM and width == 3:
+                dtype, packed = np.dtype("<i4"), True
+            elif tag == _PCM and width in (2, 4) and bits <= 64:
+                dtype = np.dtype(f"<i{width}")
+            elif tag == _FLOAT and bits in (32, 64) and width in (4, 8):
+                dtype = np.dtype(f"<f{width}")
+            else:
+                raise SignalError(f"unsupported sample format: tag {tag}, "
+                                  f"{bits} bits in {width} bytes")
+            # packed 24-bit samples are read byte by byte, the others item by
+            # item; 1-8-bit PCM takes one byte per sample whatever its width
+            step = 1 if packed else dtype.itemsize
+            wanted = size if packed else size // width
+            count = min(wanted, (len(raw) - body) // step)
+            if packed:
+                if count % 3:
+                    raise SignalError("24-bit data chunk ends inside a sample")
+                wide = np.zeros((count // 3, 4), dtype=np.uint8)
+                wide[:, 1:] = np.frombuffer(raw, np.uint8, count, body).reshape(-1, 3)
+                data = wide.view(dtype)[:, 0]
+            else:
+                data = np.frombuffer(raw, dtype, count, body)
+            if len(data) % channels:
+                raise SignalError("data chunk ends inside a frame")
+            if channels > 1:
+                data = data.reshape(-1, channels)
+            if count < wanted:
+                warnings.warn(f"read_wav: data chunk cut short; read {count} of {wanted} "
+                              f"{'bytes' if packed else 'samples'}")
+                break
+            pos = body + count * step + size % 2
+        elif len(raw) > pos + 4:
+            size = struct.unpack_from("<I", raw, pos + 4)[0]
+            pos = body + size + size % 2
+        else:
+            pos += 4
+    if data is None:
+        raise SignalError("no data chunk within the RIFF size")
+    return rate, data
+
+
 def read_wav(path) -> SignalBuffer:
     """Read a RIFF/WAVE file into a mono float64 buffer scaled to [-1, 1].
 
-    Multichannel input is averaged to mono. PCM-16, PCM-32 and IEEE
-    float-32/64 are accepted.
+    Multichannel input is averaged to mono. Unsigned 8-bit, 16-, 24- and
+    32-bit PCM and IEEE float-32/64 are accepted, also through an
+    EXTENSIBLE fmt chunk; integers are divided by 2**(bits - 1), 24-bit
+    samples as left-justified 32-bit ones.
     """
     try:
-        rate, data = wavfile.read(path)
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except OSError as exc:
+        raise SignalError(f"cannot read WAV file {path}: {exc}") from exc
+    try:
+        rate, data = _parse_wav(raw)
+    except struct.error as exc:
+        raise SignalError(f"cannot read WAV file {path}: header cut by the end of file") from exc
+    except SignalError as exc:
         raise SignalError(f"cannot read WAV file {path}: {exc}") from exc
     if data.size == 0:
         raise SignalError(f"zero-length audio: {path}")
-    if data.dtype == np.int16:
-        samples = data / 32768.0
-    elif data.dtype == np.int32:
-        samples = data / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    elif data.dtype == np.uint8:
+    if data.dtype == np.uint8:
         samples = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype.kind == "f":
+        samples = data.astype(np.float64)
     else:
-        raise SignalError(f"unsupported WAV sample format: {data.dtype}")
+        samples = data / float(1 << (8 * data.dtype.itemsize - 1))
     if samples.ndim > 1:
         samples = samples.mean(axis=1)
     return SignalBuffer(np.asarray(samples, dtype=np.float64), int(rate))
@@ -144,6 +250,9 @@ def write_wav(buffer: SignalBuffer, path, fmt: str = "float32") -> int:
 
     fmt 'float32' (default) is lossless for in-range data; 'pcm16'
     quantizes. Out-of-range samples are clipped to [-1, 1] with a warning.
+    The file is a mono RIFF/WAVE with the bytes scipy.io.wavfile.write
+    gives: a 16-byte fmt chunk for PCM, an 18-byte one and a fact chunk
+    for float.
     """
     x = buffer.samples
     n_clipped = int(np.count_nonzero((x > 1.0) | (x < -1.0)))
@@ -151,12 +260,24 @@ def write_wav(buffer: SignalBuffer, path, fmt: str = "float32") -> int:
         warnings.warn(f"write_wav: hard-clipped {n_clipped} out-of-range samples")
         x = np.clip(x, -1.0, 1.0)
     if fmt == "float32":
-        wavfile.write(path, buffer.sample_rate, x.astype(np.float32))
+        data, tag = x.astype("<f4"), _FLOAT
     elif fmt == "pcm16":
-        q = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
-        wavfile.write(path, buffer.sample_rate, q)
+        data, tag = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2"), _PCM
     else:
         raise SignalError(f"unsupported output format: {fmt}")
+    rate, width = buffer.sample_rate, data.itemsize
+    if rate * width > 0xFFFFFFFF or 50 + data.nbytes > 0xFFFFFFFF:
+        raise SignalError("sample rate or length too large for a RIFF file")
+    body = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
+    if tag == _FLOAT:
+        body += b"\x00\x00"
+    chunks = b"fmt " + struct.pack("<I", len(body)) + body
+    if tag == _FLOAT:
+        chunks += b"fact" + struct.pack("<II", 4, len(data))
+    chunks += b"data" + struct.pack("<I", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks) + data.nbytes) + b"WAVE" + chunks)
+        fh.write(data.data)
     return n_clipped
 
 

@@ -10,11 +10,44 @@ Components are summed as 2*A_k(t)*cos(phi_k(t)) in ascending k
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .arma import ArmaCascade, sample_cascade
 from .qhm import NYQUIST_GUARD, F0Track, HarmonicSet, harmonic_grid
 from .signals import FrameGrid, SignalBuffer, SignalError
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    keep = np.sign(d) == np.sign(m0)
+    steep = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3. * np.abs(m0))
+    return np.where(steep, 3. * m0, np.where(keep, d, 0.0))
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Monotone cubic Hermite coefficients (4, L - 1, m) of the columns of y
+    (L, m) over knots x (L,), L >= 2: c[i, j] multiplies s**(3 - i) on
+    interval j. Interior slopes are Fritsch & Carlson's weighted harmonic
+    means, 0 at a sign change or a flat side; two knots give the line. The
+    operations are those of scipy's PchipInterpolator, so c equals its .c
+    bit for bit.
+    """
+    h = np.diff(x)[:, None]
+    m = np.diff(y, axis=0) / h
+    d = np.zeros_like(y)
+    if len(x) == 2:
+        d[:] = m
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            np.divide(1.0, whmean, out=d[1:-1], where=~flat)
+        d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
 def excitation_phase(frame_freqs: np.ndarray, grid: FrameGrid,
@@ -81,11 +114,11 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     its last, where the sum would only gain +-0.0.
 
     Phases are PCHIP-interpolated, holding the end values past t_L. The
-    coefficients of all live columns come from one interpolator, and each
+    coefficients of all live columns come from one _pchip pass, and each
     column evaluates them at the shared sample intervals in the term order
     of scipy's piecewise-polynomial evaluation,
-    ((c3 + c2*s) + c1*s**2) + c0*s**3, so the samples equal one
-    interpolator per column bit for bit. Amplitudes take numpy.interp's
+    ((c3 + c2*s) + c1*s**2) + c0*s**3, so the samples equal one scipy
+    PchipInterpolator per column bit for bit. Amplitudes take numpy.interp's
     formula, slope*s + a_j, on the same intervals.
     """
     amps = np.atleast_2d(np.asarray(amplitudes, dtype=np.float64))
@@ -110,7 +143,7 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     first = np.argmax(nonzero, axis=0)
     last = L - 1 - np.argmax(nonzero[::-1], axis=0)
     # (live, 4, L - 1): in a column's c, c[m, j] multiplies s**(3 - m) on interval j
-    coef = np.ascontiguousarray(PchipInterpolator(centers, phis[:, live]).c.transpose(2, 0, 1))
+    coef = np.ascontiguousarray(_pchip(centers, phis[:, live]).transpose(2, 0, 1))
     tt = np.minimum(np.arange(n) / sample_rate + t0, t_end)
     before = np.searchsorted(tt, centers, "left")
     after = np.searchsorted(tt, centers, "right")

@@ -521,7 +521,10 @@ def test_fit_cascade_blas_thread_independent():
 def test_import_leaves_scipy_signal_unloaded():
     """The package never filters in the time domain, so importing it does not
     load scipy.signal; only the tests' lfilter oracle does. Phase integrals
-    are numpy trapezoid sums, so it does not load scipy.integrate either."""
+    are numpy trapezoid sums, so it does not load scipy.integrate either.
+    WAV I/O, PCHIP coefficients and FFTs are numpy, so scipy.io,
+    scipy.interpolate, scipy.fft and what they pull in (scipy.special,
+    scipy.sparse, scipy.optimize) stay unloaded too."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -530,6 +533,12 @@ def test_import_leaves_scipy_signal_unloaded():
                           "'scipy.integrate' in sys.modules)"],
                          env=env, capture_output=True, text=True, timeout=120, check=True)
     assert run.stdout.strip() == "False False"
+    unloaded = ["scipy.io", "scipy.interpolate", "scipy.fft", "scipy.special", "scipy.sparse",
+                "scipy.optimize"]
+    run = subprocess.run([sys.executable, "-c", "import sys, quasivoc; "
+                          f"print([m for m in {unloaded!r} if m in sys.modules])"],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_fit_without_scipy_optimize(monkeypatch):

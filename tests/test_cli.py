@@ -1,10 +1,14 @@
 """End-to-end command-line workflows and exit-code contracts."""
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from conftest import wav_images
 from hypothesis import given, settings, strategies as st
 
 from quasivoc import fixtures, metrics, serialize
@@ -12,7 +16,7 @@ from quasivoc.arma import ArmaCascade
 from quasivoc.cli import build_parser, main
 from quasivoc.config import PipelineConfig
 from quasivoc.qhm import F0Track, HarmonicSet
-from quasivoc.signals import FrameGrid, SignalBuffer, make_grid, read_wav, write_wav
+from quasivoc.signals import FrameGrid, SignalBuffer, SignalError, make_grid, read_wav, write_wav
 
 
 @pytest.fixture()
@@ -623,3 +627,27 @@ def test_drawn_input_files_exit_0_1_or_2(fuzz_dir, drawn):
     }
     for argv in runs[kind]:
         assert main(argv) in (0, 1, 2), argv
+
+
+@given(image=wav_images() | st.binary(max_size=60))
+@settings(max_examples=120, deadline=None)
+def test_analyze_drawn_wav_bytes(fuzz_dir, image):
+    """analyze on drawn bytes as the input WAV: a file read_wav rejects exits
+    2 with a message, and no run lets an exception escape main."""
+    path = fuzz_dir / "drawn.wav"
+    path.write_bytes(image)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            read_wav(path)
+            rejected = False
+        except SignalError:
+            rejected = True
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path), str(fuzz_dir / "drawn.bin")])
+    if rejected:
+        assert code == 2 and err.getvalue().startswith("error: ")
+    else:
+        assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.fft import dct, rfft
+
 from quasivoc import fixtures
-from quasivoc.metrics import (MetricError, MetricReport, f0_rmse, mcd,
-                              mel_cepstrum, rtf, snr, vuv_rate)
+from quasivoc.metrics import (MetricError, MetricReport, f0_rmse, mcd, mel_cepstrum,
+                              mel_filterbank, rtf, snr, vuv_rate)
 from quasivoc.qhm import F0Track
-from quasivoc.signals import SignalBuffer, grid_window, make_grid
+from quasivoc.signals import SignalBuffer, frame_view, grid_window, make_grid
 
 FS = 24000
 
@@ -113,6 +115,36 @@ def test_mel_cepstrum_matches_independent_oracle():
     ref = _oracle_mel_cepstrum(buf, grid)
     np.testing.assert_allclose(got, ref, atol=1e-6)
 
+
+
+def _scipy_mel_cepstrum(buffer, grid):
+    """mel_cepstrum through scipy.fft's rfft and orthonormal DCT-II, and the
+    norm of each frame's log mel energies (that of all 40 DCT coefficients)."""
+    fs = buffer.sample_rate
+    window = grid_window(grid, fs)
+    n_fft = 1 << (window.size - 1).bit_length()
+    starts = grid.center_samples(fs) - window.size // 2
+    view, offset = frame_view(buffer.samples, starts, window.size)
+    mag = np.abs(rfft(view[starts + offset] * window, n=n_fft, axis=1))
+    fb = mel_filterbank(40, n_fft, fs)
+    log_energies = np.log(np.maximum((fb @ mag[:, :, None])[..., 0], 1e-10))
+    return (dct(log_energies, type=2, norm="ortho", axis=1)[:, 1:25],
+            np.linalg.norm(log_energies, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("make", [lambda: fixtures.noise(0.3, FS, seed=6)[0],
+                                  lambda: fixtures.multisine(200.0, 5, 0.3, FS, seed=2)[0],
+                                  lambda: fixtures.vowel(150.0, 0.3, FS)[0],
+                                  lambda: SignalBuffer(np.zeros(int(0.3 * FS)), FS)],
+                         ids=["noise", "multisine", "vowel", "silence"])
+def test_mel_cepstrum_equals_scipy_dct_form(make):
+    """The cosine-matrix DCT is within 1e-12 of the scipy.fft form, relative
+    to the norm of the frame's log mel energies: on a constant frame the
+    coefficients are 0 and both forms leave rounding of that norm's order."""
+    buf = make()
+    grid = make_grid(0.25, 0.005, 0.010)
+    want, norm = _scipy_mel_cepstrum(buf, grid)
+    assert np.all(np.abs(mel_cepstrum(buf, grid) - want) <= 1e-12 * norm)
 
 def test_mel_cepstrum_determinism_and_scale_invariance():
     buf, _ = fixtures.multisine(200.0, 5, 0.2, FS, seed=2)

@@ -1,5 +1,6 @@
 """Framewise least-squares analysis, frequency correction, refinement,
 and the pitch detector."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import LinAlgError, cho_factor
 
 from quasivoc import fixtures, qhm
@@ -1018,3 +1020,35 @@ def test_refine_adaptive_errors():
         refine_adaptive(buf, hset, "aqhm", max_iters=0)
     with pytest.raises(AnalysisError):
         refine_adaptive(SignalBuffer(np.zeros(100), 2 * FS), hset, "aqhm")
+
+
+def test_next_fast_len_equals_scipy():
+    assert [qhm._next_fast_len(n) for n in range(1, 20001)] == [
+        scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, for its seeded inputs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["steady-vowel", "vibrato-analysis", "vibrato-fit"])
+def test_detect_f0_equals_scipy_fft_form(monkeypatch, workload):
+    """numpy's FFT and the 5-smooth length give the F0 track of scipy.fft's
+    rfft, irfft and next_fast_len bit for bit on the benchmark's inputs."""
+    make_inputs = _benchmark_workloads().make_inputs
+    for seed in range(3):
+        buf = make_inputs(workload, seed).buf
+        grid = make_grid(buf.duration, 0.005, 0.010)
+        got = detect_f0(buf, grid).values
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "rfft", scipy.fft.rfft)
+            m.setattr(np.fft, "irfft", scipy.fft.irfft)
+            m.setattr(qhm, "_next_fast_len", lambda n: scipy.fft.next_fast_len(n, real=True))
+            want = detect_f0(buf, grid).values
+        assert got.tobytes() == want.tobytes(), seed

@@ -1,6 +1,13 @@
 """Windows, frame grids and WAV I/O."""
+import io
+import struct
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import wav_image, wav_images, wav_oracle
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
@@ -180,6 +187,86 @@ def test_read_wav_errors(tmp_path):
     with pytest.raises(SignalError):
         write_wav(SignalBuffer(np.zeros(4), 8000), tmp_path / "x.wav", "mp3")
 
+
+
+@given(image=wav_images())
+@settings(max_examples=400, deadline=None)
+def test_read_wav_matches_scipy_on_drawn_images(image):
+    """On whole, cut and overwritten WAV images, read_wav gives the samples
+    and rate of scipy's reader with the old conversion, and raises
+    SignalError wherever that raises."""
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = Path(d) / "drawn.wav"
+        path.write_bytes(image)
+        try:
+            want = wav_oracle(path)
+        except Exception:
+            with pytest.raises(SignalError):
+                read_wav(path)
+            return
+        got = read_wav(path)
+    assert got.sample_rate == want.sample_rate
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_read_wav_formats_and_their_scales(tmp_path):
+    """uint8, 24-bit (as a left-justified int32 over 2**31) and EXTENSIBLE
+    images read as scipy reads them, as does one that ends in a bare chunk id
+    after its data; a cut data chunk keeps its whole samples and warns."""
+    tail = wav_image(1, 1, 8000, 2, 16, struct.pack("<h", -16384)) + b"JUNK"
+    cases = {
+        "tail-id": tail[:4] + struct.pack("<I", len(tail) - 8) + tail[8:],
+        "u8": wav_image(1, 1, 8000, 1, 8, bytes([0, 128, 255])),
+        "pcm24": wav_image(1, 2, 8000, 3, 24, bytes([0, 0, 0x80, 0xFF, 0xFF, 0x7F])),
+        "ext-f64": wav_image(3, 1, 8000, 8, 64, np.array([0.25, -0.5]).tobytes(),
+                             extensible=True),
+    }
+    expect = {"tail-id": [-0.5], "u8": [-1.0, 0.0, 127 / 128],
+              "pcm24": [(-2 ** 31 + (2 ** 31 - 2 ** 8)) / 2 / 2 ** 31],
+              "ext-f64": [0.25, -0.5]}
+    for name, image in cases.items():
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(image)
+        assert read_wav(path).samples.tolist() == expect[name]
+        assert read_wav(path).samples.tobytes() == wav_oracle(path).samples.tobytes()
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(wav_image(1, 1, 8000, 2, 16, struct.pack("<4h", 1, 2, 3, 4))[:-3])
+    with pytest.warns(UserWarning, match="cut short"):
+        assert read_wav(cut).samples.tolist() == [1 / 32768, 2 / 32768]
+
+
+@pytest.mark.parametrize("image, match", [
+    (wav_image(1, 1, 8000, 8, 64, bytes(16)), "unsupported sample format"),     # int64
+    (wav_image(3, 1, 8000, 2, 32, bytes(4)), "unsupported sample format"),      # float16
+    (b"RIFX" + wav_image(1, 1, 8000, 2, 16, bytes(4))[4:], "RIFX"),
+    (b"RIFF\x04\x00\x00\x00WAVE", "no data chunk"),
+    (wav_image(1, 1, 8000, 2, 16, bytes(4))[:30], "cut"),
+])
+def test_read_wav_rejects(tmp_path, image, match):
+    path = tmp_path / "x.wav"
+    path.write_bytes(image)
+    with pytest.raises(SignalError, match=match):
+        read_wav(path)
+
+
+@given(samples=st.lists(st.floats(-1.5, 1.5), max_size=40),
+       rate=st.sampled_from([1, 8000, 24000, 44100, 2 ** 20]),
+       fmt=st.sampled_from(["float32", "pcm16"]))
+@settings(max_examples=100, deadline=None)
+def test_write_wav_bytes_equal_scipy(samples, rate, fmt):
+    """write_wav's files are scipy.io.wavfile.write's bytes for the same
+    clipped float32 or quantized int16 samples."""
+    x = np.clip(np.array(samples, dtype=np.float64), -1.0, 1.0)
+    data = (x.astype(np.float32) if fmt == "float32"
+            else np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16))
+    want = io.BytesIO()
+    wavfile.write(want, rate, data)
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = Path(d) / "w.wav"
+        write_wav(SignalBuffer(np.array(samples, dtype=np.float64), rate), path, fmt)
+        assert path.read_bytes() == want.getvalue()
 
 # --- interpolation ---------------------------------------------------------
 

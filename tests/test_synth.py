@@ -3,6 +3,8 @@ pipelines."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import PchipInterpolator
 
 from quasivoc import arma, fixtures, synth
 from conftest import cascade_of, frame_at, pchip_per_column
@@ -270,15 +272,15 @@ def test_render_matches_per_column_pchip(L, kind):
 
 
 def test_one_pchip_per_render(monkeypatch, vowel_data):
-    """The phase coefficients of every live column come from one interpolator."""
+    """The phase coefficients of every live column come from one pass."""
     built = []
+    pchip = synth._pchip
 
-    class Counted(synth.PchipInterpolator):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
+    def counted(*args):
+        built.append(1)
+        return pchip(*args)
 
-    monkeypatch.setattr(synth, "PchipInterpolator", Counted)
+    monkeypatch.setattr(synth, "_pchip", counted)
     grid = _grid(12)
     amps = np.full((12, 8), 0.1)
     phis = excitation_phase(np.full((12, 8), 100.0) * np.arange(1, 9), grid)
@@ -290,6 +292,25 @@ def test_one_pchip_per_render(monkeypatch, vowel_data):
     synthesize_arma(cascade, track)
     assert len(built) == 2
 
+
+
+# knot values with repeats (flat runs), exact and signed zeros and sign changes
+_KNOT_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-1e6, 1e6)
+
+
+@given(steps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8),
+       origin=st.floats(-100.0, 100.0), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_pchip_coefficients_equal_scipy(steps, origin, data):
+    """The coefficient pass gives scipy's PchipInterpolator(x, y).c bit for
+    bit, from two knots (the line) up, on columns with flat runs, sign
+    changes and exact zeros."""
+    x = origin + np.cumsum(np.r_[0.0, steps])
+    y = data.draw(arrays(np.float64, (len(x), data.draw(st.integers(1, 4))),
+                         elements=_KNOT_VALUES))
+    got = synth._pchip(x, y)
+    assert got.shape == (4, len(x) - 1, y.shape[1])
+    assert got.tobytes() == PchipInterpolator(x, y).c.tobytes()
 
 def _unit_render(centers, phases):
     """2 * 0.5 * cos(phi(t)): the rendered samples of one unit component."""
