@@ -259,18 +259,17 @@ def write_wav(buffer: SignalBuffer, path, fmt: str = "float32") -> int:
     if n_clipped:
         warnings.warn(f"write_wav: hard-clipped {n_clipped} out-of-range samples")
         x = np.clip(x, -1.0, 1.0)
+    # a float fmt chunk ends in a zero cbSize field
     if fmt == "float32":
-        data, tag = x.astype("<f4"), _FLOAT
+        data, tag, tail = x.astype("<f4"), _FLOAT, b"\x00\x00"
     elif fmt == "pcm16":
-        data, tag = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2"), _PCM
+        data, tag, tail = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2"), _PCM, b""
     else:
         raise SignalError(f"unsupported output format: {fmt}")
     rate, width = buffer.sample_rate, data.itemsize
     if rate * width > 0xFFFFFFFF or 50 + data.nbytes > 0xFFFFFFFF:
         raise SignalError("sample rate or length too large for a RIFF file")
-    body = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
-    if tag == _FLOAT:
-        body += b"\x00\x00"
+    body = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width) + tail
     chunks = b"fmt " + struct.pack("<I", len(body)) + body
     if tag == _FLOAT:
         chunks += b"fact" + struct.pack("<II", 4, len(data))
