@@ -73,7 +73,8 @@ class CascadeFrame:
 @dataclass
 class ArmaCascade:
     """Per-frame envelope cascades over a frame grid, stacked: gain (L,),
-    AR (L, r, p) and MA (L, r, q), r >= 1 sections per frame. The orders
+    AR (L, r, p) and MA (L, r, q), r >= 1 sections per frame, and the grid
+    and the flags (L,) hold one entry per frame. The orders
     (P, Q, r) = (r*p, r*q, r) come from the shapes."""
 
     grid: FrameGrid
@@ -94,6 +95,8 @@ class ArmaCascade:
             raise EnvelopeError("gains must be positive, and gains and coefficients finite")
         if self.flags is None:
             self.flags = np.zeros(len(self.gain), dtype=np.int64)
+        if np.shape(self.flags) != self.gain.shape or len(self.grid) != len(self.gain):
+            raise EnvelopeError("grid, flags and arrays disagree on the frame count")
 
     @property
     def orders(self) -> tuple:

@@ -61,7 +61,8 @@ class AnalysisError(QuasivocError):
 class HarmonicSet:
     """Per-frame component frequencies, amplitudes, phases, compensations.
 
-    All arrays are (frames, K). Phases are the wrapped framewise values in
+    All arrays are (frames, K), and the grid and the flags (frames,) hold
+    one entry per frame. Phases are the wrapped framewise values in
     (-pi, pi]; compensations lie in [-pi, pi] and accumulate over frames
     during synthesis.
     """
@@ -79,10 +80,13 @@ class HarmonicSet:
         self.amplitudes = np.atleast_2d(np.asarray(self.amplitudes, dtype=np.float64))
         self.phases = np.atleast_2d(np.asarray(self.phases, dtype=np.float64))
         self.compensations = np.atleast_2d(np.asarray(self.compensations, dtype=np.float64))
+        arrays = (self.frequencies, self.amplitudes, self.phases, self.compensations)
         if self.flags is None:
             self.flags = np.zeros(self.frequencies.shape[0], dtype=np.int64)
-        if not all(np.all(np.isfinite(a)) for a in (self.frequencies, self.amplitudes,
-                                                    self.phases, self.compensations)):
+        if (len({a.shape for a in arrays}) > 1 or self.frequencies.ndim != 2
+                or np.shape(self.flags) != (self.n_frames,) or len(self.grid) != self.n_frames):
+            raise AnalysisError("grid, flags and arrays disagree on the frame or component count")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
             raise AnalysisError("frequencies, amplitudes, phases and compensations must be finite")
         if np.any(self.amplitudes < 0):
             raise AnalysisError("amplitudes must be nonnegative")
@@ -98,13 +102,16 @@ class HarmonicSet:
 
 @dataclass
 class F0Track:
-    """Per-frame fundamental frequency; 0 means unvoiced."""
+    """Per-frame fundamental frequency, one value per frame of the grid; 0
+    means unvoiced."""
 
     grid: FrameGrid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape != (len(self.grid),):
+            raise AnalysisError("f0 track needs one value per frame of its grid")
         if not np.all(np.isfinite(self.values) & (self.values >= 0)):
             raise AnalysisError("f0 values must be finite and nonnegative")
 
@@ -117,32 +124,35 @@ def _harmonic_normal(z: np.ndarray, k: int, t: np.ndarray, window: np.ndarray, f
     """Normal matrix of harmonics 1..k of one base phase, in closed form.
 
     z = exp(i*Phi(t)) samples the base phase over the window, and harmonic i
-    has the phase theta_i = i*Phi. The design columns come in blocks of k,
-    [2cos | -2sin | 2t cos | -2t sin], so that the unknown vector is
-    [Re a | Im a | Re b | Im b]. With the window sums
-    S_m(d) = sum w^2 t^m z^d, d = 0..2k, and S_m(-d) = conj(S_m(d)),
-    Toeplitz plus Hankel gives the cos-cos, sin-sin and cos-sin entries of
-    moment m (sums of w^2 t^m times the two columns):
-      cc_m = 2Re[S_m(j-i) + S_m(i+j)], ss_m = 2Re[S_m(j-i) - S_m(i+j)],
-      cs_m = -2Im[S_m(j-i) + S_m(i+j)].
+    has the phase theta_i = i*Phi. The design columns come in four groups of
+    k, [2cos | -2sin | 2t cos | -2t sin], so that the unknown vector is
+    [Re a | Im a | Re b | Im b]: group g is cos (g even) or sin (g odd)
+    times t^(g//2). With the window sums S_m(d) = sum w^2 t^m z^d, d = 0..2k,
+    and S_m(-d) = conj(S_m(d)), Toeplitz T_m = S_m(j-i) plus Hankel
+    H_m = S_m(i+j) gives every block by one moment rule: groups g and h meet
+    at moment m = g//2 + h//2, as
+      cos-cos cc_m = 2Re[T_m + H_m], sin-sin ss_m = 2Re[T_m - H_m],
+      cos-sin cs_m = -2Im[T_m + H_m], sin-cos cs_m.T.
     The powers z^d come from repeated squaring: one exp per sample.
 
     In general mode (a window cut by the signal's edge, or a nonstationary
-    Phi) the sums run over every sample, and there is one block of order 4k.
-    fold mode needs a full window, the centred axis t (t[0] == -t[-1]) and a
-    symmetric window, and a stationary phase Phi = 2*pi*base*t. Then S_0
-    and S_2 are real and S_1 is imaginary, so the sums run over the half
-    window t >= 0 only, and the columns split into the even
-    {2cos, -2t sin} and the odd {-2sin, 2t cos}, which are orthogonal:
-      even, unknowns [Re a | Im b]: [[cc_0, cs_1], [cs_1.T, ss_2]],
-      odd,  unknowns [Im a | Re b]: [[ss_0, cs_1.T], [cs_1, cc_2]].
+    Phi) the sums run over every sample, and groups (0, 1, 2, 3) make one
+    block of order 4k. fold mode needs a full window, the centred axis t
+    (t[0] == -t[-1]) and a symmetric window, and a stationary phase
+    Phi = 2*pi*base*t. Then S_0 and S_2 are real and S_1 is imaginary, so
+    the sums run over the half window t >= 0 only, and the columns split
+    into the orthogonal even groups (0, 3), {2cos, -2t sin}, and odd groups
+    (1, 2), {-2sin, 2t cos}: two blocks of order 2k.
 
     Returns (blocks, table, weights) for _LsSolver: blocks is
     [(index, gram)], index placing each block's unknowns in
     [Re a | Im a | Re b | Im b]; table holds the windowed [2cos | -2sin]
     columns and weights the window and t*window. In fold mode both are over
     t >= 0, with the centre weight halved because a fold of the frame about
-    its centre counts the centre sample twice.
+    its centre counts the centre sample twice. The layout is part of the
+    bytes, since the RHS product and the gram's 1-norm round by it: each
+    gram is C-ordered, and the table is C-ordered in fold mode and
+    Fortran-ordered in general mode.
     """
     mult = 1.0
     if fold:
@@ -172,28 +182,25 @@ def _harmonic_normal(z: np.ndarray, k: int, t: np.ndarray, window: np.ndarray, f
                              sums[:, :k]), axis=1)
     toeplitz = sliding_window_view(signed, k, axis=1)[:, ::-1]     # T = S(j - i)
     hankel = sliding_window_view(sums[:, 2:], k, axis=1)           # H = S(i + j)
-    table = np.empty((t.size, 2 * k))
+    table = np.empty((t.size, 2 * k), order="C" if fold else "F")
     np.multiply(powers[:, 1:k + 1].real, 2 * window[:, None], out=table[:, :k])
     np.multiply(powers[:, 1:k + 1].imag, -2 * window[:, None], out=table[:, k:])
-    if fold:
-        grams = np.empty((2, 2, k, 2, k))      # [even/odd, row half, i, column half, j]
-        np.add(toeplitz[0], hankel[0], out=grams[0, 0, :, 0])          # cc_0
-        np.subtract(toeplitz[2], hankel[2], out=grams[0, 1, :, 1])     # ss_2
-        np.subtract(toeplitz[0], hankel[0], out=grams[1, 0, :, 0])     # ss_0
-        np.add(toeplitz[2], hankel[2], out=grams[1, 1, :, 1])          # cc_2
-        np.add(toeplitz[4], hankel[4], out=grams[0, 0, :, 1])          # cs_1
-        grams[1, 1, :, 0] = grams[0, 0, :, 1]
-        grams[0, 1, :, 0] = grams[1, 0, :, 1] = grams[0, 0, :, 1].T
-        even, odd = grams.reshape(2, 2 * k, 2 * k)
-        weights = np.stack((window, t * window)) * (mult / 2)
-        return [(np.r_[:k, 3 * k:4 * k], even), (np.arange(k, 3 * k), odd)], table, weights
-    cc, ss = toeplitz[:3] + hankel[:3], toeplitz[:3] - hankel[:3]
-    cs = toeplitz[3:] + hankel[3:]
-    gram = np.block([[cc[0], cs[0], cc[1], cs[1]],
-                     [cs[0].T, ss[0], cs[1].T, ss[1]],
-                     [cc[1], cs[1], cc[2], cs[2]],
-                     [cs[1].T, ss[1], cs[2].T, ss[2]]])
-    return [(np.arange(4 * k), gram)], table, np.stack((window, t * window))
+    blocks = []
+    for groups in ([0, 3], [1, 2]) if fold else ([0, 1, 2, 3],):
+        gram = np.empty((len(groups), k, len(groups), k))
+        for r, g in enumerate(groups):
+            for c, h in enumerate(groups):
+                m = g // 2 + h // 2
+                if g % 2 == h % 2:      # cc_m or ss_m
+                    (np.subtract if g % 2 else np.add)(toeplitz[m], hankel[m], out=gram[r, :, c])
+                elif g % 2 == 0:        # cs_m
+                    np.add(toeplitz[3 + m], hankel[3 + m], out=gram[r, :, c])
+                else:                   # cs_m.T
+                    np.add(toeplitz[3 + m].T, hankel[3 + m].T, out=gram[r, :, c])
+        index = (k * np.array(groups)[:, None] + np.arange(k)).ravel()
+        blocks.append((index, gram.reshape(index.size, index.size)))
+    weights = np.stack((window, t * window))
+    return blocks, table, weights * (mult / 2) if fold else weights
 
 
 class _LsSolver:
@@ -221,9 +228,9 @@ class _LsSolver:
     block solves all F right-hand sides in one cho_solve, and every frame
     gets the bytes it gets on its own.
 
-    Build one with `harmonic` (the stationary seeds base*(1..K)) or `locked`
-    (any harmonics of one base phase); both assemble the normal matrix in
-    closed form with _harmonic_normal.
+    Every design the package solves is harmonics 1..K of one base phase:
+    build it as _LsSolver(*_harmonic_normal(...)), or with `harmonic` for
+    the stationary seeds base*(1..K).
     """
 
     def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]], table: np.ndarray,
@@ -257,22 +264,7 @@ class _LsSolver:
         and odd blocks on a full window, one block on a window cut by the
         signal's edge (t[0] != -t[-1])."""
         z = np.exp(2j * np.pi * base * t)
-        if t[0] == -t[-1]:
-            return cls(*_harmonic_normal(z, k, t, window, fold=True))
-        return cls.locked(z, np.arange(1, k + 1), t, window)
-
-    @classmethod
-    def locked(cls, z: np.ndarray, harmonics: np.ndarray, t: np.ndarray,
-               window: np.ndarray) -> "_LsSolver":
-        """One-block solver for the harmonics (increasing, from 1) of the base
-        phase samples z: the rows and columns of those harmonics in the design
-        of harmonics 1..harmonics[-1]."""
-        k = int(harmonics[-1])
-        [(_, gram)], table, weights = _harmonic_normal(z, k, t, window, fold=False)
-        cols = harmonics - 1
-        index = (cols + k * np.arange(4)[:, None]).ravel()
-        return cls([(np.arange(index.size), gram[np.ix_(index, index)])],
-                   table[:, np.r_[cols, k + cols]], weights)
+        return cls(*_harmonic_normal(z, k, t, window, fold=t[0] == -t[-1]))
 
     def solve(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Complex amplitudes a and slopes b of the components of one frame
@@ -523,10 +515,14 @@ def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqh
     AMPLITUDE_FLOOR), interpolates it linearly between frame centres and
     integrates it into one base phase track Phi0 (the adaptive harmonic
     model: Degottex & Stylianou, IEEE TASLP 2013). On every frame whose
-    window lies inside the signal, it re-solves the components that carry
-    amplitude (parked ones stay at zero) and whose k*f0 lies below
-    Nyquist - NYQUIST_GUARD, harmonic k with the phase k*Phi0, and
-    re-corrects each about k*f0; the other components keep their values.
+    window lies inside the signal, it re-solves harmonics 1..m, harmonic k
+    with the phase k*Phi0, and re-corrects each about k*f0. m is the length
+    of the frame's leading run of components that carry amplitude and whose
+    k*f0 lies below Nyquist - NYQUIST_GUARD; the other components keep
+    their values. So refinement gives no amplitude to a silent (parked)
+    component and solves none above the guard, and on a frame with a
+    zero-amplitude component inside that run, the component and every one
+    after it keep their values.
     An iteration is accepted only if it lowers the resynthesis error
     against the original speech by at least REFINE_REL_TOL of it;
     otherwise refinement stops, so the accepted errors fall strictly. The
@@ -589,20 +585,21 @@ def _refine_once(buffer: SignalBuffer, current: HarmonicSet) -> HarmonicSet:
         if lo < 0 or hi > n_samples:
             # edge windows run off the signal and make the adaptive basis degenerate
             continue
-        # only components with amplitude are solved, so the ones harmonic_grid
-        # parks stay silent; nor are harmonics at or above Nyquist -
-        # NYQUIST_GUARD, which a misjudged f0 puts there and which would
-        # alias. Both keep their values
+        # harmonics 1..m are solved, the leading run that carries amplitude
+        # (so the ones harmonic_grid parks stay silent) and lies below Nyquist -
+        # NYQUIST_GUARD (a misjudged f0 puts harmonics there, and they would
+        # alias); the others keep their values
         seeds = harmonics * f0[l]
-        live = np.flatnonzero((current.amplitudes[l] > 0) & (seeds < fs / 2 - NYQUIST_GUARD))
-        if live.size == 0:
+        m = int(np.logical_and.accumulate((current.amplitudes[l] > 0)
+                                          & (seeds < fs / 2 - NYQUIST_GUARD)).sum())
+        if m == 0:
             continue
         # base phase Phi0(t) = phi0(t_l + t) - phi0(t_l); harmonic k has k*Phi0
-        solver = _LsSolver.locked(np.exp(1j * (phi0[lo:hi] - phi0[c])), harmonics[live],
-                                  t, window)
+        z = np.exp(1j * (phi0[lo:hi] - phi0[c]))
+        solver = _LsSolver(*_harmonic_normal(z, m, t, window, fold=False))
         solved = solver.solve(x[lo:hi])
         if solved is not None:
-            freqs[l, live], amps[l, live], phases[l, live] = _corrected(*solved, seeds[live], fs)
+            freqs[l, :m], amps[l, :m], phases[l, :m] = _corrected(*solved, seeds[:m], fs)
         flags[l] |= int(solver.ill_conditioned)
     comp = compensations_from_phases(current.grid, freqs, phases)
     return HarmonicSet(current.grid, freqs, amps, phases, comp, fs, flags)

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .arma import ArmaCascade, EnvelopeError
-from .qhm import F0Track, HarmonicSet
+from .qhm import AnalysisError, F0Track, HarmonicSet
 from .signals import FrameGrid, QuasivocError
 
 HARMONICS_MAGIC = b"QVHS"
@@ -67,21 +67,15 @@ def _document(text: str, kind: str) -> dict:
     return doc
 
 
-def _frame_flags(grid: FrameGrid, flags, *arrays: np.ndarray) -> np.ndarray:
-    """The flags as int64, once the grid, the flags and the arrays agree on
-    the frame count."""
-    flags = np.array(flags, dtype=np.int64)
-    if flags.ndim != 1 or any(len(a) != len(grid) for a in (flags, *arrays)):
-        raise SerializationError("grid centers, flags and arrays disagree on the frame count")
-    return flags
-
-
 def _harmonics(grid: FrameGrid, arrays: list, sample_rate, flags) -> HarmonicSet:
-    """A HarmonicSet whose four arrays share one (frames, K) shape."""
+    """A HarmonicSet of four (frames, K) arrays."""
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    if len({a.shape for a in arrays}) > 1 or arrays[0].ndim != 2:
-        raise SerializationError("harmonic arrays disagree on the frame or component count")
-    return HarmonicSet(grid, *arrays, int(sample_rate), _frame_flags(grid, flags, *arrays))
+    if any(a.ndim != 2 for a in arrays):
+        raise SerializationError("harmonic arrays must be (frames, K)")
+    try:
+        return HarmonicSet(grid, *arrays, int(sample_rate), np.array(flags, dtype=np.int64))
+    except AnalysisError as exc:
+        raise SerializationError(f"invalid harmonics: {exc}") from None
 
 
 def harmonics_from_json(text: str) -> HarmonicSet:
@@ -182,9 +176,8 @@ def _section_shapes(orders) -> tuple:
 
 
 def _cascade(grid, gain, ar, ma, sample_rate, flags) -> ArmaCascade:
-    flags = _frame_flags(grid, flags, gain)
     try:
-        return ArmaCascade(grid, gain, ar, ma, int(sample_rate), flags)
+        return ArmaCascade(grid, gain, ar, ma, int(sample_rate), np.array(flags, dtype=np.int64))
     except EnvelopeError as exc:
         raise SerializationError(f"invalid cascade: {exc}") from None
 

@@ -127,7 +127,9 @@ def _parse_wav(raw: bytes) -> tuple[int, np.ndarray]:
     chunk cut short keeps its whole samples, with a warning. Where a later
     chunk repeats fmt or data, the last one read counts. These are the
     rules of scipy.io.wavfile.read, which returns the same arrays; files it
-    reads as int8, int64, float16 or float128, RIFX and RF64 are not read.
+    reads as int8, int64, float16 or float128, RIFX and RF64 are not read,
+    nor is PCM of 1-8 bits in a container wider than one byte, which scipy
+    misreads as one byte per sample.
     Raises SignalError, or struct.error for a field cut by the end of file.
     """
     if raw[:4] != b"RIFF":
@@ -170,6 +172,8 @@ def _parse_wav(raw: bytes) -> tuple[int, np.ndarray]:
                 raise SignalError("fmt chunk gives no bytes per sample")
             packed = False
             if tag == _PCM and 1 <= bits <= 8:
+                if width != 1:
+                    raise SignalError(f"{bits}-bit PCM in {width}-byte samples")
                 dtype = np.dtype("u1")
             elif tag == _PCM and width == 3:
                 dtype, packed = np.dtype("<i4"), True
@@ -180,8 +184,7 @@ def _parse_wav(raw: bytes) -> tuple[int, np.ndarray]:
             else:
                 raise SignalError(f"unsupported sample format: tag {tag}, "
                                   f"{bits} bits in {width} bytes")
-            # packed 24-bit samples are read byte by byte, the others item by
-            # item; 1-8-bit PCM takes one byte per sample whatever its width
+            # packed 24-bit samples are read byte by byte, the others item by item
             step = 1 if packed else dtype.itemsize
             wanted = size if packed else size // width
             count = min(wanted, (len(raw) - body) // step)

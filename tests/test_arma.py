@@ -643,6 +643,16 @@ def test_cascade_orders_validation():
             ArmaCascade(grid, gain, ar, ma, FS)
 
 
+def test_cascade_grid_and_flags_need_one_entry_per_frame():
+    grid = make_grid(0.01, 0.005, 0.010)
+    L = len(grid)
+    arrays = (np.ones(L), np.zeros((L, 2, 4)), np.zeros((L, 2, 3)))
+    for grid_, flags in ((make_grid(0.005, 0.005, 0.010), None), (grid, np.zeros(L - 1)),
+                         (grid, np.zeros(L + 1)), (grid, np.zeros((L, 1)))):
+        with pytest.raises(EnvelopeError, match="frame count"):
+            ArmaCascade(grid_, *arrays, FS, flags)
+
+
 def test_frames_view():
     """The read-only per-frame view holds the stacked arrays' values."""
     cascade = fixtures.vowel_cascade(FS, 3, 0.005, 0.010, 0.05)

@@ -1,7 +1,6 @@
 """End-to-end command-line workflows and exit-code contracts."""
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import warnings
@@ -251,23 +250,35 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
         typed = tmp_path / f"typed_{len(runs)}.json"
         typed.write_text(json.dumps(doc))
         runs.append(["synth", str(typed), str(out), "--f0", str(f0)])
-    # products whose grid, flags and arrays disagree on the frame or component count
+    # products whose grid, flags and arrays disagree on the frame or component count,
+    # forged by editing a JSON document or a binary container's header
     harmonics = serialize.harmonics_from_bytes(hset.read_bytes())
-    forged = [(dataclasses.replace(harmonics, amplitudes=harmonics.amplitudes[:-1]), ".json"),
-              (dataclasses.replace(harmonics, phases=harmonics.phases[:, :-1]), ".json")]
+
+    def drop_last_column(doc):
+        for row in doc["phases"]:
+            row.pop()
+
+    edits = [(harmonics, ".json", lambda doc: doc["amplitudes"].pop()),
+             (harmonics, ".json", drop_last_column)]
     for product in (harmonics, cascade):
-        grid = product.grid
-        for change in ({"grid": dataclasses.replace(grid, centers=grid.centers[:-1])},
-                       {"flags": product.flags[:-1]}, {"flags": np.append(product.flags, 0)}):
-            forged += [(dataclasses.replace(product, **change), suffix)
-                       for suffix in (".json", ".bin")]
-    for i, (product, suffix) in enumerate(forged):
+        for edit in (lambda doc: doc["grid"]["centers"].pop(), lambda doc: doc["flags"].pop(),
+                     lambda doc: doc["flags"].append(0)):
+            edits += [(product, suffix, edit) for suffix in (".json", ".bin")]
+    for i, (product, suffix, edit) in enumerate(edits):
         kind = "cascade" if isinstance(product, ArmaCascade) else "harmonics"
         bad = tmp_path / f"forged{i}{suffix}"
         if suffix == ".json":
-            bad.write_text(getattr(serialize, f"{kind}_to_json")(product))
+            doc = json.loads(getattr(serialize, f"{kind}_to_json")(product))
+            edit(doc)
+            bad.write_text(json.dumps(doc))
         else:
-            bad.write_bytes(getattr(serialize, f"{kind}_to_bytes")(product))
+            data = getattr(serialize, f"{kind}_to_bytes")(product)
+            hdr_len = int.from_bytes(data[8:12], "little")
+            header = json.loads(data[12:12 + hdr_len])
+            edit(header)
+            raw = json.dumps(header).encode()
+            bad.write_bytes(data[:8] + len(raw).to_bytes(4, "little") + raw
+                            + data[12 + hdr_len:])
         if kind == "harmonics":
             runs += [["synth", str(bad), str(out), "--from-harmonics"],
                      ["fit-envelope", str(bad), str(tmp_path / "c.json")]]

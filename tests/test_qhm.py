@@ -1,5 +1,6 @@
 """Framewise least-squares analysis, frequency correction, refinement,
 and the pitch detector."""
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -260,24 +261,26 @@ def test_harmonic_normal_matches_basis(n_components, edge):
     np.testing.assert_array_equal(half_weights, weights[:, h:] * np.r_[0.5, np.ones(h)])
 
 
-def test_locked_solver_matches_basis_on_a_chirp():
-    """A sparse subset of the harmonics of a 750 Hz/s chirp's base phase:
-    the rows and columns of those harmonics in the closed-form design match
-    the _basis Gram matrix, and the solver matches the _basis solver."""
+def test_general_design_matches_basis_on_a_chirp():
+    """Harmonics 1..79 of a 750 Hz/s chirp's base phase: the closed-form
+    design of general mode matches the _basis Gram matrix and table, and
+    its solver matches the _basis solver."""
     w = make_window("hann", 481)
     t = (np.arange(481) - 240) / FS
     phi = 2 * np.pi * (150.0 * t + 0.5 * 750.0 * t * t)
-    harmonics = np.array([1, 2, 3, 5, 8, 13, 21, 34, 55, 79])
+    harmonics = np.arange(1, 80)
     ew = _basis(t, np.outer(phi, harmonics)) * w[:, None]
     ref = ew.T @ ew
-    solver = _LsSolver.locked(np.exp(1j * phi), harmonics, t, w)
-    [(index, d, _)] = solver.blocks
-    np.testing.assert_array_equal(index, np.arange(4 * harmonics.size))
+    blocks, table, weights = _harmonic_normal(np.exp(1j * phi), 79, t, w, fold=False)
+    [(index, gram)] = blocks
+    np.testing.assert_array_equal(index, np.arange(4 * 79))
+    _assert_gram_matches(gram, ref)
+    np.testing.assert_array_equal(gram, gram.T)
+    np.testing.assert_allclose(table, ew[:, :2 * 79], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(weights, np.stack((w, t * w)))
+    solver = _LsSolver(blocks, table, weights)
+    [(_, d, _)] = solver.blocks
     np.testing.assert_allclose(d, np.sqrt(np.diag(ref)), rtol=1e-12)
-    np.testing.assert_allclose(solver.table, ew[:, :2 * harmonics.size], rtol=0, atol=1e-12)
-    [(_, gram)], _, _ = _harmonic_normal(np.exp(1j * phi), 79, t, w, fold=False)
-    cols = (harmonics - 1 + 79 * np.arange(4)[:, None]).ravel()
-    _assert_gram_matches(gram[np.ix_(cols, cols)], ref)
     x = np.random.default_rng(3).standard_normal(t.size)
     ref_solver = _basis_solver(t, np.outer(phi, harmonics), w)
     assert not solver.ill_conditioned and not ref_solver.ill_conditioned
@@ -314,9 +317,9 @@ def _stack_solver(kind):
     if kind == "edge":
         return _LsSolver.harmonic(150.0, 79, t[120:], hann[120:]), 361
     if kind == "locked":
+        # harmonics 1..34 of a 750 Hz/s chirp's base phase, as refinement solves them
         phi = 2 * np.pi * (150.0 * t + 0.5 * 750.0 * t * t)
-        harmonics = np.array([1, 2, 3, 5, 8, 13, 21, 34])
-        return _LsSolver.locked(np.exp(1j * phi), harmonics, t, hann), 481
+        return _LsSolver(*_harmonic_normal(np.exp(1j * phi), 34, t, hann, fold=False)), 481
     if kind == "ridge":
         return _LsSolver.harmonic(200.0, 59, t, gauss), 481
     # the window slice left of the centre sample weighs every sample 0
@@ -850,6 +853,26 @@ def test_harmonic_set_rejects_nonfinite_values(name, value):
         HarmonicSet(grid, **arrays, sample_rate=FS)
 
 
+def test_harmonic_set_and_f0_track_need_one_entry_per_frame():
+    """The grid, the flags and every array agree on the frame count."""
+    grid = make_grid(0.01, 0.005, 0.010)
+    L = len(grid)
+    fields = {"grid": grid, "sample_rate": FS,
+              **{key: np.ones((L, 2)) for key in ("frequencies", "amplitudes", "phases",
+                                                   "compensations")}}
+    assert HarmonicSet(**fields).flags.tolist() == [0] * L
+    assert F0Track(grid, np.ones(L)).values.shape == (L,)
+    short = make_grid(0.005, 0.005, 0.010)
+    for bad in ({"grid": short}, {"flags": np.zeros(L - 1)}, {"flags": np.zeros(L + 1)},
+                {"flags": np.zeros((L, 1))}, {"amplitudes": np.ones((L - 1, 2))},
+                {"phases": np.ones((L, 3))}, {"frequencies": np.ones((L, 2, 1))}):
+        with pytest.raises(AnalysisError, match="disagree"):
+            HarmonicSet(**{**fields, **bad})
+    for grid_, values in ((short, np.ones(L)), (grid, np.ones(L + 1)), (grid, np.ones((L, 1)))):
+        with pytest.raises(AnalysisError, match="one value per frame"):
+            F0Track(grid_, values)
+
+
 def test_refine_f0_recovers_offset():
     grid = make_grid(0.02, 0.005, 0.010)
     L = len(grid)
@@ -884,7 +907,7 @@ def test_harmonic_f0_matches_per_frame_loop():
     rounding of K positive terms in any order, 2*K*eps relative."""
     rng = np.random.default_rng(12)
     L, K = 60, 119
-    grid = make_grid((L - 1) * 0.005, 0.005, 0.010)
+    grid = FrameGrid(np.arange(L) * 0.005, 0.005, 0.010)
     freqs = rng.uniform(90.0, 110.0, (L, 1)) * np.arange(1, K + 1) + rng.normal(0, 2.0, (L, K))
     amps = rng.uniform(0.0, 0.1, (L, K)) * (rng.uniform(size=(L, K)) < 0.7)
     amps[:5] = 0.0                                          # no component at all
@@ -974,6 +997,26 @@ def test_refine_flags_a_failed_solve_ill_conditioned(vibrato_analysis, monkeypat
     assert refined.flags[first] & 1 and not refined.flags[first] & 2
     np.testing.assert_array_equal(refined.amplitudes[first], hset.amplitudes[first])
     np.testing.assert_array_equal(refined.flags & 2, hset.flags & 2)
+
+
+def test_refine_stops_its_run_at_a_silent_component(vibrato_analysis):
+    """Refinement solves harmonics 1..m, the leading run with amplitude: a
+    zero-amplitude component inside an interior frame's run keeps its
+    values, and so does every component after it, while the ones before it
+    are re-solved."""
+    buf, hset = vibrato_analysis
+    half = hset.grid.window_samples(FS) // 2
+    centers = hset.grid.center_samples(FS)
+    l = next(l for l, c in enumerate(centers)
+             if c >= half and c + half < len(buf) and np.all(hset.amplitudes[l, :8] > 0))
+    amplitudes = hset.amplitudes.copy()
+    amplitudes[l, 4] = 0.0
+    silenced = dataclasses.replace(hset, amplitudes=amplitudes)
+    refined = qhm._refine_once(buf, silenced)
+    for name in ("frequencies", "amplitudes", "phases"):
+        value, before = getattr(refined, name)[l], getattr(silenced, name)[l]
+        np.testing.assert_array_equal(value[4:], before[4:])
+        assert np.all(value[:4] != before[:4])
 
 
 def test_refine_adaptive_chirp_error_decreases():

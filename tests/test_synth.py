@@ -130,7 +130,7 @@ def test_render_silence_and_empty():
     grid = _grid(5)
     out = render(np.zeros((5, 2)), np.zeros((5, 2)), grid, FS)
     np.testing.assert_array_equal(out.samples, 0.0)
-    empty = HarmonicSet(grid, np.zeros((0, 1)), np.zeros((0, 1)),
+    empty = HarmonicSet(FrameGrid(np.zeros(0), 0.01, 0.010), np.zeros((0, 1)), np.zeros((0, 1)),
                         np.zeros((0, 1)), np.zeros((0, 1)), FS)
     assert len(synthesize_qhm(empty)) == 0
 
@@ -445,8 +445,9 @@ def test_synthesize_arma_grid_mismatch():
     track = F0Track(other, np.full(len(other), 200.0))
     with pytest.raises(SignalError):
         synthesize_arma(cascade, track)
-    empty = ArmaCascade(grid, np.zeros(0), np.zeros((0, 1, 0)), np.zeros((0, 1, 0)), FS)
-    assert len(synthesize_arma(empty, F0Track(grid, np.zeros(0)))) == 0
+    none = FrameGrid(np.zeros(0), 0.005, 0.010)
+    empty = ArmaCascade(none, np.zeros(0), np.zeros((0, 1, 0)), np.zeros((0, 1, 0)), FS)
+    assert len(synthesize_arma(empty, F0Track(none, np.zeros(0)))) == 0
 
 
 def test_synthesize_arma_samples_every_frame_at_once(monkeypatch):
