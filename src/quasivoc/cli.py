@@ -1,8 +1,8 @@
 """Command-line front end: analyze, fit-envelope, synth, modify, eval,
 bench, gen-fixture.
 
-Exit codes: 0 success, 1 flagged numerical/quality failure, 2 usage or
-I/O error.
+Exit codes: 0 success, 1 flagged numerical/quality failure, 2 usage, I/O
+or out-of-memory error.
 """
 from __future__ import annotations
 
@@ -17,10 +17,11 @@ import numpy as np
 from . import fixtures, metrics, serialize
 from .arma import fit_cascade
 from .config import PipelineConfig, load_config
-from .modify import ScaleSchedule, load_schedule, modify
+from .modify import ScaleSchedule, load_schedule, modify, scaled_times
 from .qhm import AnalysisError, F0Track, analyze_qhm, detect_f0, refine_adaptive
-from .signals import QuasivocError, SignalError, make_grid, read_wav, write_wav
-from .synth import synthesize_arma, synthesize_qhm
+from .signals import (QuasivocError, SignalError, check_wav_size, make_grid, read_wav,
+                      write_wav)
+from .synth import rendered_length, synthesize_arma, synthesize_qhm
 
 EXIT_OK = 0
 EXIT_QUALITY = 1
@@ -201,6 +202,10 @@ def cmd_modify(args) -> int:
         schedule = load_schedule(args.schedule, cascade.grid, vuv)
     else:
         schedule = ScaleSchedule.constant(cascade.n_frames, args.beta, args.rho, vuv)
+    if cascade.n_frames:
+        # refuse, before rendering, an output that no RIFF header can hold
+        n = rendered_length(scaled_times(cascade.grid, schedule.betas), cascade.sample_rate)
+        check_wav_size(n, cascade.sample_rate, cfg.output_format)
     out = modify(cascade, track, schedule, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
     result_track = _detect_f0(out, _make_grid_for(out.duration, cfg), cfg)
@@ -338,6 +343,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (QuasivocError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -17,6 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 # first 4 bytes of its sub-format GUID, whose last 12 bytes are _GUID_TAIL
 _PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# bytes per sample of each write_wav format
+_WAV_WIDTHS = {"float32": 4, "pcm16": 2}
 
 
 class QuasivocError(Exception):
@@ -248,6 +250,16 @@ def read_wav(path) -> SignalBuffer:
     return SignalBuffer(np.asarray(samples, dtype=np.float64), int(rate))
 
 
+def check_wav_size(n_samples: int, sample_rate: int, fmt: str = "float32") -> None:
+    """Raise SignalError unless a RIFF header can hold n_samples mono samples
+    at sample_rate in write_wav's format fmt."""
+    width = _WAV_WIDTHS.get(fmt)
+    if width is None:
+        raise SignalError(f"unsupported output format: {fmt}")
+    if sample_rate * width > 0xFFFFFFFF or 50 + n_samples * width > 0xFFFFFFFF:
+        raise SignalError("sample rate or length too large for a RIFF file")
+
+
 def write_wav(buffer: SignalBuffer, path, fmt: str = "float32") -> int:
     """Write a buffer to disk; returns the number of hard-clipped samples.
 
@@ -258,6 +270,7 @@ def write_wav(buffer: SignalBuffer, path, fmt: str = "float32") -> int:
     for float.
     """
     x = buffer.samples
+    check_wav_size(len(x), buffer.sample_rate, fmt)
     n_clipped = int(np.count_nonzero((x > 1.0) | (x < -1.0)))
     if n_clipped:
         warnings.warn(f"write_wav: hard-clipped {n_clipped} out-of-range samples")
@@ -265,13 +278,9 @@ def write_wav(buffer: SignalBuffer, path, fmt: str = "float32") -> int:
     # a float fmt chunk ends in a zero cbSize field
     if fmt == "float32":
         data, tag, tail = x.astype("<f4"), _FLOAT, b"\x00\x00"
-    elif fmt == "pcm16":
-        data, tag, tail = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2"), _PCM, b""
     else:
-        raise SignalError(f"unsupported output format: {fmt}")
+        data, tag, tail = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2"), _PCM, b""
     rate, width = buffer.sample_rate, data.itemsize
-    if rate * width > 0xFFFFFFFF or 50 + data.nbytes > 0xFFFFFFFF:
-        raise SignalError("sample rate or length too large for a RIFF file")
     body = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width) + tail
     chunks = b"fmt " + struct.pack("<I", len(body)) + body
     if tag == _FLOAT:

@@ -9,11 +9,18 @@ Components are summed as 2*A_k(t)*cos(phi_k(t)) in ascending k
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .arma import ArmaCascade, sample_cascade
 from .qhm import NYQUIST_GUARD, F0Track, HarmonicSet, harmonic_grid
 from .signals import FrameGrid, SignalBuffer, SignalError
+
+# samples per render block: a column's temporaries in one block are about
+# 256 KB, and blocks are the unit of work of render's thread pool
+RENDER_BLOCK = 32768
 
 
 def _pchip_end(h0, h1, m0, m1):
@@ -101,6 +108,22 @@ def mute_aliasing(amplitudes: np.ndarray, frame_freqs: np.ndarray,
     return amps
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def rendered_length(centers: np.ndarray, sample_rate: int) -> int:
+    """Samples that render writes over frame centers t_0 .. t_L: one per
+    sample period, both ends included."""
+    span = (centers[-1] - centers[0]) * sample_rate
+    if not np.isfinite(span):
+        raise SignalError("output length is not finite")
+    return int(round(span)) + 1
+
+
 def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
            sample_rate: int) -> SignalBuffer:
     """Additive rendering of framewise tracks over [t_0, t_L].
@@ -120,6 +143,17 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     ((c3 + c2*s) + c1*s**2) + c0*s**3, so the samples equal one scipy
     PchipInterpolator per column bit for bit. Amplitudes take numpy.interp's
     formula, slope*s + a_j, on the same intervals.
+
+    The output is rendered in blocks of RENDER_BLOCK samples. In each block
+    every live column evaluates only its own samples there, from the
+    coefficients of the block's own intervals, so a column's temporaries
+    are block-sized, and adds them into the block in ascending k. Blocks
+    are disjoint and every sample sums the same terms in the same order,
+    so the bytes do not depend on the block size or on how blocks are
+    scheduled: a render of two or more blocks runs them on a thread pool
+    of one worker per usable CPU (numpy's cos and arithmetic release the
+    interpreter lock), and a render of one block, or on one CPU, runs
+    inline.
     """
     amps = np.atleast_2d(np.asarray(amplitudes, dtype=np.float64))
     phis = np.atleast_2d(np.asarray(phases, dtype=np.float64))
@@ -130,7 +164,7 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
         return SignalBuffer(np.zeros(0), sample_rate)
     centers = grid.centers
     t0, t_end = centers[0], centers[-1]
-    n = int(round((t_end - t0) * sample_rate)) + 1
+    n = rendered_length(centers, sample_rate)
     out = np.zeros(n)
     nonzero = amps != 0
     live = np.flatnonzero(nonzero.any(axis=0))
@@ -140,8 +174,8 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
         return SignalBuffer(out, sample_rate)
     if live.size == 0:
         return SignalBuffer(out, sample_rate)
-    first = np.argmax(nonzero, axis=0)
-    last = L - 1 - np.argmax(nonzero[::-1], axis=0)
+    first = np.argmax(nonzero[:, live], axis=0)
+    last = L - 1 - np.argmax(nonzero[::-1, live], axis=0)
     # (live, 4, L - 1): in a column's c, c[m, j] multiplies s**(3 - m) on interval j
     coef = np.ascontiguousarray(_pchip(centers, phis[:, live]).transpose(2, 0, 1))
     tt = np.minimum(np.arange(n) / sample_rate + t0, t_end)
@@ -151,36 +185,56 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     # those at t_end; s is each sample's offset into its interval
     edges = np.r_[0, before[1:-1], n]
     s = tt - np.repeat(centers[:-1], np.diff(edges))
-    # only s and out stay n long: each column frees its arrays before the
-    # next one allocates
     del tt
+    # each live column's support [lo, hi): from the center before its first
+    # nonzero frame to the center after its last
+    lo = np.r_[0, after[:-1]][first]
+    hi = np.r_[before[1:], n][last]
     slopes = np.diff(amps[:, live], axis=0) / np.diff(centers)[:, None]
-    for c, slope, k in zip(coef, slopes.T, live):
-        lo = after[first[k] - 1] if first[k] > 0 else 0
-        hi = before[last[k] + 1] if last[k] < L - 1 else n
-        runs = np.diff(edges.clip(lo, hi))
-        x = s[lo:hi]
-        # ((c3 + c2*s) + c1*s**2) + c0*s**3, with one buffer besides phi
-        phi = c[2].repeat(runs)
-        phi *= x
-        phi += c[3].repeat(runs)
-        buf = x * x
-        buf *= c[1].repeat(runs)
-        phi += buf
-        np.multiply(x, x, out=buf)
-        buf *= x
-        buf *= c[0].repeat(runs)
-        phi += buf
-        del buf
-        # np.interp's slope*s + a_j, and a_L from t_end on
-        a = slope.repeat(runs)
-        a *= x
-        a += amps[:-1, k].repeat(runs)
-        a[before[-1] - lo:] = amps[-1, k]
-        a *= 2
-        a *= np.cos(phi, out=phi)
-        out[lo:hi] += a
-        del phi, a
+    held = before[-1]
+
+    def render_block(b0):
+        b1 = min(b0 + RENDER_BLOCK, n)
+        # the intervals j0 .. j1 - 1 that hold samples [b0, b1)
+        j0 = np.searchsorted(edges, b0, "right") - 1
+        j1 = np.searchsorted(edges, b1, "left")
+        cuts = edges[j0:j1 + 1]
+        for c, slope, k, l, h in zip(coef[:, :, j0:j1], slopes[j0:j1].T, live, lo, hi):
+            l, h = max(l, b0), min(h, b1)
+            if l >= h:
+                continue
+            runs = np.diff(cuts.clip(l, h))
+            x = s[l:h]
+            # ((c3 + c2*s) + c1*s**2) + c0*s**3, with one buffer besides phi
+            phi = c[2].repeat(runs)
+            phi *= x
+            phi += c[3].repeat(runs)
+            buf = x * x
+            buf *= c[1].repeat(runs)
+            phi += buf
+            np.multiply(x, x, out=buf)
+            buf *= x
+            buf *= c[0].repeat(runs)
+            phi += buf
+            del buf
+            # np.interp's slope*s + a_j, and a_L from t_end on
+            a = slope.repeat(runs)
+            a *= x
+            a += amps[j0:j1, k].repeat(runs)
+            a[held - l:] = amps[-1, k]
+            a *= 2
+            a *= np.cos(phi, out=phi)
+            out[l:h] += a
+            del phi, a
+
+    starts = range(0, n, RENDER_BLOCK)
+    workers = min(len(starts), _usable_cpus())
+    if workers == 1:
+        for b0 in starts:
+            render_block(b0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(render_block, starts))
     return SignalBuffer(out, sample_rate)
 
 

@@ -10,7 +10,7 @@ import pytest
 from conftest import wav_images
 from hypothesis import given, settings, strategies as st
 
-from quasivoc import fixtures, metrics, serialize
+from quasivoc import cli, fixtures, metrics, serialize
 from quasivoc.arma import ArmaCascade
 from quasivoc.cli import build_parser, main
 from quasivoc.config import PipelineConfig
@@ -183,6 +183,24 @@ def test_eval_mcd_covers_every_frame_of_the_shorter_signal(tmp_path):
     assert json.loads(report.read_text())["mcd"] == want
 
 
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """A MemoryError anywhere in a command exits 2 with a message, not a
+    traceback."""
+    cascade = fixtures.vowel_cascade(24000, 5, 0.005, 0.010)
+    casc, f0 = tmp_path / "casc.bin", tmp_path / "f0.csv"
+    casc.write_bytes(serialize.cascade_to_bytes(cascade))
+    f0.write_text(serialize.f0_to_csv(F0Track(cascade.grid, np.full(5, 150.0))))
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 53.6 GiB")
+
+    monkeypatch.setattr(cli, "modify", exhausted)
+    capsys.readouterr()
+    assert main(["modify", str(casc), str(tmp_path / "o.wav"), "--f0", str(f0)]) == 2
+    assert "error: out of memory" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.wav"),
                  str(tmp_path / "h.json")]) == 2
@@ -289,6 +307,16 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
     sched = tmp_path / "sched.txt"
     sched.write_text("0.0 1.0 1.0\n0.01 abc 1.0\n")
     runs.append(["modify", str(casc), str(out), "--f0", str(f0), "--schedule", str(sched)])
+    # a time scale whose output no RIFF header can hold: 0.3 s stretched to 3.5 days
+    vowel = fixtures.vowel_cascade(24000, 61, 0.005, 0.010)
+    long_casc, long_f0 = tmp_path / "long.bin", tmp_path / "long.csv"
+    long_casc.write_bytes(serialize.cascade_to_bytes(vowel))
+    long_f0.write_text(serialize.f0_to_csv(F0Track(vowel.grid, np.full(61, 150.0))))
+    huge = tmp_path / "huge.txt"
+    huge.write_text("0 1e6 1\n")
+    runs.append(["modify", str(long_casc), str(out), "--f0", str(long_f0), "--beta", "1e6"])
+    runs.append(["modify", str(long_casc), str(out), "--f0", str(long_f0),
+                 "--schedule", str(huge)])
     slow, fast = tmp_path / "8k.wav", tmp_path / "48k.wav"
     for path, rate in ((slow, 8000), (fast, 48000)):
         assert main(["gen-fixture", "vowel", str(path), "--params",

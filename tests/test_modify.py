@@ -293,3 +293,19 @@ def test_one_envelope_pass_per_call(monkeypatch):
     synth.synthesize_arma(cascade, track)
     modify(cascade, track, ScaleSchedule.constant(21, 1.5, 1.3, track.voiced))
     assert calls == {"synth": 1, "modify": 1}
+
+
+def test_modify_bytes_do_not_depend_on_usable_cpus(monkeypatch):
+    """A stretched clip of several render blocks gives the same bytes on
+    one usable CPU (blocks inline) as on two (blocks on a pool)."""
+    cascade = fixtures.vowel_cascade(FS, 161, 0.005, 0.010)
+    f0 = np.full(161, 150.0)
+    f0[60:70] = 0.0
+    track = F0Track(cascade.grid, f0)
+    schedule = ScaleSchedule.constant(161, 2.0, 1.5, track.voiced)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+        runs.append(modify(cascade, track, schedule).samples)
+    assert len(runs[0]) > synth.RENDER_BLOCK
+    assert runs[0].tobytes() == runs[1].tobytes()

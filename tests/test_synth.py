@@ -271,6 +271,57 @@ def test_render_matches_per_column_pchip(L, kind):
     assert out.tobytes() == _render_every_sample(amps, phis, grid).tobytes()
 
 
+def _blocks_case():
+    """A clip of about 5000 samples whose jittered centers lie off the sample
+    times, with two pairs of centers closer than one sample period, so that
+    intervals 4 and 9 hold no sample, and whose last output sample lies past
+    t_L, where it holds the end values."""
+    rng = np.random.default_rng(24)
+    gaps = rng.uniform(0.004, 0.011, 30)
+    gaps[[4, 9]] = 0.2 / FS
+    centers = 0.0123 + np.cumsum(np.r_[0.0, gaps])
+    span = (centers[-1] - centers[0]) * FS
+    centers[-1] += (np.floor(span) + 0.7 - span) / FS
+    L, K = len(centers), 6
+    grid = FrameGrid(centers, 0.005, 0.010)
+    amps = np.zeros((L, K))
+    amps[:, 0] = rng.uniform(0.1, 0.5, L)     # everywhere
+    amps[5:15, 1] = rng.uniform(0.1, 0.5, 10)  # part of the clip, across block cuts
+    amps[-1, 2] = 0.3                         # last frame only: the held tail
+    amps[[0, 9], 3] = [0.2, -0.4]             # first frame, and by an empty interval
+    amps[:, 5] = rng.uniform(-0.5, 0.5, L)    # everywhere, signs mixed
+    # column 4 stays all zero
+    phis = excitation_phase(rng.uniform(100, 3000, (L, K)), grid) + rng.uniform(-3, 3, K)
+    return amps, phis, grid
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("block", [1, 7, 120, 4096])
+def test_render_blocks_and_workers_change_no_bit(monkeypatch, block, cpus):
+    """Each sample sums the same terms in the same order whatever the block
+    size and the number of workers, so the bytes equal the oracle's and
+    those of the default one-block render; two usable CPUs render two or
+    more blocks on a pool, one CPU renders them inline."""
+    amps, phis, grid = _blocks_case()
+    n = int(round((grid.centers[-1] - grid.centers[0]) * FS)) + 1
+    assert (n - 1) / FS > grid.centers[-1] - grid.centers[0]
+    assert 4096 < n < synth.RENDER_BLOCK
+    default = render(amps, phis, grid, FS).samples
+    assert default.tobytes() == _render_every_sample(amps, phis, grid).tobytes()
+    pools = []
+
+    class CountedPool(synth.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(synth, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(synth, "RENDER_BLOCK", block)
+    assert render(amps, phis, grid, FS).samples.tobytes() == default.tobytes()
+    assert pools == ([2] if cpus == 2 else [])
+
+
 def test_one_pchip_per_render(monkeypatch, vowel_data):
     """The phase coefficients of every live column come from one pass."""
     built = []
