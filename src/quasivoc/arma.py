@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qhm import AMPLITUDE_FLOOR, harmonic_grid
+from .qhm import AMPLITUDE_FLOOR, excitation_phase, harmonic_grid
 from .signals import FrameGrid, QuasivocError, _wrap
 
 STABILITY_RADIUS = 0.995
+# weight of the squared wrapped phase residuals against the log-magnitude ones
+PHASE_WEIGHT = 0.1
 RESPONSE_EPS = 1e-12
 # complex values in one block's exp table when sampling many frames (4 MB)
 _TABLE_BUDGET = 1 << 18
@@ -75,7 +77,8 @@ class ArmaCascade:
     """Per-frame envelope cascades over a frame grid, stacked: gain (L,),
     AR (L, r, p) and MA (L, r, q), r >= 1 sections per frame, and the grid
     and the flags (L,) hold one entry per frame. The orders
-    (P, Q, r) = (r*p, r*q, r) come from the shapes."""
+    (P, Q, r) = (r*p, r*q, r) come from the shapes, and the sample rate is
+    a positive integer."""
 
     grid: FrameGrid
     gain: np.ndarray
@@ -93,6 +96,9 @@ class ArmaCascade:
         if not (all(np.all(np.isfinite(x)) for x in (self.gain, self.ar, self.ma))
                 and np.all(self.gain > 0)):
             raise EnvelopeError("gains must be positive, and gains and coefficients finite")
+        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate < 1:
+            raise EnvelopeError("sample_rate must be a positive integer")
+        self.sample_rate = int(self.sample_rate)
         if self.flags is None:
             self.flags = np.zeros(len(self.gain), dtype=np.int64)
         if np.shape(self.flags) != self.gain.shape or len(self.grid) != len(self.gain):
@@ -373,12 +379,11 @@ def _reflect(polys):
     return _rebuilt(polys, roots, out.any(axis=-1)), corr
 
 
-def fit_targets(freqs, amps, phases, sample_rate: int, orders, phase_weight: float,
-                max_steps: int):
+def fit_targets(freqs, amps, phases, sample_rate: int, orders, max_steps: int):
     """Fit a stable cascade to each row of (L, K) harmonic amplitude/phase targets.
 
     Minimizes sum_k (log(A_k+eps) - log(|H_k|+eps))^2
-    + phase_weight * wrap(phi_k - angle(H_k))^2 by Levenberg-Marquardt
+    + PHASE_WEIGHT * wrap(phi_k - angle(H_k))^2 by Levenberg-Marquardt
     with the analytic Jacobian, in two stages. Stage one fits the
     magnitude alone, then reflects every pole and zero outside the unit
     circle to its magnitude-equivalent inside (with gain compensation),
@@ -408,7 +413,7 @@ def fit_targets(freqs, amps, phases, sample_rate: int, orders, phase_weight: flo
     # is indistinguishable from silence), so it weighs on the magnitude only
     fit = _Fit(r, p // r, q // r, _table(w, max(p, q) // r),
                np.log(a + AMPLITUDE_FLOOR), np.asarray(phases, dtype=np.float64)[live],
-               np.sqrt(phase_weight) * (a > AMPLITUDE_FLOOR))
+               np.sqrt(PHASE_WEIGHT) * (a > AMPLITUDE_FLOOR))
     start = np.zeros((live.size, 1 + p + q))
     start[:, 0] = np.log(np.maximum(np.mean(a, axis=1), AMPLITUDE_FLOOR))
     # stage one: magnitude-only fit, then fold all roots inside the circle
@@ -446,8 +451,8 @@ def fit_targets(freqs, amps, phases, sample_rate: int, orders, phase_weight: flo
     return gains, project_stable(ar, radius=1.0 - 1e-4), ma, losses, out
 
 
-def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float = 0.1,
-                max_steps: int = 500, n_workers: int = 1) -> ArmaCascade:
+def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), max_steps: int = 500,
+                n_workers: int = 1) -> ArmaCascade:
     """Fit one cascade frame per analyzed frame of a HarmonicSet.
 
     Phase targets are the residual between the measured framewise phase
@@ -460,7 +465,6 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float =
     no frame's result depends on its block. n_workers is ignored; it is kept
     only because the benchmark passes it, and a benchmark change removes it.
     """
-    from .synth import excitation_phase
     fs, freqs = hset.sample_rate, hset.frequencies
     if f0_track is not None:
         freqs, _ = harmonic_grid(f0_track, fs, max_components=hset.n_components)
@@ -471,7 +475,7 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), phase_weight: float =
     step = max(1, _FIT_BUDGET // ((2 * freqs.shape[1] + n_par) * n_par))
     # an empty set still makes one (empty) block, which fixes the shapes
     blocks = [fit_targets(freqs[i:i + step], hset.amplitudes[i:i + step], residual[i:i + step],
-                          fs, orders, phase_weight, max_steps)
+                          fs, orders, max_steps)
               for i in range(0, max(1, hset.n_frames), step)]
     gain, ar, ma, _, flags = (np.concatenate(parts) for parts in zip(*blocks))
     return ArmaCascade(hset.grid, gain, ar, ma, fs, flags)

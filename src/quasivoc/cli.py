@@ -19,8 +19,7 @@ from .arma import fit_cascade
 from .config import PipelineConfig, load_config
 from .modify import ScaleSchedule, load_schedule, modify, scaled_times
 from .qhm import AnalysisError, F0Track, analyze_qhm, detect_f0, refine_adaptive
-from .signals import (QuasivocError, SignalError, check_wav_size, make_grid, read_wav,
-                      write_wav)
+from .signals import QuasivocError, check_wav_size, make_grid, read_wav, write_wav
 from .synth import rendered_length, synthesize_arma, synthesize_qhm
 
 EXIT_OK = 0
@@ -166,8 +165,7 @@ def cmd_fit_envelope(args) -> int:
     cfg = _build_config(args)
     hset = _load_product(args.harmonics, "harmonics")
     track = _load_f0_csv(args.f0, cfg, hset.grid) if args.f0 else None
-    cascade = fit_cascade(hset, track, orders=cfg.orders, phase_weight=cfg.phase_weight,
-                          max_steps=cfg.fit_max_steps)
+    cascade = fit_cascade(hset, track, orders=cfg.orders, max_steps=cfg.fit_max_steps)
     _write_product(args.output, cascade, "cascade")
     divergent = np.flatnonzero(cascade.flags & 2).tolist()
     if divergent:
@@ -176,10 +174,18 @@ def cmd_fit_envelope(args) -> int:
     return EXIT_QUALITY if divergent else EXIT_OK
 
 
+def _check_output_size(centers, sample_rate: int, cfg: PipelineConfig):
+    """Refuse, before rendering, an output over centers that no RIFF header
+    can hold."""
+    if len(centers):
+        check_wav_size(rendered_length(centers, sample_rate), sample_rate, cfg.output_format)
+
+
 def cmd_synth(args) -> int:
     cfg = _build_config(args)
     if args.from_harmonics:
         hset = _load_product(args.model, "harmonics")
+        _check_output_size(hset.grid.centers, hset.sample_rate, cfg)
         out = synthesize_qhm(hset)
     else:
         if args.f0 is None:
@@ -187,6 +193,7 @@ def cmd_synth(args) -> int:
                            " harmonics file)")
         cascade = _load_product(args.model, "cascade")
         track = _load_f0_csv(args.f0, cfg, cascade.grid)
+        _check_output_size(cascade.grid.centers, cascade.sample_rate, cfg)
         out = synthesize_arma(cascade, track, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
     print(f"wrote {len(out)} samples ({out.duration:.3f} s) -> {args.output}")
@@ -202,10 +209,7 @@ def cmd_modify(args) -> int:
         schedule = load_schedule(args.schedule, cascade.grid, vuv)
     else:
         schedule = ScaleSchedule.constant(cascade.n_frames, args.beta, args.rho, vuv)
-    if cascade.n_frames:
-        # refuse, before rendering, an output that no RIFF header can hold
-        n = rendered_length(scaled_times(cascade.grid, schedule.betas), cascade.sample_rate)
-        check_wav_size(n, cascade.sample_rate, cfg.output_format)
+    _check_output_size(scaled_times(cascade.grid, schedule.betas), cascade.sample_rate, cfg)
     out = modify(cascade, track, schedule, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
     result_track = _detect_f0(out, _make_grid_for(out.duration, cfg), cfg)
@@ -265,7 +269,7 @@ def cmd_gen_fixture(args) -> int:
     params.setdefault("duration", 1.0)
     try:
         buffer, sidecar = fixtures.generate(args.kind, **params)
-    except (TypeError, SignalError) as exc:
+    except (TypeError, ValueError, QuasivocError) as exc:
         raise CliError(f"invalid fixture parameters: {exc}")
     write_wav(buffer, args.output, cfg.output_format)
     sidecar_path = Path(str(args.output) + ".json")

@@ -21,7 +21,6 @@ class PipelineConfig:
     order_p: int = 128
     order_q: int = 128
     order_r: int = 8
-    phase_weight: float = 0.1
     fit_max_steps: int = 500
     f0_min: float = 50.0
     f0_max: float = 500.0
@@ -43,8 +42,6 @@ class PipelineConfig:
             raise ConfigError("fit_max_steps must be at least 1")
         if self.refine_iters < 0:
             raise ConfigError("refine_iters must be at least 0 (0 means no refinement)")
-        if self.phase_weight < 0:
-            raise ConfigError("phase_weight must be nonnegative")
         if self.window_kind not in ("hann", "hamming", "gauss"):
             raise ConfigError(f"unknown window kind: {self.window_kind}")
         if self.output_format not in ("float32", "pcm16"):

@@ -12,10 +12,21 @@ from .arma import ArmaCascade
 from .signals import FrameGrid, SignalBuffer, SignalError
 
 
+def _n_samples(duration: float, sample_rate: int) -> int:
+    """Samples in a clip of the given duration, at least one, at a positive
+    integer rate."""
+    if not isinstance(sample_rate, (int, np.integer)) or sample_rate < 1:
+        raise SignalError("sample_rate must be a positive integer")
+    n = duration * sample_rate
+    if not np.isfinite(n) or int(round(n)) < 1:
+        raise SignalError("duration must be finite and hold at least one sample")
+    return int(round(n))
+
+
 def tone(freq: float, duration: float, sample_rate: int,
          amplitude: float = 0.5, phase: float = 0.0):
     """Single cosine."""
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    t = np.arange(_n_samples(duration, sample_rate)) / sample_rate
     x = amplitude * np.cos(2 * np.pi * freq * t + phase)
     sidecar = {"kind": "tone", "freq": freq, "amplitude": amplitude,
                "phase": phase, "duration": duration, "sample_rate": sample_rate}
@@ -32,7 +43,9 @@ def multisine(f0: float, n_harmonics: int, duration: float, sample_rate: int,
         phases = rng.uniform(-np.pi, np.pi, n_harmonics)
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    if amplitudes.shape != (n_harmonics,) or phases.shape != (n_harmonics,):
+        raise SignalError("amplitudes and phases need one value per harmonic")
+    t = np.arange(_n_samples(duration, sample_rate)) / sample_rate
     x = np.zeros_like(t)
     for k in range(n_harmonics):
         x += amplitudes[k] * np.cos(2 * np.pi * (k + 1) * f0 * t + phases[k])
@@ -45,7 +58,7 @@ def multisine(f0: float, n_harmonics: int, duration: float, sample_rate: int,
 def chirp(f_start: float, f_end: float, duration: float, sample_rate: int,
           n_harmonics: int = 1, amplitude: float = 0.4):
     """Linear chirp of the fundamental; harmonics scale proportionally."""
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    t = np.arange(_n_samples(duration, sample_rate)) / sample_rate
     f0 = f_start + (f_end - f_start) * t / duration
     phase0 = 2 * np.pi * np.cumsum(f0) / sample_rate
     x = np.zeros_like(t)
@@ -60,7 +73,7 @@ def chirp(f_start: float, f_end: float, duration: float, sample_rate: int,
 def am_tone(freq: float, mod_freq: float, mod_depth: float, duration: float,
             sample_rate: int, amplitude: float = 0.4):
     """Amplitude-modulated cosine: A*(1 + depth*cos(2*pi*fm*t))*cos(...)."""
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    t = np.arange(_n_samples(duration, sample_rate)) / sample_rate
     env = 1.0 + mod_depth * np.cos(2 * np.pi * mod_freq * t)
     x = amplitude * env * np.cos(2 * np.pi * freq * t)
     sidecar = {"kind": "am", "freq": freq, "mod_freq": mod_freq,
@@ -109,6 +122,8 @@ def vowel(f0: float, duration: float, sample_rate: int, frame_shift: float = 0.0
     """
     from .qhm import F0Track
     from .synth import synthesize_arma
+    if not (frame_shift > 0 and np.isfinite(duration) and duration >= 0):
+        raise SignalError("frame_shift must be positive, and duration finite and nonnegative")
     n_frames = int(np.floor(duration / frame_shift)) + 1
     cascade = vowel_cascade(sample_rate, n_frames, frame_shift, half_window, 1.0)
     track = F0Track(cascade.grid, np.full(n_frames, f0))
@@ -128,7 +143,7 @@ def noise(duration: float, sample_rate: int, amplitude: float = 0.1,
           seed: int = 0):
     """Seeded white Gaussian noise."""
     rng = np.random.default_rng(seed)
-    x = amplitude * rng.standard_normal(int(round(duration * sample_rate)))
+    x = amplitude * rng.standard_normal(_n_samples(duration, sample_rate))
     sidecar = {"kind": "noise", "amplitude": amplitude, "seed": seed,
                "duration": duration, "sample_rate": sample_rate}
     return SignalBuffer(x, sample_rate), sidecar

@@ -2,8 +2,8 @@
 
 Voiced frames are pitch-shifted by rho and the envelope is resampled at
 the shifted frequencies; unvoiced frames keep their original frequencies.
-Both banks live on the stretched time axis and are rendered separately,
-then summed. The cascade itself is never altered.
+Both banks live on the stretched time axis and are rendered together, in
+one pass. The cascade itself is never altered.
 """
 from __future__ import annotations
 
@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma import ArmaCascade, sample_cascade
-from .qhm import NYQUIST_GUARD, F0Track, harmonic_grid
+from .arma import ArmaCascade
+from .qhm import F0Track, harmonic_grid
 from .signals import FrameGrid, QuasivocError, SignalBuffer, SignalError
-from .synth import delayed_phase, excitation_phase, render
+from .synth import cascade_tracks, render
 
 
 class ModificationError(QuasivocError):
@@ -72,28 +72,25 @@ def modified_tracks(cascade: ArmaCascade, schedule: ScaleSchedule, freqs: np.nda
     """Amplitudes and phases of the voiced and unvoiced banks, one envelope pass.
 
     Both are (frames, 2K): the voiced bank at rho*f in the first K columns,
-    the unvoiced bank at f in the last K. The envelope is sampled once at
-    both, clamped below Nyquist - NYQUIST_GUARD; components at or above that
-    limit are muted. Voiced amplitudes are masked by VUV and carry the gain
-    normalization G' = G * sqrt(K_orig / K_mod) so total power survives
-    harmonic-count changes under pitch scaling; unvoiced amplitudes are
-    masked by 1-VUV. Phases are the excitation phase on the stretched axis
-    (step i scaled by beta_i) plus the sampled phase delay.
+    the unvoiced bank at f in the last K, with the first counts[l] columns
+    of each bank live on frame l. cascade_tracks samples the envelope at
+    both, on the stretched axis (step i scaled by beta_i), and mutes the
+    components above Nyquist - NYQUIST_GUARD. Voiced amplitudes are masked
+    by VUV and carry the gain normalization G' = G * sqrt(K_orig / K_mod),
+    with K_mod the frame's audible voiced components, so total power
+    survives harmonic-count changes under pitch scaling; unvoiced
+    amplitudes are masked by 1-VUV.
     """
     f = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
-    both = np.hstack([f * schedule.rhos[:, None], f])
-    nyq_lim = cascade.sample_rate / 2 - NYQUIST_GUARD
-    mags, delays = sample_cascade(cascade, np.minimum(both, nyq_lim))
     counts = np.asarray(counts)
     K = f.shape[1]
     live = np.tile(np.arange(K) < counts[:, None], 2)
-    in_band = live & (both <= nyq_lim)
-    k_mod = np.count_nonzero(in_band[:, :K], axis=1)
-    norm = np.sqrt(counts / np.maximum(k_mod, 1))
+    amps, phases, audible = cascade_tracks(cascade, np.hstack([f * schedule.rhos[:, None], f]),
+                                           live, schedule.betas)
+    norm = np.sqrt(counts / np.maximum(np.count_nonzero(audible[:, :K], axis=1), 1))
     vuv = schedule.vuv[:, None]
-    amps = np.hstack([np.where(vuv & in_band[:, :K], norm[:, None] * mags[:, :K], 0.0),
-                      np.where(~vuv & in_band[:, K:], mags[:, K:], 0.0)])
-    phases = delayed_phase(excitation_phase(both, cascade.grid, schedule.betas), delays)
+    amps[:, :K] = np.where(vuv, norm[:, None] * amps[:, :K], 0.0)
+    amps[:, K:] = np.where(vuv, 0.0, amps[:, K:])
     return amps, phases
 
 
@@ -102,10 +99,11 @@ def modify(cascade: ArmaCascade, f0_track: F0Track, schedule: ScaleSchedule,
     """Full time/pitch modification pipeline.
 
     Builds the stretched time grid, splits components into voiced and
-    unvoiced banks, resamples the envelope at shifted frequencies,
-    renders both banks on the stretched axis, and sums them. The VUV
-    flips get a one-frame amplitude ramp for free from the linear
-    interpolation of the masked framewise amplitudes.
+    unvoiced banks, resamples the envelope at shifted frequencies, and
+    renders both banks on the stretched axis in one render call, voiced
+    columns before unvoiced ones. The VUV flips get a one-frame amplitude
+    ramp for free from the linear interpolation of the masked framewise
+    amplitudes.
     """
     fs = cascade.sample_rate
     if cascade.n_frames != len(schedule.betas) or cascade.n_frames != len(f0_track.values):
@@ -117,10 +115,7 @@ def modify(cascade: ArmaCascade, f0_track: F0Track, schedule: ScaleSchedule,
     mod_grid = FrameGrid(t_hat, cascade.grid.frame_shift, cascade.grid.half_window,
                          cascade.grid.window_kind, cascade.grid.gauss_sigma)
     amps, phases = modified_tracks(cascade, schedule, freqs, counts)
-    K = freqs.shape[1]
-    voiced = render(amps[:, :K], phases[:, :K], mod_grid, fs)
-    unvoiced = render(amps[:, K:], phases[:, K:], mod_grid, fs)
-    return SignalBuffer(voiced.samples + unvoiced.samples, fs)
+    return render(amps, phases, mod_grid, fs)
 
 
 def load_schedule(path, grid: FrameGrid, vuv: np.ndarray) -> ScaleSchedule:

@@ -17,7 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .signals import FrameGrid, QuasivocError, SignalBuffer, _wrap, frame_view, grid_window
+from .signals import (FrameGrid, QuasivocError, SignalBuffer, SignalError, _wrap, frame_view,
+                      grid_window)
 
 AMPLITUDE_FLOOR = 1e-7
 COND_THRESHOLD = 1e10
@@ -64,7 +65,7 @@ class HarmonicSet:
     All arrays are (frames, K), and the grid and the flags (frames,) hold
     one entry per frame. Phases are the wrapped framewise values in
     (-pi, pi]; compensations lie in [-pi, pi] and accumulate over frames
-    during synthesis.
+    during synthesis. The sample rate is a positive integer.
     """
 
     grid: FrameGrid
@@ -81,6 +82,9 @@ class HarmonicSet:
         self.phases = np.atleast_2d(np.asarray(self.phases, dtype=np.float64))
         self.compensations = np.atleast_2d(np.asarray(self.compensations, dtype=np.float64))
         arrays = (self.frequencies, self.amplitudes, self.phases, self.compensations)
+        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate < 1:
+            raise AnalysisError("sample_rate must be a positive integer")
+        self.sample_rate = int(self.sample_rate)
         if self.flags is None:
             self.flags = np.zeros(self.frequencies.shape[0], dtype=np.int64)
         if (len({a.shape for a in arrays}) > 1 or self.frequencies.ndim != 2
@@ -90,6 +94,8 @@ class HarmonicSet:
             raise AnalysisError("frequencies, amplitudes, phases and compensations must be finite")
         if np.any(self.amplitudes < 0):
             raise AnalysisError("amplitudes must be nonnegative")
+        if np.any(np.abs(self.compensations) > np.pi + 1e-12):
+            raise AnalysisError("phase compensations must lie in [-pi, pi]")
 
     @property
     def n_frames(self) -> int:
@@ -427,6 +433,26 @@ def harmonic_grid(f0_track: F0Track, sample_rate: int,
     return base[:, None] * np.minimum(np.arange(1, K + 1), counts[:, None]), counts
 
 
+def excitation_phase(frame_freqs: np.ndarray, grid: FrameGrid,
+                     betas: np.ndarray | None = None) -> np.ndarray:
+    """Trapezoid-accumulated phase from framewise component frequencies.
+
+    phi[l] = pi * sum_i (f[i-1] + f[i]) * beta_i * (t_i - t_{i-1}), phi[0] = 0,
+    with beta_i = 1 unless per-frame time scales are given.
+    frame_freqs is (frames, K); the result has the same shape.
+    """
+    f = np.atleast_2d(np.asarray(frame_freqs, dtype=np.float64))
+    if not np.all(np.isfinite(f)):
+        raise SignalError("frequencies must be finite")
+    dt = np.diff(grid.centers)
+    if betas is not None:
+        dt = np.asarray(betas, dtype=np.float64)[1:] * dt
+    inc = np.pi * (f[:-1] + f[1:]) * dt[:, None]
+    phi = np.zeros_like(f)
+    np.cumsum(inc, axis=0, out=phi[1:])
+    return phi
+
+
 def compensations_from_phases(grid: FrameGrid, freqs: np.ndarray,
                               phases: np.ndarray) -> np.ndarray:
     """Per-frame phase compensations reproducing the framewise phases.
@@ -435,7 +461,6 @@ def compensations_from_phases(grid: FrameGrid, freqs: np.ndarray,
     compensation sum hits each measured phase modulo 2*pi; every
     compensation lies in [-pi, pi].
     """
-    from .synth import excitation_phase
     exc = excitation_phase(freqs, grid)
     comp = np.zeros_like(phases)
     running = np.zeros(phases.shape[1])

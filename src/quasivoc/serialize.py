@@ -8,6 +8,7 @@ representable in decimal (repr round-trip of float64 is exact in Python).
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -73,7 +74,7 @@ def _harmonics(grid: FrameGrid, arrays: list, sample_rate, flags) -> HarmonicSet
     if any(a.ndim != 2 for a in arrays):
         raise SerializationError("harmonic arrays must be (frames, K)")
     try:
-        return HarmonicSet(grid, *arrays, int(sample_rate), np.array(flags, dtype=np.int64))
+        return HarmonicSet(grid, *arrays, sample_rate, np.array(flags, dtype=np.int64))
     except AnalysisError as exc:
         raise SerializationError(f"invalid harmonics: {exc}") from None
 
@@ -124,7 +125,9 @@ def _unpack_container(data: bytes, magic: bytes, n_arrays: int):
 
 
 def _shaped(arr: np.ndarray, shape: tuple) -> np.ndarray:
-    if arr.size != int(np.prod(shape)):
+    """arr in the shape a header declares: counts that are whole numbers and
+    whose product is arr's size."""
+    if not all(isinstance(n, int) and n >= 0 for n in shape) or arr.size != math.prod(shape):
         raise SerializationError(f"array of {arr.size} values does not fit shape {shape}")
     return arr.reshape(shape)
 
@@ -177,7 +180,7 @@ def _section_shapes(orders) -> tuple:
 
 def _cascade(grid, gain, ar, ma, sample_rate, flags) -> ArmaCascade:
     try:
-        return ArmaCascade(grid, gain, ar, ma, int(sample_rate), np.array(flags, dtype=np.int64))
+        return ArmaCascade(grid, gain, ar, ma, sample_rate, np.array(flags, dtype=np.int64))
     except EnvelopeError as exc:
         raise SerializationError(f"invalid cascade: {exc}") from None
 

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .arma import ArmaCascade, sample_cascade
-from .qhm import NYQUIST_GUARD, F0Track, HarmonicSet, harmonic_grid
+from .qhm import NYQUIST_GUARD, F0Track, HarmonicSet, excitation_phase, harmonic_grid
 from .signals import FrameGrid, SignalBuffer, SignalError
 
 # samples per render block: a column's temporaries in one block are about
@@ -57,55 +57,28 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
-def excitation_phase(frame_freqs: np.ndarray, grid: FrameGrid,
-                     betas: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoid-accumulated phase from framewise component frequencies.
+def cascade_tracks(cascade: ArmaCascade, freqs: np.ndarray, live: np.ndarray,
+                   betas: np.ndarray | None = None):
+    """Amplitude and phase tracks of components on a cascade's envelope.
 
-    phi[l] = pi * sum_i (f[i-1] + f[i]) * beta_i * (t_i - t_{i-1}), phi[0] = 0,
-    with beta_i = 1 unless per-frame time scales are given.
-    frame_freqs is (frames, K); the result has the same shape.
+    freqs and live are (frames, K). The envelope is sampled once, at each
+    frequency clamped to the limit Nyquist - NYQUIST_GUARD. A component is
+    audible where it is live and its frequency is at most the limit, and
+    only audible components keep their magnitude. Phases are the excitation
+    phase over the cascade's grid (step i scaled by betas[i], if given) plus
+    the sampled phase delays. Per-section principal angles can flip branch
+    (jump by 2*pi) between frames when a pole angle sits near +-pi, so the
+    delay track is unwrapped along the frame axis per component before it
+    is added; the result is a continuous phase track safe to interpolate.
+
+    Returns (amplitudes, phases, audible), each (frames, K).
     """
-    f = np.atleast_2d(np.asarray(frame_freqs, dtype=np.float64))
-    if not np.all(np.isfinite(f)):
-        raise SignalError("frequencies must be finite")
-    dt = np.diff(grid.centers)
-    if betas is not None:
-        dt = np.asarray(betas, dtype=np.float64)[1:] * dt
-    inc = np.pi * (f[:-1] + f[1:]) * dt[:, None]
-    phi = np.zeros_like(f)
-    np.cumsum(inc, axis=0, out=phi[1:])
-    return phi
-
-
-def compensated_phase(excitation: np.ndarray, compensations: np.ndarray) -> np.ndarray:
-    """Excitation phase plus the running sum of per-frame compensations."""
-    comp = np.atleast_2d(np.asarray(compensations, dtype=np.float64))
-    if np.any(np.abs(comp) > np.pi + 1e-12):
-        raise SignalError("phase compensations must lie in [-pi, pi]")
-    return np.atleast_2d(excitation) + np.cumsum(comp, axis=0)
-
-
-def delayed_phase(excitation: np.ndarray, delays: np.ndarray) -> np.ndarray:
-    """Excitation phase plus the envelope's sampled phase delays.
-
-    delays are the summed per-section delays from sample_cascade.
-    Per-section principal angles can flip branch (jump by 2*pi) between
-    frames when a pole angle sits near +-pi, so the delay track is
-    unwrapped along the frame axis per component before it is added;
-    the result is a continuous phase track safe to interpolate.
-    """
-    delays = np.atleast_2d(delays)
-    if delays.shape[0] > 1:
-        delays = np.unwrap(delays, axis=0)
-    return np.atleast_2d(excitation) + delays
-
-
-def mute_aliasing(amplitudes: np.ndarray, frame_freqs: np.ndarray,
-                  sample_rate: int) -> np.ndarray:
-    """Zero the amplitude of components that cross Nyquist - NYQUIST_GUARD."""
-    amps = np.array(amplitudes, dtype=np.float64, copy=True)
-    amps[np.asarray(frame_freqs) > sample_rate / 2 - NYQUIST_GUARD] = 0.0
-    return amps
+    f = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
+    limit = cascade.sample_rate / 2 - NYQUIST_GUARD
+    mags, delays = sample_cascade(cascade, np.minimum(f, limit))
+    phases = excitation_phase(f, cascade.grid, betas) + np.unwrap(delays, axis=0)
+    audible = live & (f <= limit)
+    return np.where(audible, mags, 0.0), phases, audible
 
 
 def _usable_cpus() -> int:
@@ -239,13 +212,15 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
 
 
 def synthesize_qhm(hset: HarmonicSet) -> SignalBuffer:
-    """Resynthesis from a harmonic set via compensated excitation phase."""
+    """Resynthesis from a harmonic set: the excitation phase plus the running
+    sum of the compensations, with components above Nyquist - NYQUIST_GUARD
+    muted."""
     fs = hset.sample_rate
     if hset.n_frames == 0:
         return SignalBuffer(np.zeros(0), fs)
-    exc = excitation_phase(hset.frequencies, hset.grid)
-    phases = compensated_phase(exc, hset.compensations)
-    amps = mute_aliasing(hset.amplitudes, hset.frequencies, fs)
+    phases = (excitation_phase(hset.frequencies, hset.grid)
+              + np.cumsum(hset.compensations, axis=0))
+    amps = np.where(hset.frequencies > fs / 2 - NYQUIST_GUARD, 0.0, hset.amplitudes)
     return render(amps, phases, hset.grid, fs)
 
 
@@ -254,8 +229,8 @@ def synthesize_arma(cascade: ArmaCascade, f0_track: F0Track,
     """Resynthesis from an envelope cascade and an f0 track.
 
     Component frequencies are the harmonic grid of the track (dense
-    synthetic grid on unvoiced frames); amplitudes come from the
-    envelope magnitude, phases from excitation plus phase delay.
+    synthetic grid on unvoiced frames), and the first counts[l] of them are
+    live on frame l; cascade_tracks gives their amplitudes and phases.
     """
     fs = cascade.sample_rate
     if cascade.n_frames == 0:
@@ -263,8 +238,6 @@ def synthesize_arma(cascade: ArmaCascade, f0_track: F0Track,
     if cascade.n_frames != len(f0_track.values):
         raise SignalError("cascade and f0 track must share the frame grid")
     freqs, counts = harmonic_grid(f0_track, fs, max_components)
-    amps, delays = sample_cascade(cascade, freqs)
-    amps[np.arange(freqs.shape[1]) >= counts[:, None]] = 0.0
-    phases = delayed_phase(excitation_phase(freqs, cascade.grid), delays)
-    amps = mute_aliasing(amps, freqs, fs)
+    live = np.arange(freqs.shape[1]) < counts[:, None]
+    amps, phases, _ = cascade_tracks(cascade, freqs, live)
     return render(amps, phases, cascade.grid, fs)

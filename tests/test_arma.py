@@ -339,7 +339,7 @@ def _fit_one(f, amps, phases, orders, max_steps=300):
     """fit_targets on one row of targets: the fitted one-row cascade, its
     loss and its flag."""
     targets = (np.reshape(x, (1, -1)) for x in (f, amps, phases))
-    gain, ar, ma, loss, flag = fit_targets(*targets, FS, orders, 0.1, max_steps)
+    gain, ar, ma, loss, flag = fit_targets(*targets, FS, orders, max_steps)
     return stacked_cascade(gain, ar, ma), loss[0], flag[0]
 
 

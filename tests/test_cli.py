@@ -1,6 +1,7 @@
 """End-to-end command-line workflows and exit-code contracts."""
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import warnings
@@ -282,6 +283,13 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
         for edit in (lambda doc: doc["grid"]["centers"].pop(), lambda doc: doc["flags"].pop(),
                      lambda doc: doc["flags"].append(0)):
             edits += [(product, suffix, edit) for suffix in (".json", ".bin")]
+    # sample rates that are not positive integers, and a frame count whose
+    # product with K overflows a float
+    for rate in (-24000, 1e30, 1e12):
+        edits += [(harmonics, ".bin", lambda doc, rate=rate: doc.update(sample_rate=rate)),
+                  (cascade, ".bin", lambda doc, rate=rate: doc.update(sample_rate=rate))]
+    edits += [(harmonics, ".json", lambda doc: doc.update(sample_rate=-24000)),
+              (harmonics, ".bin", lambda doc: doc.update(n_frames=1e308, n_components=10))]
     for i, (product, suffix, edit) in enumerate(edits):
         kind = "cascade" if isinstance(product, ArmaCascade) else "harmonics"
         bad = tmp_path / f"forged{i}{suffix}"
@@ -303,6 +311,14 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
         else:
             runs += [["synth", str(bad), str(out), "--f0", str(f0)],
                      ["modify", str(bad), str(out), "--f0", str(f0)]]
+    # a sample rate whose output no RIFF header can hold is refused before
+    # rendering, which would ask for terabytes
+    for product, kind, flag in ((harmonics, "harmonics", ["--from-harmonics"]),
+                                (cascade, "cascade", ["--f0", str(f0)])):
+        fast_rate = tmp_path / f"rate_{kind}.bin"
+        fast_rate.write_bytes(getattr(serialize, f"{kind}_to_bytes")(
+            dataclasses.replace(product, sample_rate=10 ** 12)))
+        runs.append(["synth", str(fast_rate), str(out)] + flag)
     # a schedule value that does not parse
     sched = tmp_path / "sched.txt"
     sched.write_text("0.0 1.0 1.0\n0.01 abc 1.0\n")
@@ -572,27 +588,44 @@ def _bad_value_config(tmp_path, wav, line):
     lambda d, wavs: _bad_value_config(d, wavs["tone"], b"max_components = -5"),
     lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params", "{bad"],
     lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params", "[1,2]"],
+    lambda d, wavs: ["gen-fixture", "multisine", str(d / "g.wav"), "--params",
+                     '{"f0": 100.0, "n_harmonics": 3, "amplitudes": [0.1]}'],
+    lambda d, wavs: ["gen-fixture", "noise", str(d / "g.wav"), "--params", '{"seed": -1}'],
+    lambda d, wavs: ["gen-fixture", "vowel", str(d / "g.wav"), "--params",
+                     '{"f0": 150.0, "frame_shift": 0}'],
+    lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params",
+                     '{"freq": 100.0, "duration": -1}'],
+    lambda d, wavs: ["gen-fixture", "chirp", str(d / "g.wav"), "--params",
+                     '{"f_start": 100.0, "f_end": 200.0, "duration": 0}'],
+    lambda d, wavs: ["gen-fixture", "tone", str(d / "g.wav"), "--params",
+                     '{"freq": 100.0, "sample_rate": 24000.5}'],
     lambda d, wavs: ["analyze", wavs["short"], str(d / "h.json")],
     lambda d, wavs: ["bench", wavs["short"], "--runs", "1"],
     lambda d, wavs: ["eval", wavs["tone"], wavs["silent"]],
 ], ids=["config-text-value", "config-float-order", "config-not-utf8", "config-k-guard",
         "config-unvoiced-f0", "config-seed", "config-sample-rate",
-        "config-negative-cap", "params-not-json", "params-not-object", "analyze-5-samples",
-        "bench-5-samples", "eval-zero-reference"])
+        "config-negative-cap", "params-not-json", "params-not-object",
+        "multisine-short-amplitudes", "noise-negative-seed", "vowel-zero-frame-shift",
+        "tone-negative-duration", "chirp-zero-duration", "tone-fractional-rate",
+        "analyze-5-samples", "bench-5-samples", "eval-zero-reference"])
 def test_exit_code_2_on_unparseable_values_and_unusable_audio(tmp_path, tone_wav, capsys,
                                                               make_argv):
     """Config values that do not parse or are out of range, a config file
     that is not text, the removed keys k_guard, unvoiced_f0, seed and
-    sample_rate, --params that is not a JSON object, a WAV too short to
-    analyze and an all-zero reference all exit 2 with a message, not a
-    traceback."""
+    sample_rate, --params that is not a JSON object, fixture parameters
+    that make no clip (or an empty one), a WAV too short to analyze and an
+    all-zero reference all exit 2 with a message, not a traceback."""
     wavs = {"tone": str(tone_wav), "short": str(tmp_path / "short.wav"),
             "silent": str(tmp_path / "silent.wav")}
     write_wav(SignalBuffer(np.full(5, 0.1), 24000), wavs["short"])
     write_wav(SignalBuffer(np.zeros(len(read_wav(tone_wav))), 24000), wavs["silent"])
     capsys.readouterr()
-    assert main(make_argv(tmp_path, wavs)) == 2
-    assert "error:" in capsys.readouterr().err
+    argv = make_argv(tmp_path, wavs)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if argv[0] == "gen-fixture" and argv[-1].endswith("}"):     # a JSON object
+        assert "invalid fixture parameters" in err
     assert not (tmp_path / "g.wav").exists() and not (tmp_path / "h.json").exists()
 
 

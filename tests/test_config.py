@@ -23,11 +23,11 @@ def test_component_cap():
     {"window_kind": "kaiser"},
     {"output_format": "flac"},
     {"fit_max_steps": 0},
-    {"phase_weight": -1.0},
+    {"order_r": 0},
     {"refine_iters": -1},
     {"f0_min": 0.0},
     {"half_window": 0.0},
-    {"phase_weight": float("nan")},
+    {"f0_max": float("inf")},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
@@ -80,6 +80,15 @@ def test_load_config_rejects_refine_mode(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("refine_mode = aqhm\n")
     with pytest.raises(ConfigError, match=r"cfg.txt:1: unknown key 'refine_mode'"):
+        load_config(path)
+
+
+def test_load_config_rejects_phase_weight(tmp_path):
+    """The fit's phase weight is the constant arma.PHASE_WEIGHT; a config
+    file that sets the removed key is rejected like any unknown key."""
+    path = tmp_path / "cfg.txt"
+    path.write_text("phase_weight = 0.1\n")
+    with pytest.raises(ConfigError, match=r"cfg.txt:1: unknown key 'phase_weight'"):
         load_config(path)
 
 

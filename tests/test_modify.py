@@ -278,21 +278,40 @@ def test_one_envelope_pass_per_call(monkeypatch):
     f0 = np.full(21, 140.0)
     f0[5:8] = 0.0
     track = F0Track(cascade.grid, f0)
-    calls = {"synth": 0, "modify": 0}
+    calls = []
 
-    def counter(name):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return arma.sample_cascade(*args, **kwargs)
-        return counted
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return arma.sample_cascade(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "sample_cascade", counted)
+    synth.synthesize_arma(cascade, track)
+    assert len(calls) == 1
+    calls.clear()
+    modify(cascade, track, ScaleSchedule.constant(21, 1.5, 1.3, track.voiced))
+    assert len(calls) == 1
+
+
+def test_modify_renders_once(monkeypatch):
+    """Both banks go to one render call as (frames, 2K) tracks, and its
+    output is modify's."""
+    cascade = fixtures.vowel_cascade(FS, 21, 0.005, 0.010, 0.05)
+    f0 = np.full(21, 140.0)
+    f0[5:8] = 0.0
+    track = F0Track(cascade.grid, f0)
+    freqs, _ = harmonic_grid(track, FS)
+    outputs = []
+
+    def counted(amps, phases, grid, sample_rate):
+        assert amps.shape == phases.shape == (21, 2 * freqs.shape[1])
+        outputs.append(synth.render(amps, phases, grid, sample_rate))
+        return outputs[-1]
 
     # the package re-exports the modify() function under the module's name
     modify_module = importlib.import_module("quasivoc.modify")
-    monkeypatch.setattr(synth, "sample_cascade", counter("synth"))
-    monkeypatch.setattr(modify_module, "sample_cascade", counter("modify"))
-    synth.synthesize_arma(cascade, track)
-    modify(cascade, track, ScaleSchedule.constant(21, 1.5, 1.3, track.voiced))
-    assert calls == {"synth": 1, "modify": 1}
+    monkeypatch.setattr(modify_module, "render", counted)
+    out = modify(cascade, track, ScaleSchedule.constant(21, 1.5, 1.3, track.voiced))
+    assert len(outputs) == 1 and out is outputs[0]
 
 
 def test_modify_bytes_do_not_depend_on_usable_cpus(monkeypatch):

@@ -137,6 +137,13 @@ def test_container_validation():
         cascade_from_json(json.dumps(doc))
     for data, key, value, read in (
             (blob, "n_frames", 6, harmonics_from_bytes),   # arrays hold 5 frames
+            (blob, "n_frames", 1e308, harmonics_from_bytes),
+            (blob, "n_frames", 5.0, harmonics_from_bytes),
+            (blob, "sample_rate", -24000, harmonics_from_bytes),
+            (blob, "sample_rate", 1e30, harmonics_from_bytes),
+            (blob, "sample_rate", 24000.0, harmonics_from_bytes),
+            (cascade_to_bytes(_sample_cascade()), "sample_rate", 0, cascade_from_bytes),
+            (cascade_to_bytes(_sample_cascade()), "n_frames", -5, cascade_from_bytes),
             (cascade_to_bytes(_sample_cascade()), "orders", [0, 0, 0], cascade_from_bytes),
             (cascade_to_bytes(_sample_cascade()), "orders", [8, 8, 3], cascade_from_bytes)):
         hdr_len = int.from_bytes(data[8:12], "little")

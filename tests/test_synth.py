@@ -11,10 +11,9 @@ from conftest import cascade_of, frame_at, pchip_per_column
 from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, sample_cascade,
                            sample_harmonics)
 from quasivoc.modify import scaled_times
-from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm, harmonic_grid
+from quasivoc.qhm import AnalysisError, F0Track, HarmonicSet, analyze_qhm, harmonic_grid
 from quasivoc.signals import FrameGrid, SignalError, make_grid
-from quasivoc.synth import (compensated_phase, delayed_phase, excitation_phase,
-                            mute_aliasing, render, synthesize_arma,
+from quasivoc.synth import (cascade_tracks, excitation_phase, render, synthesize_arma,
                             synthesize_qhm)
 
 FS = 24000
@@ -51,29 +50,57 @@ def test_excitation_phase_nonfinite():
 
 # --- compensated phase -----------------------------------------------------
 
+def _compensated_set(f, comp, amps=0.2):
+    """A harmonic set over _grid at frequencies f with the given compensations."""
+    grid = _grid(f.shape[0])
+    phases = np.angle(np.exp(1j * excitation_phase(f, grid)))
+    return HarmonicSet(grid, f, np.full(f.shape, amps), phases, comp, FS)
+
+
 def test_compensated_phase_identity_and_step():
-    exc = excitation_phase(np.full((4, 1), 100.0), _grid(4))
-    np.testing.assert_array_equal(compensated_phase(exc, np.zeros((4, 1))), exc)
+    """synthesize_qhm renders the excitation phase plus the running sum of
+    the compensations: zero compensations leave it as it is, and one step
+    on the first frame offsets every frame."""
+    f = np.full((4, 1), 100.0)
+    exc = excitation_phase(f, _grid(4))
+    amps = np.full((4, 1), 0.2)
+    out = synthesize_qhm(_compensated_set(f, np.zeros((4, 1))))
+    assert out.samples.tobytes() == render(amps, exc, _grid(4), FS).samples.tobytes()
     comp = np.zeros((4, 1))
     comp[0, 0] = np.pi / 2
-    np.testing.assert_allclose(compensated_phase(exc, comp), exc + np.pi / 2)
+    out = synthesize_qhm(_compensated_set(f, comp))
+    expect = render(amps, exc + np.pi / 2, _grid(4), FS)
+    assert out.samples.tobytes() == expect.samples.tobytes()
 
 
 def test_compensated_phase_prefix_sum_oracle():
     rng = np.random.default_rng(3)
-    exc = rng.standard_normal((6, 2))
+    f = rng.uniform(100.0, 3000.0, (6, 2))
     comp = rng.uniform(-np.pi, np.pi, (6, 2))
-    out = compensated_phase(exc, comp)
-    expect = exc + np.cumsum(comp, axis=0)
-    np.testing.assert_allclose(out, expect, atol=1e-12)
+    phase = excitation_phase(f, _grid(6))
+    running = np.zeros(2)
+    for l in range(6):
+        running = running + comp[l]
+        phase[l] += running
+    out = synthesize_qhm(_compensated_set(f, comp))
+    expect = render(np.full((6, 2), 0.2), phase, _grid(6), FS)
+    np.testing.assert_allclose(out.samples, expect.samples, atol=1e-9)
 
 
 def test_compensated_phase_range_error():
-    with pytest.raises(SignalError):
-        compensated_phase(np.zeros((2, 1)), np.full((2, 1), 4.0))
+    """Every harmonic set, and so every product synthesize_qhm reads, holds
+    compensations in [-pi, pi]."""
+    f = np.full((2, 1), 100.0)
+    with pytest.raises(AnalysisError, match=r"\[-pi, pi\]"):
+        _compensated_set(f, np.full((2, 1), 4.0))
+    _compensated_set(f, np.full((2, 1), -np.pi))
 
 
 # --- delayed phase ---------------------------------------------------------
+
+def _all_live(f):
+    return np.ones(np.shape(f), dtype=bool)
+
 
 def test_delayed_phase_identity_cascade():
     frames = [CascadeFrame(1.0, [ArmaSection(np.zeros(4), np.zeros(4))])
@@ -81,8 +108,10 @@ def test_delayed_phase_identity_cascade():
     cascade = cascade_of(frames, 0.01)
     f = np.full((3, 2), 200.0)
     exc = excitation_phase(f, cascade.grid)
-    _, delays = sample_cascade(cascade, f)
-    np.testing.assert_allclose(delayed_phase(exc, delays), exc, atol=1e-12)
+    amps, phases, audible = cascade_tracks(cascade, f, _all_live(f))
+    np.testing.assert_allclose(phases, exc, atol=1e-12)
+    np.testing.assert_array_equal(amps, 1.0)
+    assert audible.all()
 
 
 def test_delayed_phase_constant_offset():
@@ -91,9 +120,15 @@ def test_delayed_phase_constant_offset():
     cascade = cascade_of(frames, 0.01)
     f = np.full((4, 1), 700.0)
     exc = excitation_phase(f, cascade.grid)
-    d = sample_harmonics(frames[0], 700.0, FS).phase_delays[0]
-    _, delays = sample_cascade(cascade, f)
-    np.testing.assert_allclose(delayed_phase(exc, delays), exc + d, atol=1e-12)
+    env = sample_harmonics(frames[0], 700.0, FS)
+    amps, phases, _ = cascade_tracks(cascade, f, _all_live(f))
+    np.testing.assert_allclose(phases, exc + env.phase_delays[0], atol=1e-12)
+    np.testing.assert_array_equal(amps, env.magnitudes[0])
+    # time scales stretch the excitation steps and leave the delays
+    betas = np.array([1.0, 2.0, 0.5, 3.0])
+    _, stretched, _ = cascade_tracks(cascade, f, _all_live(f), betas)
+    np.testing.assert_allclose(stretched, excitation_phase(f, cascade.grid, betas)
+                               + env.phase_delays[0], atol=1e-12)
 
 
 def test_delayed_phase_composition_oracle(vowel_data):
@@ -102,12 +137,28 @@ def test_delayed_phase_composition_oracle(vowel_data):
                       cascade.ma[:3], FS)
     f = np.tile([150.0, 300.0, 450.0], (3, 1))
     exc = excitation_phase(f, sub.grid)
-    out = delayed_phase(exc, sample_cascade(sub, f)[1])
+    _, out, _ = cascade_tracks(sub, f, _all_live(f))
     for l in range(3):
         d = sample_harmonics(frame_at(cascade, l), f[l], FS).phase_delays
         # equality holds mod 2*pi (the delay track is unwrapped frame-wise)
         err = np.angle(np.exp(1j * (out[l] - exc[l] - d)))
         np.testing.assert_allclose(err, 0.0, atol=1e-10)
+
+
+def test_delayed_phase_unwraps_along_frames():
+    """A delay that crosses the branch cut between frames is unwrapped, so
+    the phase track stays continuous."""
+    r = 0.95
+    ar = np.convolve([1.0, -2 * r * np.cos(0.2), r * r], [1.0, -2 * r * np.cos(0.4), r * r])
+    frames = [CascadeFrame(1.0, [ArmaSection(ar[1:], np.zeros(2))]) for _ in range(2)]
+    cascade = cascade_of(frames, 0.01)
+    # between the two resonances the section's angle runs through -pi
+    f = np.array([[1375.0], [1450.0]])
+    _, delays = sample_cascade(cascade, f)
+    assert delays[0, 0] < -2.5 and delays[1, 0] > 2.5
+    _, phases, _ = cascade_tracks(cascade, f, _all_live(f))
+    delayed = phases - excitation_phase(f, cascade.grid)
+    np.testing.assert_allclose(delayed, [delays[0], delays[1] - 2 * np.pi], atol=1e-12)
 
 
 # --- rendering -------------------------------------------------------------
@@ -424,10 +475,39 @@ def test_render_affine_phase_property(slope, intercept):
 
 
 def test_mute_aliasing():
-    amps = np.ones((2, 2))
+    """Components above Nyquist - NYQUIST_GUARD are muted: by cascade_tracks,
+    which also mutes components that are not live, and by synthesize_qhm."""
+    frames = [CascadeFrame(1.0, [ArmaSection(np.zeros(2), np.zeros(2))]) for _ in range(2)]
+    cascade = cascade_of(frames, 0.01)
     f = np.array([[100.0, 11990.0], [100.0, 200.0]])
-    out = mute_aliasing(amps, f, FS)
-    np.testing.assert_array_equal(out, [[1.0, 0.0], [1.0, 1.0]])
+    live = np.array([[True, True], [True, False]])
+    amps, _, audible = cascade_tracks(cascade, f, live)
+    np.testing.assert_array_equal(amps, [[1.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(audible, [[True, False], [True, False]])
+    hset = HarmonicSet(_grid(2), f, np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), FS)
+    expect = render([[1.0, 0.0], [1.0, 1.0]], excitation_phase(f, _grid(2)), _grid(2), FS)
+    assert synthesize_qhm(hset).samples.tobytes() == expect.samples.tobytes()
+
+
+def test_synthesize_arma_mutes_a_fundamental_above_the_limit():
+    """A frame whose lone component lies at Nyquist is muted, and its knot's
+    phase delay is sampled at Nyquist - NYQUIST_GUARD instead of refused."""
+    cascade = fixtures.vowel_cascade(FS, 5, 0.005, 0.010)
+    f0 = np.full(5, 150.0)
+    f0[2] = FS / 2
+    track = F0Track(cascade.grid, f0)
+    out = synthesize_arma(cascade, track)
+    assert len(out) == 481 and np.all(np.isfinite(out.samples))
+    assert out.samples[240] == 0.0      # the muted frame's centre
+    freqs, counts = harmonic_grid(track, FS)
+    assert counts[2] == 1 and freqs[2, 0] == FS / 2
+    live = np.arange(freqs.shape[1]) < counts[:, None]
+    amps, phases, audible = cascade_tracks(cascade, freqs, live)
+    assert not audible[2].any() and not amps[2].any()
+    d = sample_harmonics(frame_at(cascade, 2), FS / 2 - 50.0, FS).phase_delays[0]
+    exc = excitation_phase(freqs, cascade.grid)
+    np.testing.assert_allclose(np.angle(np.exp(1j * (phases[2, 0] - exc[2, 0] - d))), 0.0,
+                               atol=1e-10)
 
 
 # --- pipelines -------------------------------------------------------------
