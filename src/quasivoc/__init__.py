@@ -2,7 +2,7 @@
 
 from .signals import (FrameGrid, QuasivocError, SignalBuffer, make_grid, make_window,
                       read_wav, write_wav)
-from .qhm import (F0Track, HarmonicSet, analyze_qhm, detect_f0, excitation_phase,
+from .qhm import (F0Track, HarmonicSet, analyze, analyze_qhm, detect_f0, excitation_phase,
                   harmonic_grid, refine_adaptive, refine_f0)
 from .arma import (ArmaCascade, correction_capacity, fit_cascade, fit_targets,
                    sample_cascade)

@@ -18,7 +18,7 @@ from . import fixtures, metrics, serialize
 from .arma import fit_cascade
 from .config import PipelineConfig, load_config
 from .modify import ScaleSchedule, load_schedule, modify, scaled_times
-from .qhm import AnalysisError, F0Track, analyze_qhm, detect_f0, refine_adaptive
+from .qhm import AnalysisError, F0Track, analyze, detect_f0
 from .signals import QuasivocError, check_wav_size, make_grid, read_wav, write_wav
 from .synth import rendered_length, synthesize_arma, synthesize_qhm
 
@@ -85,20 +85,6 @@ def _make_grid_for(duration: float, cfg: PipelineConfig):
                      cfg.window_kind, cfg.gauss_sigma)
 
 
-def _detect_f0(buffer, grid, cfg: PipelineConfig) -> F0Track:
-    return detect_f0(buffer, grid, (cfg.f0_min, cfg.f0_max))
-
-
-def _analyze(buffer, cfg: PipelineConfig, f0_file=None):
-    grid = _make_grid_for(buffer.duration, cfg)
-    track = (_load_f0_csv(Path(f0_file), cfg, grid) if f0_file
-             else _detect_f0(buffer, grid, cfg))
-    hset = analyze_qhm(buffer, grid, track, cfg.component_cap)
-    if cfg.refine_iters >= 1:
-        hset = refine_adaptive(buffer, hset, max_iters=cfg.refine_iters)
-    return hset, track
-
-
 def _codec(path: Path, kind: str, direction: str):
     """serialize's encoder (direction "to") or decoder ("from") of the
     harmonics or cascade product for the path's suffix, and whether it
@@ -118,7 +104,10 @@ def _write_product(path: Path, product, kind: str):
 def cmd_analyze(args) -> int:
     cfg = _build_config(args)
     buffer = _read_input(args.input)
-    hset, track = _analyze(buffer, cfg, args.f0_file)
+    grid = _make_grid_for(buffer.duration, cfg)
+    given = _load_f0_csv(args.f0_file, cfg, grid) if args.f0_file else None
+    hset, track = analyze(buffer, grid, cfg.f0_range, cfg.component_cap, cfg.refine_iters,
+                          given)
     _write_product(args.output, hset, "harmonics")
     if args.f0_out:
         Path(args.f0_out).write_text(serialize.f0_to_csv(track))
@@ -156,7 +145,7 @@ def _load_f0_csv(path: Path, cfg: PipelineConfig, grid) -> F0Track:
     # K grows as 1/F0, so a tiny voiced F0 would ask for an unbounded grid
     low = track.values[(track.values > 0) & (track.values < cfg.f0_min)]
     if low.size:
-        raise CliError(f"f0 file {path}: voiced value {low.min():g} Hz is below the"
+        raise CliError(f"f0 file {path}: voiced value {float(low.min())!r} Hz is below the"
                        f" minimum F0 of {cfg.f0_min:g} Hz (set with --f0-range)")
     return track
 
@@ -212,7 +201,7 @@ def cmd_modify(args) -> int:
     _check_output_size(scaled_times(cascade.grid, schedule.betas), cascade.sample_rate, cfg)
     out = modify(cascade, track, schedule, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
-    result_track = _detect_f0(out, _make_grid_for(out.duration, cfg), cfg)
+    result_track = detect_f0(out, _make_grid_for(out.duration, cfg), cfg.f0_range)
     voiced = result_track.values[result_track.voiced]
     mean_f0 = float(voiced.mean()) if voiced.size else 0.0
     print(f"duration {out.duration:.3f} s, mean detected f0 {mean_f0:.1f} Hz"
@@ -229,7 +218,7 @@ def cmd_eval(args) -> int:
     report = metrics.MetricReport()
     # one grid over the shorter signal for both tracks and both cepstra
     grid = _make_grid_for(min(gen.duration, ref.duration), cfg)
-    tg, tr = _detect_f0(gen, grid, cfg), _detect_f0(ref, grid, cfg)
+    tg, tr = detect_f0(gen, grid, cfg.f0_range), detect_f0(ref, grid, cfg.f0_range)
     report.vuv_rate = metrics.vuv_rate(tg, tr)
     report.f0_rmse = metrics.f0_rmse(tg, tr, np.full(len(grid), args.rho))
     report.mcd = metrics.mcd(metrics.mel_cepstrum(gen, grid), metrics.mel_cepstrum(ref, grid))
@@ -244,9 +233,10 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _build_config(args)
     buffer = _read_input(args.input)
-    hset, _ = _analyze(buffer, cfg)
-    rtf_analysis = metrics.rtf(partial(_analyze, buffer, cfg), buffer.duration,
-                               runs=args.runs)
+    chain = partial(analyze, buffer, _make_grid_for(buffer.duration, cfg), cfg.f0_range,
+                    cfg.component_cap, cfg.refine_iters)
+    hset, _ = chain()
+    rtf_analysis = metrics.rtf(chain, buffer.duration, runs=args.runs)
     rtf_synthesis = metrics.rtf(partial(synthesize_qhm, hset), buffer.duration,
                                 runs=args.runs)
     rows = [("analysis", rtf_analysis), ("synthesis", rtf_synthesis),
@@ -287,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="extract harmonic parameters from a WAV")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path, help=".json or .bin harmonics file")
-    p.add_argument("--f0-file", type=Path, help="external f0 CSV")
-    p.add_argument("--f0-out", type=Path, help="write the detected f0 track CSV")
+    p.add_argument("--f0-file", type=Path, help="external f0 CSV, used as given")
+    p.add_argument("--f0-out", type=Path,
+                   help="write the f0 track CSV: the refined track, or the --f0-file one")
     _add_shared(p, *_FRAMING, "--max-components", "--f0-range")
     p.set_defaults(func=cmd_analyze)
 
@@ -332,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-fixture", help="deterministic test signals")
-    p.add_argument("kind", choices=["tone", "multisine", "chirp", "am", "vowel", "noise"])
+    p.add_argument("kind", choices=["tone", "multisine", "chirp", "vowel", "noise"])
     p.add_argument("output", type=Path)
     p.add_argument("--params", help="JSON object of generator parameters")
     _add_shared(p, "--format")

@@ -53,6 +53,10 @@ class PipelineConfig:
         return (self.order_p, self.order_q, self.order_r)
 
     @property
+    def f0_range(self) -> tuple[float, float]:
+        return (self.f0_min, self.f0_max)
+
+    @property
     def component_cap(self):
         return self.max_components if self.max_components > 0 else None
 

@@ -70,18 +70,6 @@ def chirp(f_start: float, f_end: float, duration: float, sample_rate: int,
     return SignalBuffer(x, sample_rate), sidecar
 
 
-def am_tone(freq: float, mod_freq: float, mod_depth: float, duration: float,
-            sample_rate: int, amplitude: float = 0.4):
-    """Amplitude-modulated cosine: A*(1 + depth*cos(2*pi*fm*t))*cos(...)."""
-    t = np.arange(_n_samples(duration, sample_rate)) / sample_rate
-    env = 1.0 + mod_depth * np.cos(2 * np.pi * mod_freq * t)
-    x = amplitude * env * np.cos(2 * np.pi * freq * t)
-    sidecar = {"kind": "am", "freq": freq, "mod_freq": mod_freq,
-               "mod_depth": mod_depth, "amplitude": amplitude,
-               "duration": duration, "sample_rate": sample_rate}
-    return SignalBuffer(x, sample_rate), sidecar
-
-
 def vowel_cascade(sample_rate: int, n_frames: int, frame_shift: float,
                   half_window: float, gain: float = 0.05,
                   orders=(16, 16, 2)) -> ArmaCascade:
@@ -157,8 +145,6 @@ def generate(kind: str, **params):
         return multisine(**params)
     if kind == "chirp":
         return chirp(**params)
-    if kind == "am":
-        return am_tone(**params)
     if kind == "vowel":
         buf, sidecar, _, _ = vowel(**params)
         return buf, sidecar

@@ -2,7 +2,8 @@
 
 Least-squares estimation of complex amplitudes and slopes per component,
 frequency correction from the complex slope, harmonic-locked adaptive
-refinement, and an autocorrelation fallback pitch detector.
+refinement, an autocorrelation fallback pitch detector, and the analysis
+chain that joins them (analyze).
 
 The real-signal convention halves the unknowns: components are solved for
 k = 1..K with the conjugate pair at -f implied, i.e. the model is
@@ -529,6 +530,30 @@ def analyze_qhm(buffer: SignalBuffer, grid: FrameGrid, f0_track: F0Track,
         del solver      # one solver alive at a time
     comp = compensations_from_phases(grid, freqs, phases)
     return HarmonicSet(grid, freqs, amps, phases, comp, fs, flags)
+
+
+def analyze(buffer: SignalBuffer, grid: FrameGrid,
+            f0_range: tuple[float, float] = (50.0, 500.0), max_components: int | None = None,
+            refine_iters: int = 0, f0_track: F0Track | None = None) -> tuple[HarmonicSet, F0Track]:
+    """The analysis chain: the harmonics and the F0 track they go with.
+
+    Without f0_track: detect_f0, one analyze_qhm pass on the detected track,
+    and refine_f0 with its voiced values clipped to f0_range, so that a
+    reader that refuses a voiced F0 below the minimum takes the track back.
+    A given f0_track is the caller's statement of F0: the pass runs on it,
+    and it is returned unchanged. Then refine_adaptive runs for at most
+    refine_iters iterations when refine_iters >= 1.
+    """
+    if f0_track is None:
+        detected = detect_f0(buffer, grid, f0_range)
+        hset = analyze_qhm(buffer, grid, detected, max_components)
+        refined = refine_f0(hset, detected).values
+        f0_track = F0Track(grid, np.where(refined > 0, np.clip(refined, *f0_range), 0.0))
+    else:
+        hset = analyze_qhm(buffer, grid, f0_track, max_components)
+    if refine_iters >= 1:
+        hset = refine_adaptive(buffer, hset, max_iters=refine_iters)
+    return hset, f0_track
 
 
 def refine_adaptive(buffer: SignalBuffer, initial: HarmonicSet, mode: str = "aqhm",

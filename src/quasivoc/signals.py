@@ -33,7 +33,8 @@ class SignalError(QuasivocError):
 class SignalBuffer:
     """Mono waveform with its sample rate.
 
-    samples are dimensionless amplitudes, nominally in [-1, 1].
+    samples are dimensionless amplitudes, nominally in [-1, 1]. The sample
+    rate is a positive integer, as a RIFF header stores it.
     """
 
     samples: np.ndarray
@@ -43,8 +44,9 @@ class SignalBuffer:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise SignalError("SignalBuffer requires a 1-D sample array")
-        if self.sample_rate <= 0:
-            raise SignalError("sample_rate must be positive")
+        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate < 1:
+            raise SignalError("sample_rate must be a positive integer")
+        self.sample_rate = int(self.sample_rate)
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise SignalError("samples must be finite")
 

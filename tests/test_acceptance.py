@@ -16,7 +16,7 @@ from quasivoc.arma import (ArmaSection, CascadeFrame, _wrap, correction_capacity
                            sample_harmonics)
 from quasivoc.metrics import f0_rmse, mcd, mel_cepstrum, rtf, snr, vuv_rate
 from quasivoc.modify import ScaleSchedule, modify
-from quasivoc.qhm import F0Track, analyze_qhm, detect_f0, refine_adaptive, refine_f0
+from quasivoc.qhm import F0Track, analyze, analyze_qhm, detect_f0, refine_adaptive
 from quasivoc.serialize import cascade_to_bytes, harmonics_to_bytes
 from quasivoc.signals import FrameGrid, SignalBuffer, make_grid
 from quasivoc.synth import synthesize_arma, synthesize_qhm
@@ -196,9 +196,7 @@ def test_criterion_5_envelope_fit_self_consistency():
 def test_criterion_6_end_to_end_envelope_synthesis(vowel_data):
     buf, _, true_cascade, _ = vowel_data
     grid = true_cascade.grid
-    track = detect_f0(buf, grid)
-    track = refine_f0(analyze_qhm(buf, grid, track), track)
-    hset = analyze_qhm(buf, grid, track)
+    hset, track = analyze(buf, grid)
     cascade = fit_cascade(hset, track, orders=(16, 16, 2), max_steps=150)
     out = synthesize_arma(cascade, track)
     got_snr = snr(out, buf)

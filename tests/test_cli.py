@@ -11,6 +11,7 @@ import pytest
 from conftest import wav_images
 from hypothesis import given, settings, strategies as st
 
+import quasivoc as qv
 from quasivoc import cli, fixtures, metrics, serialize
 from quasivoc.arma import ArmaCascade
 from quasivoc.cli import build_parser, main
@@ -431,6 +432,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     ["synth", "c.bin", "o.wav", "--f0", "f0.csv", "--orders", "1,2"],
     ["modify", "c.bin", "o.wav", "--f0", "f0.csv", "--window-kind", "hamming"],
     ["gen-fixture", "noise", "o.wav", "--f0-range", "60,400"],
+    # the AM tone had no user after the eaQHM test was deleted
+    ["gen-fixture", "am", "o.wav"],
 ])
 def test_options_a_subcommand_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -465,8 +468,54 @@ def test_f0_csv_below_f0_min_exits_2(tmp_path, capsys):
                                                [0.0, 0.5, 0.5, 0.5, 0.0])))
     capsys.readouterr()
     assert main(["analyze", str(wav), str(harm), "--f0-file", str(csv)]) == 2
-    assert "--f0-range" in capsys.readouterr().err
+    assert "voiced value 0.5 Hz" in capsys.readouterr().err
+    # a value a hair below the minimum prints with all its digits, not as 50
+    csv.write_text(serialize.f0_to_csv(F0Track(make_grid(0.02, 0.005, 0.010),
+                                               [0.0, 50.0, 49.99999, 50.0, 0.0])))
+    assert main(["analyze", str(wav), str(harm), "--f0-file", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert "voiced value 49.99999 Hz is below the minimum F0 of 50 Hz" in err
+    assert "--f0-range" in err
     assert not harm.exists()
+
+
+def test_analyze_f0_out_writes_the_library_track(tmp_path):
+    """--f0-out writes the track of qhm.analyze: the refined track, clipped to
+    --f0-range. Read back with --f0-file, it is used as given: the same
+    track comes out, and the harmonics are the pass on it."""
+    wav, harm, f0 = tmp_path / "v.wav", tmp_path / "h.bin", tmp_path / "f0.csv"
+    assert main(["gen-fixture", "chirp", str(wav), "--params",
+                 '{"f_start": 100.0, "f_end": 140.0, "duration": 0.3, "n_harmonics": 3}']) == 0
+    assert main(["analyze", str(wav), str(harm), "--f0-out", str(f0),
+                 "--max-components", "6", "--f0-range", "60,400"]) == 0
+    buf = read_wav(wav)
+    grid = make_grid(buf.duration, 0.005, 0.010)
+    hset, track = qv.analyze(buf, grid, (60.0, 400.0), max_components=6)
+    assert f0.read_text() == serialize.f0_to_csv(track)
+    assert harm.read_bytes() == serialize.harmonics_to_bytes(hset)
+    assert track.voiced.any()
+    harm3, f0_3 = tmp_path / "h3.bin", tmp_path / "f0_3.csv"
+    assert main(["analyze", str(wav), str(harm3), "--f0-file", str(f0), "--f0-out", str(f0_3),
+                 "--max-components", "6"]) == 0
+    assert f0_3.read_bytes() == f0.read_bytes()
+    given, _ = qv.analyze(buf, grid, max_components=6, f0_track=track)
+    assert harm3.read_bytes() == serialize.harmonics_to_bytes(given)
+
+
+def test_low_voice_chain_reads_its_own_track(tmp_path):
+    """refine_f0 reads most frames of a 50 Hz vowel a hair below 50 Hz; the
+    written track is clipped to --f0-range, so fit-envelope takes it back."""
+    wav, harm, f0 = tmp_path / "v50.wav", tmp_path / "h.bin", tmp_path / "f0.csv"
+    assert main(["gen-fixture", "vowel", str(wav),
+                 "--params", '{"f0": 50.0, "duration": 0.5}']) == 0
+    assert main(["analyze", str(wav), str(harm), "--window", "0.015",
+                 "--f0-out", str(f0)]) in (0, 1)
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text("fit_max_steps = 5\n")
+    assert main(["fit-envelope", str(harm), str(tmp_path / "c.bin"), "--orders", "8,8,2",
+                 "--config", str(cfg), "--f0", str(f0)]) in (0, 1)
+    values = np.array([float(line.split(",")[1]) for line in f0.read_text().splitlines()[1:]])
+    assert values[values > 0].min() == 50.0
 
 
 def test_fit_envelope_zero_frame_f0_exits_2(tmp_path, capsys):

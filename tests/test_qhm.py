@@ -924,6 +924,81 @@ def test_harmonic_f0_matches_per_frame_loop():
                                _loop_harmonic_f0(freqs, amps, qhm.UNVOICED_F0), rtol=rtol, atol=0)
 
 
+# (buffer, grid, max_components) of the analysis chain's equivalence cases
+CHAIN_CASES = {
+    "vowel150": lambda: (*_steady(fixtures.vowel(150.0, 1.0, FS)[0], 150.0)[:2], None),
+    # the CI's chirp, on which refinement changes the product
+    "chirp": lambda: (*_detected(fixtures.chirp(100.0, 140.0, 0.6, FS, n_harmonics=3)[0])[:2],
+                      6),
+    "vibrato": lambda: (*_detected(_vibrato_clip(81))[:2], None),
+}
+
+
+@pytest.mark.parametrize("refine_iters", [0, 1])
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_analyze_equals_the_hand_built_chain(case, refine_iters):
+    """detect_f0, one analyze_qhm pass, refine_f0 clipped to the F0 range,
+    then the optional refinement of that pass."""
+    buf, grid, cap = CHAIN_CASES[case]()
+    hset, track = qhm.analyze(buf, grid, max_components=cap, refine_iters=refine_iters)
+    detected = detect_f0(buf, grid)
+    expect = analyze_qhm(buf, grid, detected, cap)
+    refined = refine_f0(expect, detected).values
+    if refine_iters:
+        expect = refine_adaptive(buf, expect, max_iters=refine_iters)
+    assert harmonics_to_bytes(hset) == harmonics_to_bytes(expect)
+    assert track.grid is grid
+    np.testing.assert_array_equal(track.values,
+                                  np.where(refined > 0, np.clip(refined, 50.0, 500.0), 0.0))
+    assert track.voiced.any()
+
+
+def test_analyze_clips_the_refined_track_to_the_f0_range():
+    """On a 50 Hz vowel refine_f0 reads most voiced frames a hair below the
+    minimum F0; analyze returns them at the minimum, and leaves the
+    unvoiced frames at 0."""
+    buf = fixtures.vowel(50.0, 0.5, FS)[0]
+    grid = make_grid(buf.duration, 0.005, 0.015)
+    _, track = qhm.analyze(buf, grid, f0_range=(50.0, 500.0))
+    detected = detect_f0(buf, grid)
+    raw = refine_f0(analyze_qhm(buf, grid, detected), detected).values
+    assert np.count_nonzero((raw > 0) & (raw < 50.0)) > 10
+    np.testing.assert_array_equal(track.voiced, detected.voiced)
+    assert track.values[track.voiced].min() == 50.0
+    np.testing.assert_array_equal(track.values, np.where(raw > 0, np.maximum(raw, 50.0), 0.0))
+
+
+@pytest.mark.parametrize("refine_iters", [0, 1])
+def test_analyze_takes_a_given_track_as_given(refine_iters, monkeypatch):
+    """A given track is neither detected nor refined: it is returned
+    unchanged, and the harmonics are the pass on it."""
+    buf = _vibrato_clip(41)
+    grid = make_grid(buf.duration, 0.005, 0.010)
+    values = 150.0 + 20.0 * np.sin(2 * np.pi * 5.5 * grid.centers)
+    given = F0Track(grid, values.copy())
+    calls = {"detect_f0": 0, "refine_f0": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(qhm, name, counted(name, getattr(qhm, name)))
+    hset, track = qhm.analyze(buf, grid, refine_iters=refine_iters, f0_track=given)
+    assert calls == {"detect_f0": 0, "refine_f0": 0}
+    assert track is given
+    np.testing.assert_array_equal(track.values, values)
+    expect = analyze_qhm(buf, grid, given)
+    if refine_iters:
+        expect = refine_adaptive(buf, expect, max_iters=refine_iters)
+    assert harmonics_to_bytes(hset) == harmonics_to_bytes(expect)
+    # the patches count the detected chain's calls
+    qhm.analyze(buf, grid)
+    assert calls == {"detect_f0": 1, "refine_f0": 1}
+
+
 def test_compensations_reproduce_phases():
     grid = make_grid(0.05, 0.005, 0.010)
     rng = np.random.default_rng(8)

@@ -70,6 +70,21 @@ def test_buffer_validation():
     assert buf.duration == 1.0 and len(buf) == 24000
 
 
+@pytest.mark.parametrize("rate", [24000.0, 24000.5, "24000", -8000, np.float64(8000)])
+def test_buffer_refuses_a_rate_that_is_not_a_positive_integer(rate):
+    """A RIFF header stores an integer rate: write_wav would fail on any
+    other one with an error that is not the package's."""
+    with pytest.raises(SignalError, match="positive integer"):
+        SignalBuffer(np.zeros(10), rate)
+
+
+def test_buffer_takes_a_numpy_integer_rate(tmp_path):
+    buf = SignalBuffer(np.zeros(10), np.int32(8000))
+    assert type(buf.sample_rate) is int and buf.sample_rate == 8000
+    write_wav(buf, tmp_path / "x.wav")
+    assert read_wav(tmp_path / "x.wav").sample_rate == 8000
+
+
 def test_make_grid_spacing():
     grid = make_grid(1.0, 0.005, 0.010)
     assert len(grid) == 201
