@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qhm import AMPLITUDE_FLOOR, excitation_phase, harmonic_grid
-from .signals import FrameGrid, QuasivocError, _wrap
+from .signals import FrameGrid, QuasivocError, _wrap, check_rate
 
 STABILITY_RADIUS = 0.995
 # weight of the squared wrapped phase residuals against the log-magnitude ones
@@ -96,9 +96,7 @@ class ArmaCascade:
         if not (all(np.all(np.isfinite(x)) for x in (self.gain, self.ar, self.ma))
                 and np.all(self.gain > 0)):
             raise EnvelopeError("gains must be positive, and gains and coefficients finite")
-        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate < 1:
-            raise EnvelopeError("sample_rate must be a positive integer")
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = check_rate(self.sample_rate, EnvelopeError)
         if self.flags is None:
             self.flags = np.zeros(len(self.gain), dtype=np.int64)
         if np.shape(self.flags) != self.gain.shape or len(self.grid) != len(self.gain):

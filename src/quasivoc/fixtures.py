@@ -9,15 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 from .arma import ArmaCascade
-from .signals import FrameGrid, SignalBuffer, SignalError
+from .signals import FrameGrid, SignalBuffer, SignalError, check_rate
 
 
 def _n_samples(duration: float, sample_rate: int) -> int:
     """Samples in a clip of the given duration, at least one, at a positive
     integer rate."""
-    if not isinstance(sample_rate, (int, np.integer)) or sample_rate < 1:
-        raise SignalError("sample_rate must be a positive integer")
-    n = duration * sample_rate
+    n = duration * check_rate(sample_rate)
     if not np.isfinite(n) or int(round(n)) < 1:
         raise SignalError("duration must be finite and hold at least one sample")
     return int(round(n))

@@ -18,8 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .signals import (FrameGrid, QuasivocError, SignalBuffer, SignalError, _wrap, frame_view,
-                      grid_window)
+from .signals import (FrameGrid, QuasivocError, SignalBuffer, SignalError, _wrap, check_rate,
+                      frame_view, grid_window)
 
 AMPLITUDE_FLOOR = 1e-7
 COND_THRESHOLD = 1e10
@@ -83,9 +83,7 @@ class HarmonicSet:
         self.phases = np.atleast_2d(np.asarray(self.phases, dtype=np.float64))
         self.compensations = np.atleast_2d(np.asarray(self.compensations, dtype=np.float64))
         arrays = (self.frequencies, self.amplitudes, self.phases, self.compensations)
-        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate < 1:
-            raise AnalysisError("sample_rate must be a positive integer")
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = check_rate(self.sample_rate, AnalysisError)
         if self.flags is None:
             self.flags = np.zeros(self.frequencies.shape[0], dtype=np.int64)
         if (len({a.shape for a in arrays}) > 1 or self.frequencies.ndim != 2
@@ -540,6 +538,10 @@ def analyze(buffer: SignalBuffer, grid: FrameGrid,
     Without f0_track: detect_f0, one analyze_qhm pass on the detected track,
     and refine_f0 with its voiced values clipped to f0_range, so that a
     reader that refuses a voiced F0 below the minimum takes the track back.
+    The track's harmonic grid is kept as wide as the set (fit_cascade
+    refuses a narrower one): if refinement raises the F0 of the frame with
+    the most components past a K-rule boundary, that frame keeps its
+    detected F0.
     A given f0_track is the caller's statement of F0: the pass runs on it,
     and it is returned unchanged. Then refine_adaptive runs for at most
     refine_iters iterations when refine_iters >= 1.
@@ -548,7 +550,12 @@ def analyze(buffer: SignalBuffer, grid: FrameGrid,
         detected = detect_f0(buffer, grid, f0_range)
         hset = analyze_qhm(buffer, grid, detected, max_components)
         refined = refine_f0(hset, detected).values
-        f0_track = F0Track(grid, np.where(refined > 0, np.clip(refined, *f0_range), 0.0))
+        values = np.where(refined > 0, np.clip(refined, *f0_range), 0.0)
+        fs = buffer.sample_rate
+        if harmonic_grid(F0Track(grid, values), fs, max_components)[1].max() < hset.n_components:
+            widest = np.argmax(harmonic_grid(detected, fs, max_components)[1])
+            values[widest] = detected.values[widest]
+        f0_track = F0Track(grid, values)
     else:
         hset = analyze_qhm(buffer, grid, f0_track, max_components)
     if refine_iters >= 1:

@@ -29,12 +29,20 @@ class SignalError(QuasivocError):
     """Raised for invalid signals or unsupported audio files."""
 
 
+def check_rate(rate, error=SignalError) -> int:
+    """The sample rate as an int: it must be a positive integer, a Python or
+    numpy one, as a RIFF header stores it; otherwise error is raised."""
+    if not isinstance(rate, (int, np.integer)) or rate < 1:
+        raise error("sample_rate must be a positive integer")
+    return int(rate)
+
+
 @dataclass
 class SignalBuffer:
     """Mono waveform with its sample rate.
 
     samples are dimensionless amplitudes, nominally in [-1, 1]. The sample
-    rate is a positive integer, as a RIFF header stores it.
+    rate is a positive integer (check_rate).
     """
 
     samples: np.ndarray
@@ -44,9 +52,7 @@ class SignalBuffer:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise SignalError("SignalBuffer requires a 1-D sample array")
-        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate < 1:
-            raise SignalError("sample_rate must be a positive integer")
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = check_rate(self.sample_rate)
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise SignalError("samples must be finite")
 

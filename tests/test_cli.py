@@ -518,6 +518,34 @@ def test_low_voice_chain_reads_its_own_track(tmp_path):
     assert values[values > 0].min() == 50.0
 
 
+def test_refined_track_is_as_wide_as_the_set(tmp_path):
+    """On this fully voiced falling chirp the lowest-F0 frame sets the set's
+    K = 219, and refine_f0 raises it past the K-rule boundary at
+    11950 / 219 = 54.566 Hz. fit-envelope refuses a track whose harmonic grid
+    is narrower than the set, so that frame keeps its detected F0 and the
+    chain reads its own track back."""
+    wav, harm, f0 = tmp_path / "c.wav", tmp_path / "h.bin", tmp_path / "f0.csv"
+    assert main(["gen-fixture", "chirp", str(wav), "--params",
+                 '{"f_start": 67.47, "f_end": 52.47, "duration": 0.2, "n_harmonics": 8,'
+                 ' "amplitude": 0.15}']) == 0
+    assert main(["analyze", str(wav), str(harm), "--f0-out", str(f0)]) in (0, 1)
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text("fit_max_steps = 5\n")
+    assert main(["fit-envelope", str(harm), str(tmp_path / "c.bin"), "--orders", "8,8,2",
+                 "--config", str(cfg), "--f0", str(f0)]) in (0, 1)
+    buf = read_wav(wav)
+    grid = make_grid(buf.duration, 0.005, 0.010)
+    hset, track = qv.analyze(buf, grid)
+    assert f0.read_text() == serialize.f0_to_csv(track)
+    detected = qv.detect_f0(buf, grid)
+    raw = qv.refine_f0(qv.analyze_qhm(buf, grid, detected), detected)
+    assert detected.voiced.all() and hset.n_components == 219
+    assert qv.harmonic_grid(raw, buf.sample_rate)[0].shape[1] < 219
+    kept = np.flatnonzero(track.values != raw.values)
+    assert kept.size == 1 and track.values[kept] == detected.values[kept]
+    assert qv.harmonic_grid(track, buf.sample_rate)[0].shape[1] == 219
+
+
 def test_fit_envelope_zero_frame_f0_exits_2(tmp_path, capsys):
     """A header-only F0 CSV over a zero-frame harmonics product is a usage
     error, not a traceback."""

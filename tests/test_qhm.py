@@ -924,48 +924,47 @@ def test_harmonic_f0_matches_per_frame_loop():
                                _loop_harmonic_f0(freqs, amps, qhm.UNVOICED_F0), rtol=rtol, atol=0)
 
 
-# (buffer, grid, max_components) of the analysis chain's equivalence cases
+def _vowel50():
+    """A 50 Hz vowel, on which refine_f0 reads most voiced frames a hair
+    below 50 Hz."""
+    buf = fixtures.vowel(50.0, 0.5, FS)[0]
+    return buf, make_grid(buf.duration, 0.005, 0.015), None
+
+
+# (buffer, grid, max_components) of the analysis chain's cases
 CHAIN_CASES = {
     "vowel150": lambda: (*_steady(fixtures.vowel(150.0, 1.0, FS)[0], 150.0)[:2], None),
     # the CI's chirp, on which refinement changes the product
     "chirp": lambda: (*_detected(fixtures.chirp(100.0, 140.0, 0.6, FS, n_harmonics=3)[0])[:2],
                       6),
     "vibrato": lambda: (*_detected(_vibrato_clip(81))[:2], None),
+    "vowel50": _vowel50,
 }
 
 
 @pytest.mark.parametrize("refine_iters", [0, 1])
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
-def test_analyze_equals_the_hand_built_chain(case, refine_iters):
-    """detect_f0, one analyze_qhm pass, refine_f0 clipped to the F0 range,
-    then the optional refinement of that pass."""
+def test_analyze_keeps_the_harmonics_and_refines_the_track(case, refine_iters):
+    """The harmonics are those of detect_f0, one analyze_qhm pass and the
+    optional refinement of that pass. The track keeps the detected voicing
+    and takes refine_f0's values, those outside the F0 range at its bound,
+    and its harmonic grid is the set's shape."""
     buf, grid, cap = CHAIN_CASES[case]()
     hset, track = qhm.analyze(buf, grid, max_components=cap, refine_iters=refine_iters)
     detected = detect_f0(buf, grid)
-    expect = analyze_qhm(buf, grid, detected, cap)
-    refined = refine_f0(expect, detected).values
-    if refine_iters:
-        expect = refine_adaptive(buf, expect, max_iters=refine_iters)
+    first = analyze_qhm(buf, grid, detected, cap)
+    expect = refine_adaptive(buf, first, max_iters=refine_iters) if refine_iters else first
     assert harmonics_to_bytes(hset) == harmonics_to_bytes(expect)
-    assert track.grid is grid
-    np.testing.assert_array_equal(track.values,
-                                  np.where(refined > 0, np.clip(refined, 50.0, 500.0), 0.0))
-    assert track.voiced.any()
-
-
-def test_analyze_clips_the_refined_track_to_the_f0_range():
-    """On a 50 Hz vowel refine_f0 reads most voiced frames a hair below the
-    minimum F0; analyze returns them at the minimum, and leaves the
-    unvoiced frames at 0."""
-    buf = fixtures.vowel(50.0, 0.5, FS)[0]
-    grid = make_grid(buf.duration, 0.005, 0.015)
-    _, track = qhm.analyze(buf, grid, f0_range=(50.0, 500.0))
-    detected = detect_f0(buf, grid)
-    raw = refine_f0(analyze_qhm(buf, grid, detected), detected).values
-    assert np.count_nonzero((raw > 0) & (raw < 50.0)) > 10
+    assert track.grid is grid and track.voiced.any()
     np.testing.assert_array_equal(track.voiced, detected.voiced)
-    assert track.values[track.voiced].min() == 50.0
-    np.testing.assert_array_equal(track.values, np.where(raw > 0, np.maximum(raw, 50.0), 0.0))
+    raw = refine_f0(first, detected).values
+    inside = (raw >= 50.0) & (raw <= 500.0)
+    np.testing.assert_array_equal(track.values[inside], raw[inside])
+    outside = track.voiced & ~inside
+    assert np.isin(track.values[outside], [50.0, 500.0]).all()
+    # only the 50 Hz vowel reaches outside the range
+    assert (np.count_nonzero(outside) > 10) == (case == "vowel50")
+    assert harmonic_grid(track, FS, hset.n_components)[0].shape == hset.frequencies.shape
 
 
 @pytest.mark.parametrize("refine_iters", [0, 1])
