@@ -104,10 +104,15 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     amplitudes and phases are (frames, K); phases must be unwrapped.
     Components are summed in ascending k; the conjugate-symmetric pair is
     folded into 2*A*cos(phi) and the DC term is omitted. A component is
-    rendered only where its interpolated amplitude can be nonzero: all-zero
-    columns are skipped, and the linear amplitude is exactly 0 up to the
-    frame center before its first nonzero frame and from the center after
-    its last, where the sum would only gain +-0.0.
+    rendered only on the intervals where it is heard: column k hears the
+    interval between frame centers j and j + 1 iff it is nonzero on frame j
+    or j + 1. Elsewhere its linear amplitude is exactly 0, so its terms are
+    +-0.0 and would leave the sum, which starts at +0.0 and so is never
+    -0.0, as it is. All-zero columns are skipped. A column evaluates its
+    support, from its first heard interval to its last, as one contiguous
+    run; a column that hears less than half of its support evaluates only
+    its heard samples, gathered, and adds them back in one contiguous pass
+    (a gather costs more than it saves on a column heard almost throughout).
 
     Phases are PCHIP-interpolated, holding the end values past t_L. The
     coefficients of all live columns come from one _pchip pass, and each
@@ -153,16 +158,17 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
     coef = np.ascontiguousarray(_pchip(centers, phis[:, live]).transpose(2, 0, 1))
     tt = np.minimum(np.arange(n) / sample_rate + t0, t_end)
     before = np.searchsorted(tt, centers, "left")
-    after = np.searchsorted(tt, centers, "right")
     # interval j holds samples [edges[j], edges[j + 1]), the last one also
     # those at t_end; s is each sample's offset into its interval
     edges = np.r_[0, before[1:-1], n]
     s = tt - np.repeat(centers[:-1], np.diff(edges))
     del tt
-    # each live column's support [lo, hi): from the center before its first
-    # nonzero frame to the center after its last
-    lo = np.r_[0, after[:-1]][first]
-    hi = np.r_[before[1:], n][last]
+    # (live, L - 1): whether a column hears interval j; its support [lo, hi)
+    # runs from its first heard interval to its last
+    heard = np.ascontiguousarray((nonzero[:-1, live] | nonzero[1:, live]).T)
+    lo = edges[np.maximum(first - 1, 0)]
+    hi = edges[np.minimum(last + 1, L - 1)]
+    gather = 2 * (heard @ np.diff(edges)) < hi - lo
     slopes = np.diff(amps[:, live], axis=0) / np.diff(centers)[:, None]
     held = before[-1]
 
@@ -172,12 +178,17 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
         j0 = np.searchsorted(edges, b0, "right") - 1
         j1 = np.searchsorted(edges, b1, "left")
         cuts = edges[j0:j1 + 1]
-        for c, slope, k, l, h in zip(coef[:, :, j0:j1], slopes[j0:j1].T, live, lo, hi):
+        for c, slope, k, l, h, hears, sparse in zip(coef[:, :, j0:j1], slopes[j0:j1].T, live,
+                                                   lo, hi, heard[:, j0:j1], gather):
             l, h = max(l, b0), min(h, b1)
             if l >= h:
                 continue
             runs = np.diff(cuts.clip(l, h))
             x = s[l:h]
+            if sparse:
+                keep = hears.repeat(runs)
+                runs = np.where(hears, runs, 0)
+                x = x[keep]
             # ((c3 + c2*s) + c1*s**2) + c0*s**3, with one buffer besides phi
             phi = c[2].repeat(runs)
             phi *= x
@@ -194,9 +205,14 @@ def render(amplitudes: np.ndarray, phases: np.ndarray, grid: FrameGrid,
             a = slope.repeat(runs)
             a *= x
             a += amps[j0:j1, k].repeat(runs)
-            a[held - l:] = amps[-1, k]
+            if h > held:
+                a[held - h:] = amps[-1, k]
             a *= 2
             a *= np.cos(phi, out=phi)
+            if sparse:
+                # back onto the support, with +0.0 on its silent samples
+                terms, a = a, np.zeros(h - l)
+                a[keep] = terms
             out[l:h] += a
             del phi, a
 

@@ -84,6 +84,25 @@ def pchip_per_column(knot_times, knot_values, query_times):
     return PchipInterpolator(t, knot_values)(q)
 
 
+def heard_samples(amps, centers, sample_rate=FS):
+    """Each column's heard output samples and its support, in samples.
+
+    An output sample lies on the interval between centers j and j + 1 that
+    holds it (the last interval also holds the samples past the last
+    center), and a column hears it iff the column is nonzero on frame j or
+    j + 1. The support runs from a column's first heard sample to its last.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    n = int(round((centers[-1] - centers[0]) * sample_rate)) + 1
+    tt = np.arange(n) / sample_rate + centers[0]
+    j = np.clip(np.searchsorted(centers, tt, "right") - 1, 0, len(centers) - 2)
+    nonzero = np.asarray(amps) != 0
+    heard = nonzero[j] | nonzero[j + 1]
+    first = np.argmax(heard, axis=0)
+    last = n - 1 - np.argmax(heard[::-1], axis=0)
+    return heard.sum(axis=0), np.where(heard.any(axis=0), last - first + 1, 0)
+
+
 # the last 12 bytes of a WAVE sub-format GUID; its first 4 are the format tag
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 

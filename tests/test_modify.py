@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import frame_at
+from conftest import frame_at, heard_samples
 from quasivoc import arma, fixtures, synth
 from quasivoc.arma import ArmaCascade, sample_cascade, sample_harmonics
 from quasivoc.modify import (ModificationError, ScaleSchedule, load_schedule,
@@ -290,6 +290,48 @@ def test_one_envelope_pass_per_call(monkeypatch):
     calls.clear()
     modify(cascade, track, ScaleSchedule.constant(21, 1.5, 1.3, track.voiced))
     assert len(calls) == 1
+
+
+class _CountingNumpy:
+    """numpy, with a count of the samples passed to cos."""
+
+    def __init__(self):
+        self.cos_samples = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x, *args, **kwargs):
+        self.cos_samples += np.size(x)
+        return np.cos(x, *args, **kwargs)
+
+
+def test_modify_evaluates_only_heard_samples(monkeypatch):
+    """A column heard on less than half of its support passes only its heard
+    samples to cos, and every other column its whole support: every fifth
+    frame unvoiced leaves the unvoiced bank heard on about two fifths."""
+    cascade = fixtures.vowel_cascade(FS, 41, 0.005, 0.010, 0.05)
+    f0 = np.full(41, 140.0)
+    f0[::5] = 0.0
+    track = F0Track(cascade.grid, f0)
+    rendered = []
+
+    def kept(amps, phases, grid, sample_rate):
+        rendered.append((amps, grid))
+        return synth.render(amps, phases, grid, sample_rate)
+
+    counting = _CountingNumpy()
+    monkeypatch.setattr(importlib.import_module("quasivoc.modify"), "render", kept)
+    monkeypatch.setattr(synth, "np", counting)
+    modify(cascade, track, ScaleSchedule.constant(41, 1.37, 1.3, track.voiced))
+    [(amps, grid)] = rendered
+    heard, support = heard_samples(amps, grid.centers)
+    gathered = 2 * heard < support
+    # the voiced bank is heard throughout, the unvoiced one gathers
+    K = amps.shape[1] // 2
+    assert np.all(heard[:K] == support[:K]) and support[:K].any()
+    assert np.all(gathered[K:] == (support[K:] > 0)) and gathered[K:].any()
+    assert counting.cos_samples == np.where(gathered, heard, support).sum()
 
 
 def test_modify_renders_once(monkeypatch):

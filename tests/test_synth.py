@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import PchipInterpolator
 
 from quasivoc import arma, fixtures, synth
-from conftest import cascade_of, frame_at, pchip_per_column
+from conftest import cascade_of, frame_at, heard_samples, pchip_per_column
 from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, sample_cascade,
                            sample_harmonics)
 from quasivoc.modify import scaled_times
@@ -48,7 +48,7 @@ def test_excitation_phase_nonfinite():
         excitation_phase(np.array([[np.inf]]), _grid(1))
 
 
-# --- compensated phase -----------------------------------------------------
+# --- synthesize_qhm compensations -------------------------------------------
 
 def _compensated_set(f, comp, amps=0.2):
     """A harmonic set over _grid at frequencies f with the given compensations."""
@@ -57,7 +57,7 @@ def _compensated_set(f, comp, amps=0.2):
     return HarmonicSet(grid, f, np.full(f.shape, amps), phases, comp, FS)
 
 
-def test_compensated_phase_identity_and_step():
+def test_synthesize_qhm_compensation_identity_and_step():
     """synthesize_qhm renders the excitation phase plus the running sum of
     the compensations: zero compensations leave it as it is, and one step
     on the first frame offsets every frame."""
@@ -73,7 +73,7 @@ def test_compensated_phase_identity_and_step():
     assert out.samples.tobytes() == expect.samples.tobytes()
 
 
-def test_compensated_phase_prefix_sum_oracle():
+def test_synthesize_qhm_compensation_prefix_sum_oracle():
     rng = np.random.default_rng(3)
     f = rng.uniform(100.0, 3000.0, (6, 2))
     comp = rng.uniform(-np.pi, np.pi, (6, 2))
@@ -87,7 +87,7 @@ def test_compensated_phase_prefix_sum_oracle():
     np.testing.assert_allclose(out.samples, expect.samples, atol=1e-9)
 
 
-def test_compensated_phase_range_error():
+def test_synthesize_qhm_compensation_range_error():
     """Every harmonic set, and so every product synthesize_qhm reads, holds
     compensations in [-pi, pi]."""
     f = np.full((2, 1), 100.0)
@@ -96,13 +96,13 @@ def test_compensated_phase_range_error():
     _compensated_set(f, np.full((2, 1), -np.pi))
 
 
-# --- delayed phase ---------------------------------------------------------
+# --- cascade_tracks delays --------------------------------------------------
 
 def _all_live(f):
     return np.ones(np.shape(f), dtype=bool)
 
 
-def test_delayed_phase_identity_cascade():
+def test_cascade_tracks_identity_cascade():
     frames = [CascadeFrame(1.0, [ArmaSection(np.zeros(4), np.zeros(4))])
               for _ in range(3)]
     cascade = cascade_of(frames, 0.01)
@@ -114,7 +114,7 @@ def test_delayed_phase_identity_cascade():
     assert audible.all()
 
 
-def test_delayed_phase_constant_offset():
+def test_cascade_tracks_delay_constant_offset():
     sec = ArmaSection(np.array([-0.6, 0.1, 0.0, 0.0]), np.zeros(4))
     frames = [CascadeFrame(1.0, [sec]) for _ in range(4)]
     cascade = cascade_of(frames, 0.01)
@@ -131,7 +131,7 @@ def test_delayed_phase_constant_offset():
                                + env.phase_delays[0], atol=1e-12)
 
 
-def test_delayed_phase_composition_oracle(vowel_data):
+def test_cascade_tracks_delay_composition_oracle(vowel_data):
     _, _, cascade, _ = vowel_data
     sub = ArmaCascade(_grid(3, cascade.grid.frame_shift), cascade.gain[:3], cascade.ar[:3],
                       cascade.ma[:3], FS)
@@ -145,7 +145,7 @@ def test_delayed_phase_composition_oracle(vowel_data):
         np.testing.assert_allclose(err, 0.0, atol=1e-10)
 
 
-def test_delayed_phase_unwraps_along_frames():
+def test_cascade_tracks_delay_unwraps_along_frames():
     """A delay that crosses the branch cut between frames is unwrapped, so
     the phase track stays continuous."""
     r = 0.95
@@ -322,18 +322,34 @@ def test_render_matches_per_column_pchip(L, kind):
     assert out.tobytes() == _render_every_sample(amps, phis, grid).tobytes()
 
 
+def _islands(rng):
+    """Four columns over 31 frames: one heard throughout, one heard on half
+    of its support's intervals, and two heard on less than half of their
+    support, as scattered islands."""
+    amps = np.zeros((31, 4))
+    amps[:, 0] = rng.uniform(0.1, 0.5, 31)        # heard throughout
+    amps[[12, 18], 1] = [0.25, -0.35]             # heard on 4 of its 8 intervals
+    # single frames by an empty interval of _blocks_case, and an island at
+    # the held tail
+    amps[[1, 10, 29, 30], 2] = [0.3, -0.4, 0.31, -0.27]
+    # an island, and a run across output sample 4096, a block cut
+    amps[2, 3] = -0.2
+    amps[24:28, 3] = [0.4, -0.1, 0.3, -0.5]
+    return amps
+
+
 def _blocks_case():
     """A clip of about 5000 samples whose jittered centers lie off the sample
     times, with two pairs of centers closer than one sample period, so that
     intervals 4 and 9 hold no sample, and whose last output sample lies past
-    t_L, where it holds the end values."""
+    t_L, where it holds the end values. Columns 6-9 are the _islands."""
     rng = np.random.default_rng(24)
     gaps = rng.uniform(0.004, 0.011, 30)
     gaps[[4, 9]] = 0.2 / FS
     centers = 0.0123 + np.cumsum(np.r_[0.0, gaps])
     span = (centers[-1] - centers[0]) * FS
     centers[-1] += (np.floor(span) + 0.7 - span) / FS
-    L, K = len(centers), 6
+    L, K = len(centers), 10
     grid = FrameGrid(centers, 0.005, 0.010)
     amps = np.zeros((L, K))
     amps[:, 0] = rng.uniform(0.1, 0.5, L)     # everywhere
@@ -342,6 +358,7 @@ def _blocks_case():
     amps[[0, 9], 3] = [0.2, -0.4]             # first frame, and by an empty interval
     amps[:, 5] = rng.uniform(-0.5, 0.5, L)    # everywhere, signs mixed
     # column 4 stays all zero
+    amps[:, 6:] = _islands(rng)
     phis = excitation_phase(rng.uniform(100, 3000, (L, K)), grid) + rng.uniform(-3, 3, K)
     return amps, phis, grid
 
@@ -357,6 +374,8 @@ def test_render_blocks_and_workers_change_no_bit(monkeypatch, block, cpus):
     n = int(round((grid.centers[-1] - grid.centers[0]) * FS)) + 1
     assert (n - 1) / FS > grid.centers[-1] - grid.centers[0]
     assert 4096 < n < synth.RENDER_BLOCK
+    heard, support = heard_samples(amps[:, 6:], grid.centers)
+    assert heard[0] == support[0] == n and np.all(2 * heard[2:] < support[2:])
     default = render(amps, phis, grid, FS).samples
     assert default.tobytes() == _render_every_sample(amps, phis, grid).tobytes()
     pools = []
@@ -371,6 +390,25 @@ def test_render_blocks_and_workers_change_no_bit(monkeypatch, block, cpus):
     monkeypatch.setattr(synth, "RENDER_BLOCK", block)
     assert render(amps, phis, grid, FS).samples.tobytes() == default.tobytes()
     assert pools == ([2] if cpus == 2 else [])
+
+
+@pytest.mark.parametrize("kind", ["uniform-on-samples", "uniform-off-samples",
+                                  "jittered-on-samples", "jittered-off-samples",
+                                  "beta=0.7", "beta=2.0"])
+def test_render_islands_match_per_column_pchip(kind):
+    """Columns heard on less than half of their support evaluate only their
+    heard samples, beside a column heard on half of it and one heard
+    throughout, with the bytes of one interpolator per column."""
+    grid = FrameGrid(_centers(kind, 31), 0.005, 0.010)
+    rng = np.random.default_rng(27)
+    amps = _islands(rng)
+    phis = excitation_phase(rng.uniform(100, 3000, (31, 4)), grid) + rng.uniform(-3, 3, 4)
+    heard, support = heard_samples(amps, grid.centers)
+    assert heard[0] == support[0] and np.all(2 * heard[2:] < support[2:])
+    if kind == "uniform-on-samples":
+        assert 2 * heard[1] == support[1]
+    out = render(amps, phis, grid, FS).samples
+    assert out.tobytes() == _render_every_sample(amps, phis, grid).tobytes()
 
 
 def test_one_pchip_per_render(monkeypatch, vowel_data):
@@ -474,7 +512,7 @@ def test_render_affine_phase_property(slope, intercept):
                                atol=1e-9)
 
 
-def test_mute_aliasing():
+def test_cascade_tracks_and_synthesize_qhm_mute_aliasing():
     """Components above Nyquist - NYQUIST_GUARD are muted: by cascade_tracks,
     which also mutes components that are not live, and by synthesize_qhm."""
     frames = [CascadeFrame(1.0, [ArmaSection(np.zeros(2), np.zeros(2))]) for _ in range(2)]
