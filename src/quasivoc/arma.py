@@ -458,16 +458,20 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), max_steps: int = 500,
     given, the excitation frequencies are rebuilt as the harmonic grid of
     that track (the same grid harmonic synthesis uses), keeping analysis
     and synthesis phase references consistent; otherwise the set's own
-    corrected frequencies are used. Frames are fitted together, in blocks
-    whose Jacobians and normal matrices hold at most _FIT_BUDGET values;
-    no frame's result depends on its block. n_workers is ignored; it is kept
-    only because the benchmark passes it, and a benchmark change removes it.
+    corrected frequencies are used. Either way the grid has the set's K
+    columns: where the track's grid is narrower, each frame's missing
+    columns are parked at its last one, as harmonic_grid parks them.
+    Frames are fitted together, in blocks whose Jacobians and normal
+    matrices hold at most _FIT_BUDGET values; no frame's result depends on
+    its block. n_workers is ignored; it is kept only because the benchmark
+    passes it, and a benchmark change removes it.
     """
     fs, freqs = hset.sample_rate, hset.frequencies
     if f0_track is not None:
+        if len(f0_track.grid) != hset.n_frames:
+            raise EnvelopeError("f0 track and harmonics disagree on the frame count")
         freqs, _ = harmonic_grid(f0_track, fs, max_components=hset.n_components)
-        if freqs.shape != hset.frequencies.shape:
-            raise EnvelopeError("f0 track harmonic grid does not match the set")
+        freqs = freqs[:, np.minimum(np.arange(hset.n_components), freqs.shape[1] - 1)]
     residual = _wrap(hset.phases - excitation_phase(freqs, hset.grid))
     n_par = 1 + orders[0] + orders[1]
     step = max(1, _FIT_BUDGET // ((2 * freqs.shape[1] + n_par) * n_par))

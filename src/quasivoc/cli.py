@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures, metrics, serialize
-from .arma import fit_cascade
+from .arma import ArmaCascade, fit_cascade
 from .config import PipelineConfig, load_config
 from .modify import ScaleSchedule, load_schedule, modify, scaled_times
-from .qhm import AnalysisError, F0Track, analyze, detect_f0
+from .qhm import AnalysisError, F0Track, HarmonicSet, analyze, detect_f0
 from .signals import QuasivocError, check_wav_size, make_grid, read_wav, write_wav
 from .synth import rendered_length, synthesize_arma, synthesize_qhm
 
@@ -29,6 +29,9 @@ EXIT_USAGE = 2
 
 class CliError(QuasivocError):
     """Raised for bad command-line usage; like every QuasivocError, it exits 2."""
+
+
+_KIND = {HarmonicSet: "harmonics", ArmaCascade: "a cascade"}
 
 
 # argparse specs of the options several subcommands share; each subparser
@@ -85,20 +88,21 @@ def _make_grid_for(duration: float, cfg: PipelineConfig):
                      cfg.window_kind, cfg.gauss_sigma)
 
 
-def _codec(path: Path, kind: str, direction: str):
-    """serialize's encoder (direction "to") or decoder ("from") of the
-    harmonics or cascade product for the path's suffix, and whether it
-    works on bytes (.bin) or on JSON text (any other suffix)."""
-    binary = path.suffix == ".bin"
-    return getattr(serialize, f"{kind}_{direction}_{'bytes' if binary else 'json'}"), binary
+def _write_product(path: Path, product):
+    """Writes product as a binary container to a .bin path, as JSON to any other."""
+    path.write_bytes(serialize.encode(product, binary=path.suffix == ".bin"))
 
 
-def _write_product(path: Path, product, kind: str):
-    encode, binary = _codec(path, kind, "to")
-    if binary:
-        path.write_bytes(encode(product))
-    else:
-        path.write_text(encode(product))
+def _read_product(path: Path, kind: type | None = None):
+    """The product in a file, told by its bytes; it must be a kind
+    (HarmonicSet or ArmaCascade) if one is given."""
+    if not path.exists():
+        raise CliError(f"product file not found: {path}")
+    product = serialize.decode(path.read_bytes())
+    if kind is not None and not isinstance(product, kind):
+        raise CliError(f"{path} holds {_KIND[type(product)]}, but this command reads"
+                       f" {_KIND[kind]}")
+    return product
 
 
 def cmd_analyze(args) -> int:
@@ -108,7 +112,7 @@ def cmd_analyze(args) -> int:
     given = _load_f0_csv(args.f0_file, cfg, grid) if args.f0_file else None
     hset, track = analyze(buffer, grid, cfg.f0_range, cfg.component_cap, cfg.refine_iters,
                           given)
-    _write_product(args.output, hset, "harmonics")
+    _write_product(args.output, hset)
     if args.f0_out:
         Path(args.f0_out).write_text(serialize.f0_to_csv(track))
     # bit 1 (ill-conditioned) sets exit 1 only where the window lies inside the
@@ -121,17 +125,6 @@ def cmd_analyze(args) -> int:
               + ("..." if n_flagged > 20 else ""))
     print(f"analyzed {hset.n_frames} frames, K={hset.n_components} -> {args.output}")
     return EXIT_QUALITY if n_flagged else EXIT_OK
-
-
-def _load_product(path: Path, kind: str):
-    """The harmonics or cascade product in a .bin or .json file."""
-    if not path.exists():
-        raise CliError(f"{kind} file not found: {path}")
-    decode, binary = _codec(path, kind, "from")
-    try:
-        return decode(path.read_bytes() if binary else path.read_text())
-    except (serialize.SerializationError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed {kind} file: {exc}")
 
 
 def _load_f0_csv(path: Path, cfg: PipelineConfig, grid) -> F0Track:
@@ -152,10 +145,10 @@ def _load_f0_csv(path: Path, cfg: PipelineConfig, grid) -> F0Track:
 
 def cmd_fit_envelope(args) -> int:
     cfg = _build_config(args)
-    hset = _load_product(args.harmonics, "harmonics")
+    hset = _read_product(args.harmonics, HarmonicSet)
     track = _load_f0_csv(args.f0, cfg, hset.grid) if args.f0 else None
     cascade = fit_cascade(hset, track, orders=cfg.orders, max_steps=cfg.fit_max_steps)
-    _write_product(args.output, cascade, "cascade")
+    _write_product(args.output, cascade)
     divergent = np.flatnonzero(cascade.flags & 2).tolist()
     if divergent:
         print(f"divergent frames: {divergent}")
@@ -172,18 +165,15 @@ def _check_output_size(centers, sample_rate: int, cfg: PipelineConfig):
 
 def cmd_synth(args) -> int:
     cfg = _build_config(args)
-    if args.from_harmonics:
-        hset = _load_product(args.model, "harmonics")
-        _check_output_size(hset.grid.centers, hset.sample_rate, cfg)
-        out = synthesize_qhm(hset)
+    product = _read_product(args.model)
+    if isinstance(product, ArmaCascade) != (args.f0 is not None):
+        raise CliError("synth needs --f0 for a cascade, and takes none for harmonics")
+    _check_output_size(product.grid.centers, product.sample_rate, cfg)
+    if args.f0 is None:
+        out = synthesize_qhm(product)
     else:
-        if args.f0 is None:
-            raise CliError("cascade synthesis needs --f0 (or --from-harmonics for a"
-                           " harmonics file)")
-        cascade = _load_product(args.model, "cascade")
-        track = _load_f0_csv(args.f0, cfg, cascade.grid)
-        _check_output_size(cascade.grid.centers, cascade.sample_rate, cfg)
-        out = synthesize_arma(cascade, track, max_components=cfg.component_cap)
+        track = _load_f0_csv(args.f0, cfg, product.grid)
+        out = synthesize_arma(product, track, max_components=cfg.component_cap)
     write_wav(out, args.output, cfg.output_format)
     print(f"wrote {len(out)} samples ({out.duration:.3f} s) -> {args.output}")
     return EXIT_OK
@@ -191,7 +181,7 @@ def cmd_synth(args) -> int:
 
 def cmd_modify(args) -> int:
     cfg = _build_config(args)
-    cascade = _load_product(args.model, "cascade")
+    cascade = _read_product(args.model, ArmaCascade)
     track = _load_f0_csv(args.f0, cfg, cascade.grid)
     vuv = track.voiced
     if args.schedule:
@@ -291,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_envelope)
 
     p = sub.add_parser("synth", help="synthesize speech from a cascade or harmonics")
-    p.add_argument("model", type=Path, help="cascade file (or harmonics with --from-harmonics)")
+    p.add_argument("model", type=Path, help="cascade or harmonics file")
     p.add_argument("output", type=Path)
-    p.add_argument("--f0", type=Path, help="f0 CSV (required for cascade synthesis)")
-    p.add_argument("--from-harmonics", action="store_true")
+    p.add_argument("--f0", type=Path, help="f0 CSV (required for a cascade)")
     _add_shared(p, "--max-components", "--f0-range", "--format")
     p.set_defaults(func=cmd_synth)
 

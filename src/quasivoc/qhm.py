@@ -538,10 +538,6 @@ def analyze(buffer: SignalBuffer, grid: FrameGrid,
     Without f0_track: detect_f0, one analyze_qhm pass on the detected track,
     and refine_f0 with its voiced values clipped to f0_range, so that a
     reader that refuses a voiced F0 below the minimum takes the track back.
-    The track's harmonic grid is kept as wide as the set (fit_cascade
-    refuses a narrower one): if refinement raises the F0 of the frame with
-    the most components past a K-rule boundary, that frame keeps its
-    detected F0.
     A given f0_track is the caller's statement of F0: the pass runs on it,
     and it is returned unchanged. Then refine_adaptive runs for at most
     refine_iters iterations when refine_iters >= 1.
@@ -550,12 +546,7 @@ def analyze(buffer: SignalBuffer, grid: FrameGrid,
         detected = detect_f0(buffer, grid, f0_range)
         hset = analyze_qhm(buffer, grid, detected, max_components)
         refined = refine_f0(hset, detected).values
-        values = np.where(refined > 0, np.clip(refined, *f0_range), 0.0)
-        fs = buffer.sample_rate
-        if harmonic_grid(F0Track(grid, values), fs, max_components)[1].max() < hset.n_components:
-            widest = np.argmax(harmonic_grid(detected, fs, max_components)[1])
-            values[widest] = detected.values[widest]
-        f0_track = F0Track(grid, values)
+        f0_track = F0Track(grid, np.where(refined > 0, np.clip(refined, *f0_range), 0.0))
     else:
         hset = analyze_qhm(buffer, grid, f0_track, max_components)
     if refine_iters >= 1:

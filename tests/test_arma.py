@@ -3,6 +3,7 @@ and the envelope fitter."""
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -617,12 +618,30 @@ def test_fit_cascade_silent_frames_are_not_fitted(monkeypatch):
 
 
 def test_fit_cascade_track_grid_mismatch():
+    """A track on another frame count is refused. A track whose harmonic
+    grid is narrower than the set's K (3000 Hz: 3 components, against 12)
+    fits on that grid with each frame's missing columns parked at its last
+    one, as harmonic_grid parks them."""
     hset = _small_hset()
-    bad_grid = make_grid(0.01, 0.005, 0.010)
-    # f0 high enough that the K rule yields fewer components than the set
-    bad_track = F0Track(bad_grid, np.full(len(bad_grid), 3000.0))
-    with pytest.raises(EnvelopeError):
-        fit_cascade(hset, bad_track, orders=(8, 8, 2))
+    longer = make_grid(0.02, 0.005, 0.010)
+    with pytest.raises(EnvelopeError, match="frame count"):
+        fit_cascade(hset, F0Track(longer, np.full(len(longer), 150.0)), orders=(8, 8, 2))
+    track = F0Track(hset.grid, np.full(hset.n_frames, 3000.0))
+    narrow, _ = harmonic_grid(track, FS)
+    assert narrow.shape[1] == 3
+    parked = np.repeat(narrow[:, -1:], 12 - 3, axis=1)
+    padded = HarmonicSet(hset.grid, np.hstack([narrow, parked]), hset.amplitudes,
+                         hset.phases, hset.compensations, FS)
+    got = fit_cascade(hset, track, orders=(8, 8, 2), max_steps=10)
+    ref = fit_cascade(padded, None, orders=(8, 8, 2), max_steps=10)
+    assert cascade_to_bytes(got) == cascade_to_bytes(ref)
+    # a set of no components takes no column of the track's grid
+    empty = np.zeros((hset.n_frames, 0))
+    none = HarmonicSet(hset.grid, empty, empty, empty, empty, FS)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert (cascade_to_bytes(fit_cascade(none, track, orders=(8, 8, 2), max_steps=2))
+                == cascade_to_bytes(fit_cascade(none, None, orders=(8, 8, 2), max_steps=2)))
 
 
 def test_cascade_orders_validation():

@@ -118,7 +118,7 @@ def test_synth_from_harmonics(tmp_path, tone_wav):
     assert main(["analyze", str(tone_wav), str(harm),
                  "--max-components", "3"]) == 0
     out = tmp_path / "qhm.wav"
-    assert main(["synth", str(harm), str(out), "--from-harmonics"]) == 0
+    assert main(["synth", str(harm), str(out)]) == 0
     buf = read_wav(out)
     orig = read_wav(tone_wav)
     n = min(len(buf), len(orig))
@@ -248,12 +248,10 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
     for src, keep in ((casc, -13), (casc, 10), (hset, -13)):
         short = tmp_path / f"cut{keep}_{src.name}"
         short.write_bytes(src.read_bytes()[:keep])
-        runs.append(["synth", str(short), str(out), "--f0", str(f0)]
-                    + (["--from-harmonics"] if src is hset else []))
+        runs.append(["synth", str(short), str(out)] + (["--f0", str(f0)] if src is casc else []))
     # JSON products whose top level is not an object
     listed = tmp_path / "listed.json"
     listed.write_text("[1, 2]")
-    runs.append(["synth", str(listed), str(out), "--f0", str(f0), "--from-harmonics"])
     runs.append(["synth", str(listed), str(out), "--f0", str(f0)])
     runs.append(["modify", str(listed), str(out), "--f0", str(f0)])
     runs.append(["fit-envelope", str(listed), str(tmp_path / "c.json")])
@@ -263,8 +261,8 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
                            + blob[12 + int.from_bytes(blob[8:12], "little"):])
     runs.append(["synth", str(listed_bin), str(out), "--f0", str(f0)])
     # fields of the wrong JSON type
-    for key, value in (("orders", 5), ("frames", 5), ("frames", [5] * 5), ("grid", []),
-                       ("sample_rate", None)):
+    for key, value in (("orders", 5), ("gain", 5), ("ar", [5] * 5), ("grid", []),
+                       ("sample_rate", None), ("n_frames", "5")):
         doc = json.loads(serialize.cascade_to_json(cascade))
         doc[key] = value
         typed = tmp_path / f"typed_{len(runs)}.json"
@@ -307,14 +305,14 @@ def test_exit_code_2_on_missing_and_malformed(tmp_path, capsys):
             bad.write_bytes(data[:8] + len(raw).to_bytes(4, "little") + raw
                             + data[12 + hdr_len:])
         if kind == "harmonics":
-            runs += [["synth", str(bad), str(out), "--from-harmonics"],
+            runs += [["synth", str(bad), str(out)],
                      ["fit-envelope", str(bad), str(tmp_path / "c.json")]]
         else:
             runs += [["synth", str(bad), str(out), "--f0", str(f0)],
                      ["modify", str(bad), str(out), "--f0", str(f0)]]
     # a sample rate whose output no RIFF header can hold is refused before
     # rendering, which would ask for terabytes
-    for product, kind, flag in ((harmonics, "harmonics", ["--from-harmonics"]),
+    for product, kind, flag in ((harmonics, "harmonics", []),
                                 (cascade, "cascade", ["--f0", str(f0)])):
         fast_rate = tmp_path / f"rate_{kind}.bin"
         fast_rate.write_bytes(getattr(serialize, f"{kind}_to_bytes")(
@@ -389,8 +387,7 @@ def test_products_encode_only_the_written_format(tmp_path, tone_wav, monkeypatch
     def no_json(*_):
         raise AssertionError("JSON encoder called for a .bin product")
 
-    monkeypatch.setattr(serialize, "harmonics_to_json", no_json)
-    monkeypatch.setattr(serialize, "cascade_to_json", no_json)
+    monkeypatch.setattr(serialize, "_json_text", no_json)
     harm, f0, casc = tmp_path / "h.bin", tmp_path / "f0.csv", tmp_path / "c.bin"
     assert main(["analyze", str(tone_wav), str(harm), "--f0-out", str(f0),
                  "--max-components", "3"]) in (0, 1)
@@ -406,7 +403,7 @@ _OPTIONS = {
     "analyze": "--config --frame-shift --window --window-kind --max-components --f0-range"
                " --f0-file --f0-out",
     "fit-envelope": "--config --orders --f0-range --f0",
-    "synth": "--config --max-components --f0-range --format --f0 --from-harmonics",
+    "synth": "--config --max-components --f0-range --format --f0",
     "modify": "--config --frame-shift --max-components --f0-range --format --f0 --rho"
               " --beta --schedule",
     "eval": "--config --frame-shift --window --window-kind --f0-range --rho --json-out",
@@ -422,13 +419,15 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                for name, p in sub.choices.items()}
     assert options == {name: set(flags.split()) for name, flags in _OPTIONS.items()}
-    assert sum(map(len, options.values())) == 44
+    assert sum(map(len, options.values())) == 43
 
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "in.wav", "out.bin", "--orders", "16,16,2"],
     ["fit-envelope", "h.bin", "c.bin", "--window", "0.02"],
     ["synth", "c.bin", "o.wav", "--seed", "3"],
+    # synth reads a product's kind from its bytes
+    ["synth", "h.bin", "o.wav", "--from-harmonics"],
     ["synth", "c.bin", "o.wav", "--f0", "f0.csv", "--orders", "1,2"],
     ["modify", "c.bin", "o.wav", "--f0", "f0.csv", "--window-kind", "hamming"],
     ["gen-fixture", "noise", "o.wav", "--f0-range", "60,400"],
@@ -518,32 +517,36 @@ def test_low_voice_chain_reads_its_own_track(tmp_path):
     assert values[values > 0].min() == 50.0
 
 
-def test_refined_track_is_as_wide_as_the_set(tmp_path):
+def test_fit_envelope_pads_a_track_narrower_than_the_set(tmp_path):
     """On this fully voiced falling chirp the lowest-F0 frame sets the set's
     K = 219, and refine_f0 raises it past the K-rule boundary at
-    11950 / 219 = 54.566 Hz. fit-envelope refuses a track whose harmonic grid
-    is narrower than the set, so that frame keeps its detected F0 and the
-    chain reads its own track back."""
+    11950 / 219 = 54.566 Hz, so the refined track's harmonic grid is
+    narrower than the set. analyze writes that track as refined and
+    clipped, and fit-envelope parks the columns it lacks at each frame's
+    last one, as harmonic_grid parks them."""
     wav, harm, f0 = tmp_path / "c.wav", tmp_path / "h.bin", tmp_path / "f0.csv"
+    casc = tmp_path / "c.bin"
     assert main(["gen-fixture", "chirp", str(wav), "--params",
                  '{"f_start": 67.47, "f_end": 52.47, "duration": 0.2, "n_harmonics": 8,'
                  ' "amplitude": 0.15}']) == 0
     assert main(["analyze", str(wav), str(harm), "--f0-out", str(f0)]) in (0, 1)
     cfg = tmp_path / "steps.cfg"
     cfg.write_text("fit_max_steps = 5\n")
-    assert main(["fit-envelope", str(harm), str(tmp_path / "c.bin"), "--orders", "8,8,2",
+    assert main(["fit-envelope", str(harm), str(casc), "--orders", "8,8,2",
                  "--config", str(cfg), "--f0", str(f0)]) in (0, 1)
     buf = read_wav(wav)
     grid = make_grid(buf.duration, 0.005, 0.010)
-    hset, track = qv.analyze(buf, grid)
-    assert f0.read_text() == serialize.f0_to_csv(track)
     detected = qv.detect_f0(buf, grid)
-    raw = qv.refine_f0(qv.analyze_qhm(buf, grid, detected), detected)
-    assert detected.voiced.all() and hset.n_components == 219
-    assert qv.harmonic_grid(raw, buf.sample_rate)[0].shape[1] < 219
-    kept = np.flatnonzero(track.values != raw.values)
-    assert kept.size == 1 and track.values[kept] == detected.values[kept]
-    assert qv.harmonic_grid(track, buf.sample_rate)[0].shape[1] == 219
+    hset = qv.analyze_qhm(buf, grid, detected)
+    raw = qv.refine_f0(hset, detected).values
+    clipped = F0Track(grid, np.where(raw > 0, np.clip(raw, 50.0, 500.0), 0.0))
+    assert f0.read_text() == serialize.f0_to_csv(clipped)
+    narrow, _ = qv.harmonic_grid(clipped, buf.sample_rate)
+    assert detected.voiced.all() and hset.n_components == 219 and narrow.shape[1] < 219
+    padded = np.pad(narrow, ((0, 0), (0, 219 - narrow.shape[1])), mode="edge")
+    fitted = qv.fit_cascade(dataclasses.replace(hset, frequencies=padded), None,
+                            orders=(8, 8, 2), max_steps=5)
+    assert casc.read_bytes() == serialize.cascade_to_bytes(fitted)
 
 
 def test_fit_envelope_zero_frame_f0_exits_2(tmp_path, capsys):
@@ -564,13 +567,13 @@ def test_fit_envelope_zero_frame_f0_exits_2(tmp_path, capsys):
 def test_synth_exit_code_2_on_ragged_cascade(tmp_path, capsys):
     cascade = fixtures.vowel_cascade(24000, 5, 0.005, 0.010)
     doc = json.loads(serialize.cascade_to_json(cascade))
-    doc["frames"][1]["sections"][0]["ar"] = [0.1, 0.0, 0.0]   # 3 taps, not 8
+    doc["ar"][1][0] = [0.1, 0.0, 0.0]   # 3 taps, not 8
     casc = tmp_path / "ragged.json"
     casc.write_text(json.dumps(doc))
     f0 = tmp_path / "f0.csv"
     f0.write_text(serialize.f0_to_csv(F0Track(cascade.grid, np.full(5, 150.0))))
     assert main(["synth", str(casc), str(tmp_path / "out.wav"), "--f0", str(f0)]) == 2
-    assert "malformed cascade file" in capsys.readouterr().err
+    assert "malformed product" in capsys.readouterr().err
     assert not (tmp_path / "out.wav").exists()
 
 
@@ -588,7 +591,7 @@ def test_synth_exit_code_2_on_nonfinite_grid(tmp_path, tone_wav, capsys, field, 
         doc["grid"][field][value] = float("nan")
     harm.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["synth", str(harm), str(tmp_path / "out.wav"), "--from-harmonics"]) == 2
+    assert main(["synth", str(harm), str(tmp_path / "out.wav")]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "out.wav").exists()
 
@@ -606,7 +609,7 @@ def small_harmonics(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["synth", "fit-envelope"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["frequencies", "amplitudes", "phases", "compensations"])
+@pytest.mark.parametrize("name", ["frequencies", "amplitudes", "phases"])
 def test_nonfinite_harmonics_exit_2(small_harmonics, tmp_path, capsys, command, value, name):
     """A harmonics product with one non-finite value is a usage error for
     synthesis and for the envelope fit, not a traceback or a written file."""
@@ -616,7 +619,7 @@ def test_nonfinite_harmonics_exit_2(small_harmonics, tmp_path, capsys, command, 
     harm = tmp_path / "bad.json"
     harm.write_text(json.dumps(doc))
     out = tmp_path / ("out.wav" if command == "synth" else "casc.bin")
-    argv = ([command, str(harm), str(out), "--from-harmonics"] if command == "synth" else
+    argv = ([command, str(harm), str(out)] if command == "synth" else
             [command, str(harm), str(out), "--f0", str(d / "f0.csv"), "--orders", "4,4,1"])
     capsys.readouterr()
     assert main(argv) == 2
@@ -800,3 +803,84 @@ def test_analyze_drawn_wav_bytes(fuzz_dir, image):
     else:
         assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# --- drawn products -----------------------------------------------------------
+
+# Numbers are drawn two times in three, so that many drawn products stay
+# readable. They are small, or so large that the output is refused: a frame
+# center or a sample rate in between would ask for a render of gigabytes that
+# a RIFF header can still hold.
+_NUMBER = (st.integers(-2, 64) | st.floats(-2.0, 2.0)
+           | st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308]))
+_JSON = _NUMBER | st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+
+
+@given(kind=st.sampled_from(["harmonics", "cascade"]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_drawn_products_exit_0_1_or_2(fuzz_dir, kind, data):
+    """A valid product with one header or array value of its JSON document
+    replaced by drawn JSON, at any depth, or its binary container with one
+    byte flipped or cut: every synth, fit-envelope and modify run on it
+    ends in exit 0, 1 or 2, with no exception escaping main."""
+    d = fuzz_dir
+    blob = (d / ("harm.bin" if kind == "harmonics" else "casc.bin")).read_bytes()
+    if data.draw(st.booleans(), label="json"):
+        doc = json.loads(serialize.encode(serialize.decode(blob), binary=False))
+        node, key = doc, data.draw(st.sampled_from(sorted(set(doc) - {"format", "version"})))
+        while isinstance(node[key], (list, dict)) and node[key] and data.draw(st.booleans()):
+            node = node[key]
+            key = data.draw(st.sampled_from(sorted(node)) if isinstance(node, dict)
+                            else st.integers(0, len(node) - 1))
+        node[key] = data.draw(_JSON, label="value")
+        path = d / "drawn.json"
+        path.write_text(json.dumps(doc))
+    else:
+        i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        flip = data.draw(st.integers(0, 255), label="xor, or 0 to cut")
+        path = d / "drawn.bin"
+        path.write_bytes(blob[:i] + (bytes([blob[i] ^ flip]) + blob[i + 1:] if flip else b""))
+    (d / "steps.cfg").write_text("fit_max_steps = 5\n")
+    f0, out = ["--f0", str(d / "f0.csv")], str(d / "out.wav")
+    runs = [["synth", str(path), out] + (f0 if kind == "cascade" else []),
+            ["fit-envelope", str(path), str(d / "c.bin"), "--orders", "4,4,1",
+             "--config", str(d / "steps.cfg")] + f0,
+            ["modify", str(path), out] + f0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for argv in runs:
+            assert main(argv) in (0, 1, 2), argv
+
+
+def test_products_of_the_wrong_kind_and_version_1_files_exit_2(tmp_path, capsys):
+    """fit-envelope reads harmonics and modify reads a cascade; synth reads
+    either, and --f0 only with a cascade. A version-1 file of either kind
+    exits 2 with the command that writes its successor."""
+    cascade = fixtures.vowel_cascade(24000, 5, 0.005, 0.010)
+    hset = HarmonicSet(cascade.grid, np.full((5, 2), 150.0), np.zeros((5, 2)),
+                       np.zeros((5, 2)), np.zeros((5, 2)), 24000)
+    casc, harm, f0 = tmp_path / "c.bin", tmp_path / "h.json", tmp_path / "f0.csv"
+    casc.write_bytes(serialize.cascade_to_bytes(cascade))
+    harm.write_text(serialize.harmonics_to_json(hset))
+    f0.write_text(serialize.f0_to_csv(F0Track(cascade.grid, np.full(5, 150.0))))
+    old_casc, old_harm = tmp_path / "old.bin", tmp_path / "old.json"
+    data = casc.read_bytes()
+    old_casc.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
+    old_harm.write_text(json.dumps({**json.loads(harm.read_text()), "version": 1}))
+    out = tmp_path / "o.wav"
+    capsys.readouterr()
+    for argv, message in (
+            (["fit-envelope", str(casc), str(tmp_path / "x.bin")], "reads harmonics"),
+            (["modify", str(harm), str(out), "--f0", str(f0)], "reads a cascade"),
+            (["synth", str(harm), str(out), "--f0", str(f0)], "takes none for harmonics"),
+            (["synth", str(old_casc), str(out), "--f0", str(f0)], "quasivoc fit-envelope"),
+            (["modify", str(old_casc), str(out), "--f0", str(f0)], "quasivoc fit-envelope"),
+            (["synth", str(old_harm), str(out)], "quasivoc analyze"),
+            (["fit-envelope", str(old_harm), str(tmp_path / "x.bin")], "quasivoc analyze")):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    assert not out.exists() and not (tmp_path / "x.bin").exists()
+    assert main(["synth", str(harm), str(out)]) == 0

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quasivoc.arma import ArmaCascade
-from quasivoc.qhm import AnalysisError, F0Track, HarmonicSet
+from quasivoc.qhm import AnalysisError, F0Track, HarmonicSet, compensations_from_phases
 from quasivoc.serialize import (SerializationError, cascade_from_bytes,
                                 cascade_from_json, cascade_to_bytes,
-                                cascade_to_json, f0_from_csv, f0_to_csv,
+                                cascade_to_json, decode, encode, f0_from_csv, f0_to_csv,
                                 harmonics_from_bytes, harmonics_from_json,
                                 harmonics_to_bytes, harmonics_to_json)
 from quasivoc.signals import make_grid
@@ -18,13 +18,14 @@ FS = 24000
 
 
 def _sample_hset():
+    """A set whose compensations are those of its phases, as every producer
+    builds them."""
     rng = np.random.default_rng(0)
     grid = make_grid(0.02, 0.005, 0.010)
     L, K = len(grid), 4
-    return HarmonicSet(grid, rng.uniform(50, 5000, (L, K)),
-                       rng.uniform(0, 1, (L, K)),
-                       rng.uniform(-np.pi, np.pi, (L, K)),
-                       rng.uniform(-np.pi, np.pi, (L, K)), FS,
+    freqs, phases = rng.uniform(50, 5000, (L, K)), rng.uniform(-np.pi, np.pi, (L, K))
+    return HarmonicSet(grid, freqs, rng.uniform(0, 1, (L, K)), phases,
+                       compensations_from_phases(grid, freqs, phases), FS,
                        np.array([0, 1, 0, 2, 0], dtype=np.int64))
 
 
@@ -57,6 +58,59 @@ def _assert_cascades_equal(a: ArmaCascade, b: ArmaCascade):
 def test_harmonics_json_round_trip():
     hset = _sample_hset()
     _assert_hsets_equal(harmonics_from_json(harmonics_to_json(hset)), hset)
+
+
+def test_decoded_sets_rebuild_their_compensations():
+    """No file holds compensations: each decoded set carries those of its
+    own phases, whatever the set that was written carried."""
+    hset = _sample_hset()
+    hset.compensations = np.zeros_like(hset.phases)
+    for back in (harmonics_from_json(harmonics_to_json(hset)),
+                 harmonics_from_bytes(harmonics_to_bytes(hset))):
+        np.testing.assert_array_equal(
+            back.compensations, compensations_from_phases(back.grid, back.frequencies,
+                                                          back.phases))
+        assert np.any(back.compensations != 0)
+
+
+def test_json_and_binary_carry_one_header_and_the_same_arrays():
+    """A JSON document holds the binary container's header and its arrays,
+    as nested lists of the declared shapes, and nothing else."""
+    for product, arrays in ((_sample_hset(), ("frequencies", "amplitudes", "phases")),
+                            (_sample_cascade(), ("gain", "ar", "ma"))):
+        doc = json.loads(encode(product, binary=False))
+        data = encode(product, binary=True)
+        hdr_len = int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12:12 + hdr_len])
+        assert data[4:8] == (2).to_bytes(4, "little")
+        assert doc == {"format": doc["format"], "version": 2, **header,
+                       **{name: getattr(product, name).tolist() for name in arrays}}
+        assert "compensations" not in doc
+        off = 12 + hdr_len
+        for name in arrays:
+            nbytes = int.from_bytes(data[off:off + 8], "little")
+            raw = np.frombuffer(data[off + 8:off + 8 + nbytes], dtype=np.float64)
+            np.testing.assert_array_equal(raw, getattr(product, name).ravel())
+            off += 8 + nbytes
+        assert off == len(data)
+        for blob in (data, json.dumps(doc).encode()):
+            assert type(decode(blob)) is type(product)
+
+
+def test_version_1_files_name_the_fix():
+    """A version-1 document or container is refused with the command that
+    writes its version-2 successor."""
+    for product, writer, read_json, read_bytes in (
+            (_sample_hset(), "quasivoc analyze", harmonics_from_json, harmonics_from_bytes),
+            (_sample_cascade(), "quasivoc fit-envelope", cascade_from_json, cascade_from_bytes)):
+        doc = json.loads(encode(product, binary=False))
+        doc["version"] = 1
+        data = encode(product, binary=True)
+        old = data[:4] + (1).to_bytes(4, "little") + data[8:]
+        for read, blob in ((read_json, json.dumps(doc)), (read_bytes, old),
+                           (decode, json.dumps(doc).encode()), (decode, old)):
+            with pytest.raises(SerializationError, match=f"version-1.*{writer}"):
+                read(blob)
 
 
 def test_harmonics_binary_round_trip_bit_exact():
@@ -113,11 +167,15 @@ def test_container_validation():
     with pytest.raises(SerializationError):
         cascade_from_bytes(blob)  # harmonics magic under the cascade reader
     doc = json.loads(cascade_to_json(_sample_cascade()))
-    doc["frames"][2]["sections"].pop()       # one section short of r
+    doc["ar"][2].pop()                       # one section short of r
     with pytest.raises(SerializationError):
         cascade_from_json(json.dumps(doc))
     doc = json.loads(cascade_to_json(_sample_cascade()))
-    doc["frames"][0]["sections"][1]["ma"].append(0.0)   # five MA taps, not four
+    doc["ma"][0][1].append(0.0)              # five MA taps, not four
+    with pytest.raises(SerializationError):
+        cascade_from_json(json.dumps(doc))
+    doc = json.loads(cascade_to_json(_sample_cascade()))
+    doc["ma"] = np.ravel(doc["ma"]).tolist()   # the right count, but flat
     with pytest.raises(SerializationError):
         cascade_from_json(json.dumps(doc))
     doc = json.loads(cascade_to_json(_sample_cascade()))
@@ -129,10 +187,10 @@ def test_container_validation():
         with pytest.raises(SerializationError):
             cascade_from_json(json.dumps(doc))
     doc = json.loads(cascade_to_json(_sample_cascade()))
-    doc["frames"][1]["gain"] = 0.0           # gains must be positive
+    doc["gain"][1] = 0.0                     # gains must be positive
     with pytest.raises(SerializationError):
         cascade_from_json(json.dumps(doc))
-    doc["frames"][1]["gain"] = "loud"        # and numbers
+    doc["gain"][1] = "loud"                  # and numbers
     with pytest.raises(SerializationError):
         cascade_from_json(json.dumps(doc))
     for data, key, value, read in (
