@@ -6,7 +6,10 @@ cascade can represent phase delays in [-r*pi, r*pi]. The fitter estimates
 a stable cascade from harmonic amplitude/phase targets by a batched
 damped Gauss-Newton (Levenberg-Marquardt) fit that steps every frame at
 once, from a minimum-phase start, with pole-stability projection. Each
-frame stops on its own once its cost stops falling or reaches a floor.
+frame stops on its own once a stage's steps stop paying: the magnitude-only
+warm start once its cost falls by at most 1e-2 of itself over 10 steps, the
+joint fit at 1e-3, though never while one of its AR roots lies on or outside
+the unit circle. A frame also stops at a cost floor or at the step cap.
 """
 from __future__ import annotations
 
@@ -25,11 +28,16 @@ RESPONSE_EPS = 1e-12
 _TABLE_BUDGET = 1 << 18
 # Jacobian and normal-matrix values in one block of frame fits (16 MB)
 _FIT_BUDGET = 1 << 21
-# A frame's LM fit stops once its cost fell by at most _STOP_TOL of itself over
-# its last _STOP_WINDOW trial steps, or is at most _COST_FLOOR per residual
+# A frame's LM fit stops once its cost fell by at most _MAG_STOP_TOL (the
+# magnitude-only stage) or _JOINT_STOP_TOL (the joint stage) of itself over its
+# last _STOP_WINDOW trial steps, or is at most _COST_FLOOR per residual
 _STOP_WINDOW = 10
-_STOP_TOL = 5e-5
+_MAG_STOP_TOL = 1e-2
+_JOINT_STOP_TOL = 1e-3
 _COST_FLOOR = 1e-8
+# why a frame's LM fit stopped, by code: "none" for a frame never fitted, then
+# the stop rules in the order _levenberg_marquardt checks them
+STOP_REASONS = ("none", "converged", "floor", "window", "cap")
 # joint-fit cycles, each followed by re-reflection of unstable poles
 _MAX_CYCLES = 4
 
@@ -324,17 +332,26 @@ def _levenberg_marquardt(fit: _Fit, theta, rows, mag_only: bool, max_steps: int)
     """Minimize the residuals of frames `rows` from theta (L, n_par), all at once.
 
     Each frame solves (A + mu diag A) h = -g, A = J^T J and g = J^T r, with
-    its own damping mu (Nielsen's update). It stops after max_steps trial
-    steps, once a step's actual and predicted cost decrease are both below
-    1e-10 of its cost, or by the window and floor rules of _STOP_WINDOW and
-    _COST_FLOOR. No frame's result depends on another's.
+    its own damping mu (Nielsen's update). A frame stops at the first of
+    these rules that holds after a trial step, checked in this order:
+    converged, once the step's actual and predicted cost decrease are both
+    below 1e-10 of its cost; floor, at a cost of at most _COST_FLOOR per
+    residual; window, once its cost fell by at most _MAG_STOP_TOL
+    (mag_only) or _JOINT_STOP_TOL of itself over its last _STOP_WINDOW
+    trial steps; cap, after max_steps trial steps. In the joint stage the
+    window rule skips a frame with an AR root at |z| >= 1: the reflection
+    after the stage would undo its fit, so it keeps stepping.
+
+    Returns theta, the trial steps (L,) and the stop reasons (L,), codes
+    into STOP_REASONS. No frame's result depends on another's.
     """
     theta, active = theta.copy(), np.arange(len(theta))
     res, parts = fit.residuals(theta, rows, mag_only)
     cost, (a, g) = 0.5 * np.sum(res ** 2, axis=1), _normal(res, fit.jacobian(rows, parts, mag_only))
     diag = np.diagonal(a, axis1=1, axis2=2)
-    mu, nu, steps = np.full(len(theta), 1e-2), np.full(len(theta), 2.0), np.zeros(len(theta))
-    checkpoint = cost.copy()
+    mu, nu = np.full(len(theta), 1e-2), np.full(len(theta), 2.0)
+    steps, reasons = np.zeros(len(theta), dtype=np.int64), np.zeros(len(theta), dtype=np.int64)
+    checkpoint, tol = cost.copy(), _MAG_STOP_TOL if mag_only else _JOINT_STOP_TOL
     while active.size:
         # the floor keeps the damped matrix invertible where J^T J is singular
         d = diag[active]
@@ -356,11 +373,17 @@ def _levenberg_marquardt(fit: _Fit, theta, rows, mag_only: bool, max_steps: int)
         mu[active] *= np.where(ok, np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), nu[active])
         nu[active] = np.where(ok, 2.0, 2.0 * nu[active])
         now, window = cost[active], steps[active] % _STOP_WINDOW == 0
-        stalled = window & (now >= (1 - _STOP_TOL) * checkpoint[active])
+        stalled = window & (now >= (1 - tol) * checkpoint[active])
+        if not mag_only and stalled.any():
+            ar = fit.split(theta[active[stalled]])[1]
+            stalled[stalled] = ~np.any(np.abs(_roots(ar)) >= 1.0, axis=(1, 2))
         checkpoint[active[window]] = now[window]
-        active = active[~((np.maximum(old - new, predicted) <= 1e-10 * old) | stalled
-                          | (now <= _COST_FLOOR * res.shape[1]) | (steps[active] >= max_steps))]
-    return theta
+        rules = (np.maximum(old - new, predicted) <= 1e-10 * old,
+                 now <= _COST_FLOOR * res.shape[1], stalled, steps[active] >= max_steps)
+        stop = np.select(rules, range(1, len(STOP_REASONS)), 0)
+        reasons[active] = stop
+        active = active[stop == 0]
+    return theta, steps, reasons
 
 
 def _reflect(polys):
@@ -389,13 +412,18 @@ def fit_targets(freqs, amps, phases, sample_rate: int, orders, max_steps: int):
     close for vocal-tract-like envelopes. Stage two fits magnitude and
     phase jointly from that start, re-reflecting unstable poles and
     re-optimizing if needed. Each fit stops after max_steps trial steps,
-    or sooner once its cost falls by at most 5e-5 of itself over 10 steps
-    or reaches 1e-8 per residual. Every row is fitted at once, and no
-    row's result depends on another's.
+    or sooner once its cost reaches 1e-8 per residual or stops paying: the
+    warm start once its cost falls by at most 1e-2 of itself over 10
+    steps, the joint fit at 1e-3, and never while one of its AR roots lies
+    at |z| >= 1. Every row is fitted at once, and no row's result depends
+    on another's.
 
-    Returns gains (L,), AR (L, r, P/r), MA (L, r, Q/r), final losses (L,)
-    and flags (L,): flag 1 marks degenerate all-zero targets and flag 2 a
-    fit that still needed stabilizing after the last cycle.
+    Returns gains (L,), AR (L, r, P/r), MA (L, r, Q/r), final losses (L,),
+    trial steps (L,) summed over both stages and every cycle, the stop
+    reason (L,) of each row's last joint fit as a code into STOP_REASONS,
+    and flags (L,): flag 1 marks degenerate all-zero targets, which are
+    not fitted (0 steps, reason "none"), and flag 2 a fit that still
+    needed stabilizing after the last cycle.
     """
     p, q, r = orders
     if r <= 0 or p % r or q % r:
@@ -417,7 +445,7 @@ def fit_targets(freqs, amps, phases, sample_rate: int, orders, max_steps: int):
     # stage one: magnitude-only fit, then fold all roots inside the circle
     # (minimum-phase start)
     left = np.arange(live.size)
-    theta = _levenberg_marquardt(fit, start, left, True, max_steps)
+    theta, steps, _ = _levenberg_marquardt(fit, start, left, True, max_steps)
     log_g, ar, ma = fit.split(theta)
     ar[...], corr = _reflect(ar)
     log_g += corr.sum(axis=1)
@@ -427,8 +455,10 @@ def fit_targets(freqs, amps, phases, sample_rate: int, orders, max_steps: int):
     # frame leaves once a cycle ends stable, keeps its best (theta, loss) and
     # gets flag 2 if its last cycle still needed reflecting.
     best, loss, flags = theta.copy(), fit.loss(theta, left), np.zeros(live.size, dtype=np.int64)
+    reasons = np.zeros(live.size, dtype=np.int64)
     for _ in range(_MAX_CYCLES):
-        th = _levenberg_marquardt(fit, theta[left], left, False, max_steps)
+        th, took, reasons[left] = _levenberg_marquardt(fit, theta[left], left, False, max_steps)
+        steps[left] += took
         log_g, ar, _ = fit.split(th)
         ar[...], corr = _reflect(ar)
         log_g += corr.sum(axis=1)
@@ -442,11 +472,12 @@ def fit_targets(freqs, amps, phases, sample_rate: int, orders, max_steps: int):
     if not np.all(np.isfinite(loss)):
         raise EnvelopeError("non-finite fit loss")
     params, losses = np.zeros((len(amps), 1 + p + q)), np.zeros(len(amps))
-    out = silent.astype(np.int64)
-    params[live], losses[live], out[live] = best, loss, flags
+    all_steps, all_reasons, out = (np.zeros(len(amps), dtype=np.int64) for _ in range(3))
+    params[live], losses[live], out[silent], out[live] = best, loss, 1, flags
+    all_steps[live], all_reasons[live] = steps, reasons
     log_g, ar, ma = fit.split(params)
-    gains = np.where(silent, AMPLITUDE_FLOOR, np.exp(log_g))
-    return gains, project_stable(ar, radius=1.0 - 1e-4), ma, losses, out
+    gains, ar = np.where(silent, AMPLITUDE_FLOOR, np.exp(log_g)), project_stable(ar, 1.0 - 1e-4)
+    return gains, ar, ma, losses, all_steps, all_reasons, out
 
 
 def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), max_steps: int = 500,
@@ -479,5 +510,5 @@ def fit_cascade(hset, f0_track=None, orders=(128, 128, 8), max_steps: int = 500,
     blocks = [fit_targets(freqs[i:i + step], hset.amplitudes[i:i + step], residual[i:i + step],
                           fs, orders, max_steps)
               for i in range(0, max(1, hset.n_frames), step)]
-    gain, ar, ma, _, flags = (np.concatenate(parts) for parts in zip(*blocks))
+    gain, ar, ma, _, _, _, flags = (np.concatenate(parts) for parts in zip(*blocks))
     return ArmaCascade(hset.grid, gain, ar, ma, fs, flags)

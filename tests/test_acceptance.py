@@ -177,7 +177,7 @@ def test_criterion_5_envelope_fit_self_consistency():
         freqs.append(np.sort(rng.uniform(80.0, 11000.0, 30)))
     freqs = np.array(freqs)
     mags, delays = sample_cascade(stacked_cascade(gains, ars, mas), freqs)
-    gain, ar, ma, _, _ = fit_targets(freqs, mags, _wrap(delays), FS, (16, 16, 2), 150)
+    gain, ar, ma, _, _, _, _ = fit_targets(freqs, mags, _wrap(delays), FS, (16, 16, 2), 150)
     got_mags, got_delays = sample_cascade(stacked_cascade(gain, ar, ma), freqs)
     mag_db = np.max(20 / np.log(10) * np.abs(np.log(mags + 1e-7) - np.log(got_mags + 1e-7)),
                     axis=1)

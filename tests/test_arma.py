@@ -14,7 +14,7 @@ from quasivoc import arma, fixtures
 from quasivoc.arma import (ArmaCascade, ArmaSection, CascadeFrame, EnvelopeError,
                            _wrap, correction_capacity, fit_cascade, fit_targets,
                            project_stable, sample_cascade, sample_harmonics)
-from quasivoc.qhm import F0Track, HarmonicSet, analyze_qhm, harmonic_grid
+from quasivoc.qhm import AMPLITUDE_FLOOR, F0Track, HarmonicSet, analyze, analyze_qhm, harmonic_grid
 from quasivoc.serialize import cascade_to_bytes
 from quasivoc.signals import make_grid
 from quasivoc.synth import excitation_phase, synthesize_arma
@@ -340,7 +340,7 @@ def _fit_one(f, amps, phases, orders, max_steps=300):
     """fit_targets on one row of targets: the fitted one-row cascade, its
     loss and its flag."""
     targets = (np.reshape(x, (1, -1)) for x in (f, amps, phases))
-    gain, ar, ma, loss, flag = fit_targets(*targets, FS, orders, max_steps)
+    gain, ar, ma, loss, _, _, flag = fit_targets(*targets, FS, orders, max_steps)
     return stacked_cascade(gain, ar, ma), loss[0], flag[0]
 
 
@@ -466,22 +466,96 @@ def test_fit_stops_before_max_steps(monkeypatch):
     hset = analyze_qhm(buf, cascade.grid, track)
     freqs, _ = harmonic_grid(track, FS, max_components=hset.n_components)
     residual = _wrap(hset.phases - excitation_phase(freqs, hset.grid))
-    evaluate = arma._Fit.residuals
-    rows_by_stage = []
+    solver, stages = arma._levenberg_marquardt, []
 
-    def counting(self, theta, rows, mag_only=False, **kwargs):
-        if kwargs.get("jacobian", True):
-            rows_by_stage[-1][mag_only] += len(rows)
-        return evaluate(self, theta, rows, mag_only, **kwargs)
+    def recording(fit, theta, rows, mag_only, max_steps):
+        out = solver(fit, theta, rows, mag_only, max_steps)
+        stages.append((mag_only, out[1][0]))
+        return out
 
-    monkeypatch.setattr(arma._Fit, "residuals", counting)
+    monkeypatch.setattr(arma, "_levenberg_marquardt", recording)
     for l in (3, 5, 7):
-        rows_by_stage.append({True: 0, False: 0})
+        stages.clear()
         _, _, flag = _fit_one(freqs[l], hset.amplitudes[l], residual[l], (16, 16, 2),
                               max_steps=500)
         assert flag == 0
-    for stages in rows_by_stage:
-        assert 0 < stages[True] < 500 and 0 < stages[False] < 500
+        assert [mag_only for mag_only, _ in stages] == [True, False]
+        assert all(0 < steps < 500 for _, steps in stages)
+
+
+def test_fit_stages_stop_before_the_cap(monkeypatch):
+    """On a vowel's analysis at (16, 16, 2) and 150 steps, most frames stop
+    before the step cap in the magnitude stage and in the first joint cycle,
+    as their step counts read. fit_targets sums each frame's steps over
+    every stage and returns the stop reason of its last joint fit."""
+    buf, _, cascade, _ = fixtures.vowel(150.0, 0.1, FS)
+    hset, track = analyze(buf, cascade.grid)
+    solver, targets, stages, results = arma._levenberg_marquardt, arma.fit_targets, [], []
+
+    def recording(fit, theta, rows, mag_only, max_steps):
+        out = solver(fit, theta, rows, mag_only, max_steps)
+        stages.append((mag_only, rows.copy(), out[1].copy(), out[2].copy()))
+        return out
+
+    def recording_targets(*args):
+        results.append(targets(*args))
+        return results[-1]
+
+    monkeypatch.setattr(arma, "_levenberg_marquardt", recording)
+    monkeypatch.setattr(arma, "fit_targets", recording_targets)
+    fit_cascade(hset, track, orders=(16, 16, 2), max_steps=150)
+    assert len(results) == 1 and [m for m, *_ in stages[:2]] == [True, False]
+    for _, rows, steps, reasons in stages[:2]:
+        assert len(rows) == hset.n_frames
+        assert np.all((steps >= 1) & (steps <= 150))
+        assert np.all((reasons >= 1) & (reasons < len(arma.STOP_REASONS)))
+        assert np.count_nonzero(steps < 150) >= 0.75 * len(rows)
+    total, last = np.zeros(hset.n_frames, dtype=np.int64), np.zeros(hset.n_frames, dtype=np.int64)
+    for _, rows, steps, reasons in stages:
+        total[rows] += steps
+        last[rows] = reasons
+    _, _, _, _, got_steps, got_reasons, _ = results[0]
+    assert got_steps.tolist() == total.tolist()
+    assert got_reasons.tolist() == last.tolist()
+
+
+def _unstable_pair():
+    """A _Fit of two frames of noisy (4, 4, 1) targets and its start theta:
+    frame 0 at a cascade with a pole at |z| = 1.1, frame 1 at its twin with
+    that pole at 0.9."""
+    rng = np.random.default_rng(0)
+    f = np.sort(rng.uniform(100, 10000, 24))
+    ar = [np.poly([pole, 0.5 * np.exp(0.6j), 0.5 * np.exp(-0.6j), 0.3]).real[1:]
+          for pole in (1.1, 0.9)]
+    ma = np.array([0.2, -0.1, 0.05, 0.0])
+    freqs = np.tile(f, (2, 1))
+    mags, delays = sample_cascade(stacked_cascade([0.3, 0.3], [a[None] for a in ar],
+                                                  [ma[None], ma[None]]), freqs)
+    mags = mags * np.exp(0.3 * rng.standard_normal(mags.shape))
+    phases = _wrap(delays + 0.3 * rng.standard_normal(mags.shape))
+    fit = arma._Fit(1, 4, 4, arma._table(2 * np.pi * freqs / FS, 4),
+                    np.log(mags + AMPLITUDE_FLOOR), phases,
+                    np.sqrt(arma.PHASE_WEIGHT) * (mags > AMPLITUDE_FLOOR))
+    theta = np.hstack([np.full((2, 1), np.log(0.3)), np.vstack(ar), np.vstack([ma, ma])])
+    return fit, theta
+
+
+def test_joint_fit_with_an_unstable_pole_steps_past_a_stalled_window(monkeypatch):
+    """With tolerances at which every window stalls, a joint fit whose AR
+    holds a root outside the unit circle keeps stepping (here to the cap),
+    while its stable twin stops at the first window. The magnitude stage,
+    whose result is reflected anyway, stops both at the first window."""
+    fit, theta = _unstable_pair()
+    monkeypatch.setattr(arma, "_JOINT_STOP_TOL", 1.0)
+    monkeypatch.setattr(arma, "_MAG_STOP_TOL", 1.0)
+    window, names = arma._STOP_WINDOW, arma.STOP_REASONS
+    th, steps, reasons = arma._levenberg_marquardt(fit, theta, np.arange(2), False, 60)
+    assert steps.tolist() == [60, window]
+    assert [names[r] for r in reasons] == ["cap", "window"]
+    assert np.abs(arma._roots(fit.split(th)[1][:1])).max() >= 1.0
+    _, steps, reasons = arma._levenberg_marquardt(fit, theta, np.arange(2), True, 60)
+    assert steps.tolist() == [window, window]
+    assert [names[r] for r in reasons] == ["window", "window"]
 
 
 _THREADS_SCRIPT = """
